@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import coloring, diagram, potential, representation
+from . import coloring, diagram, engine, representation
 
 TREFOIL_PD = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 FIG8_PD = "X[4,8,5,7] X[8,4,1,3] X[2,5,3,6] X[6,1,7,2]"
@@ -185,13 +185,11 @@ def figure_eight_parabolic():
 class PipelineRun:
     """Everything produced by running an example end to end."""
     example: GoldenExample
-    diagram: object
     rep: object
     coloring: object
     solution: object
-    l: list
     filling: object
-    result: object = None         # VolumeResult
+    result: object                # VolumeResult
 
     @property
     def w_reference_order(self):
@@ -201,8 +199,10 @@ class PipelineRun:
         return out
 
 
-def run_pipeline(ex, residual_tol=1e-3, filling_tol=1e-3, coloring_seed=None):
-    """Execute the full pipeline on a bundled example.
+def run_pipeline(ex, coloring_seed=None):
+    """Execute the full pipeline on a bundled example through
+    ``engine.from_representation`` at its default tolerance, the one
+    ``from-rep`` uses.
 
     ``coloring_seed``: None uses the example's pinned seed vectors;
     an integer asks for a random generic coloring instead (the resulting
@@ -214,28 +214,11 @@ def run_pipeline(ex, residual_tol=1e-3, filling_tol=1e-3, coloring_seed=None):
         col = coloring.propagate(rep, ex.seed_region,
                                  np.array(ex.seedV, dtype=complex))
         col.Wvec = np.array(ex.auxW, dtype=complex)
-        report = coloring.check_genericity(col, rep)
-        if report:
-            raise coloring.ColoringError(
-                "pinned coloring is degenerate: " + "; ".join(report))
     else:
         col = coloring.random_generic_coloring(rep, coloring_seed)
-    sol = coloring.assemble_solution(col)
-    l = [representation.longitude_eigenvalue(rep, i)
-         for i in range(d.n_components)]
-    uv = []
-    for i, sl in enumerate(ex.slopes):
-        if sl is None:
-            uv.append(None)
-        else:
-            uv.append(representation.solve_uv(
-                sol.m[i], l[i], sl[0], sl[1], tol=filling_tol))
-    f = representation.FillingSpec(list(ex.slopes), l=list(l), uv=uv)
-    run = PipelineRun(example=ex, diagram=d, rep=rep, coloring=col,
-                      solution=sol, l=l, filling=f)
-    run.result = potential.W0(sol, f, residual_tol=residual_tol,
-                              filling_tol=filling_tol)
-    return run
+    sol, f, result = engine.from_representation(rep, col, ex.slopes)
+    return PipelineRun(example=ex, rep=rep, coloring=col, solution=sol,
+                       filling=f, result=result)
 
 
 def all_golden():

@@ -1,32 +1,15 @@
-"""Numerical kernels with optional JIT compilation.
-
-The two hot paths, batched dilogarithm evaluation and the assembly of
-log-derivative residuals/Jacobians from term tables, each have two
-interchangeable implementations: a vectorized pure-numpy one and a
-scalar-loop one compiled with numba. The numba path is used by default when
-numba imports; set LINKVOL_PURE_NUMPY=1 to force the numpy path. Both
-implementations stay importable so tests and benchmarks can compare them.
+"""Vectorized numpy kernels for the two hot paths: batched dilogarithm
+evaluation and the assembly of log-derivative residuals/Jacobians from term
+tables.
 
 Branch convention: all logarithms are principal with arg in (-pi, pi]; an
 argument on the negative real axis with a signed -0.0 imaginary part is
 folded up to +pi so the closed half of the cut is deterministic.
 """
 
-import cmath
 import math
-import os
 
 import numpy as np
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    numba = None
-    HAVE_NUMBA = False
-
-USE_JIT = HAVE_NUMBA and os.environ.get("LINKVOL_PURE_NUMPY", "") != "1"
 
 _PI = math.pi
 _PI2_6 = math.pi * math.pi / 6.0
@@ -51,68 +34,6 @@ def _bernoulli_coeffs(count):
 _QBERN = _bernoulli_coeffs(_N_BERN)
 
 
-def _plog(z):
-    # arg in (-pi, pi]: a signed -0.0 imaginary part would otherwise land on
-    # the excluded -pi edge; points strictly below the axis keep their
-    # (rounded) negative arg.
-    out = cmath.log(z)
-    if out.imag == -_PI and z.imag == 0.0:
-        out = complex(out.real, _PI)
-    return out
-
-
-def _dilog_taylor(z):
-    # direct power series, |z| <= 0.5
-    total = 0j
-    power = z
-    k = 1
-    while k <= 62:
-        term = power / (k * k)
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            break
-        power *= z
-        k += 1
-    return total
-
-
-def _dilog_bernoulli(u):
-    # series in u = -log(1-z); caller guarantees |u| < 2pi with margin
-    total = 0j
-    upow = u
-    for n in range(_N_BERN):
-        q = _QBERN[n]
-        if q != 0.0:
-            total += q * upow
-        upow *= u
-    return total
-
-
-def _dilog_scalar(z):
-    if z == 0.0:
-        return 0j
-    if z == 1.0:
-        return complex(_PI2_6, 0.0)
-    az = abs(z)
-    if az <= 0.5:
-        return _dilog_taylor(z)
-    if az >= 2.0:
-        # inversion: Li2(z) = -Li2(1/z) - pi^2/6 - log(-z)^2 / 2
-        lz = _plog(-z)
-        return -_dilog_taylor(1.0 / z) - _PI2_6 - 0.5 * lz * lz
-    if abs(1.0 - z) <= 0.5:
-        # reflection: Li2(z) = pi^2/6 - log(z)log(1-z) - Li2(1-z)
-        return _PI2_6 - _plog(z) * _plog(1.0 - z) - _dilog_taylor(1.0 - z)
-    return _dilog_bernoulli(-_plog(1.0 - z))
-
-
-def _dilog_many_loop(z):
-    out = np.empty(z.shape[0], dtype=np.complex128)
-    for i in range(z.shape[0]):
-        out[i] = _dilog_scalar(z[i])
-    return out
-
-
 def _plog_vec(z):
     out = np.log(z)
     bad = (out.imag == -_PI) & (z.imag == 0.0)
@@ -130,18 +51,26 @@ def _dilog_taylor_vec(z):
     return total
 
 
-def dilog_many_numpy(z):
-    """Vectorized dilogarithm over a complex128 array (pure numpy path)."""
+def dilog_many(z):
+    """Vectorized principal-branch dilogarithm over a complex128 array.
+
+    The Taylor series covers |z| <= 0.5 (z = 0 included, where it is exact);
+    z = 1 is set to pi^2/6 directly and kept out of the reflection and
+    Bernoulli branches, whose log(1 - z) is singular there.
+    """
     z = np.ascontiguousarray(z, dtype=np.complex128)
     out = np.empty_like(z)
     az = np.abs(z)
     one = np.abs(1.0 - z)
 
+    exact1 = z == 1.0
     small = az <= 0.5
     big = az >= 2.0
-    refl = (~small) & (~big) & (one <= 0.5)
-    bern = (~small) & (~big) & (~refl)
+    mid = ~small & ~big & ~exact1
+    refl = mid & (one <= 0.5)
+    bern = mid & ~refl
 
+    out[exact1] = _PI2_6
     if np.any(small):
         out[small] = _dilog_taylor_vec(z[small])
     if np.any(big):
@@ -162,13 +91,6 @@ def dilog_many_numpy(z):
                 total += q * upow
             upow *= u
         out[bern] = total
-
-    exact0 = z == 0.0
-    if np.any(exact0):
-        out[exact0] = 0.0
-    exact1 = z == 1.0
-    if np.any(exact1):
-        out[exact1] = _PI2_6
     return out
 
 
@@ -182,25 +104,29 @@ def dilog_many_numpy(z):
 # ---------------------------------------------------------------------------
 
 
-def eval_terms_numpy(w_ext, m_ext, row, kind, sign, n1, n2, d1, d2, mi, mexp,
+def _ratios_and_sums(w_ext, m_ext, row, kind, sign, n1, n2, d1, d2, mi, mexp,
                      n_rows):
-    R = w_ext[n1] * w_ext[n2] / (w_ext[d1] * w_ext[d2])
-    R = R * m_ext[mi] ** mexp
-    vals = np.where(kind == 0, _plog_vec(1.0 - R), _plog_vec(R))
-    out = np.zeros(n_rows, dtype=np.complex128)
-    np.add.at(out, row, sign * vals)
-    return out
-
-
-def eval_terms_jac_numpy(w_ext, m_ext, row, kind, sign, n1, n2, d1, d2, mi,
-                         mexp, n_rows):
-    n_w = w_ext.shape[0] - 1
     R = w_ext[n1] * w_ext[n2] / (w_ext[d1] * w_ext[d2])
     R = R * m_ext[mi] ** mexp
     vals = np.where(kind == 0, _plog_vec(1.0 - R), _plog_vec(R))
     F = np.zeros(n_rows, dtype=np.complex128)
     np.add.at(F, row, sign * vals)
+    return R, F
 
+
+def eval_terms(w_ext, m_ext, row, kind, sign, n1, n2, d1, d2, mi, mexp,
+               n_rows):
+    """Per output slot, the signed sum of its logarithmic terms."""
+    return _ratios_and_sums(w_ext, m_ext, row, kind, sign, n1, n2, d1, d2,
+                            mi, mexp, n_rows)[1]
+
+
+def eval_terms_jac(w_ext, m_ext, row, kind, sign, n1, n2, d1, d2, mi, mexp,
+                   n_rows):
+    """The sums of eval_terms and their Jacobian with respect to w."""
+    R, F = _ratios_and_sums(w_ext, m_ext, row, kind, sign, n1, n2, d1, d2,
+                            mi, mexp, n_rows)
+    n_w = w_ext.shape[0] - 1
     g = np.where(kind == 0, -R / (1.0 - R), np.ones_like(R)) * sign
     J = np.zeros((n_rows, n_w + 1), dtype=np.complex128)
     np.add.at(J, (row, n1), g / w_ext[n1])
@@ -208,87 +134,3 @@ def eval_terms_jac_numpy(w_ext, m_ext, row, kind, sign, n1, n2, d1, d2, mi,
     np.add.at(J, (row, d1), -g / w_ext[d1])
     np.add.at(J, (row, d2), -g / w_ext[d2])
     return F, J[:, :n_w]
-
-
-def _eval_terms_loop(w_ext, m_ext, row, kind, sign, n1, n2, d1, d2, mi, mexp,
-                     n_rows):
-    out = np.zeros(n_rows, dtype=np.complex128)
-    for t in range(row.shape[0]):
-        R = w_ext[n1[t]] * w_ext[n2[t]] / (w_ext[d1[t]] * w_ext[d2[t]])
-        if mexp[t] == 1:
-            R = R * m_ext[mi[t]]
-        elif mexp[t] == -1:
-            R = R / m_ext[mi[t]]
-        if kind[t] == 0:
-            v = _plog(1.0 - R)
-        else:
-            v = _plog(R)
-        out[row[t]] += sign[t] * v
-    return out
-
-
-def _eval_terms_jac_loop(w_ext, m_ext, row, kind, sign, n1, n2, d1, d2, mi,
-                         mexp, n_rows):
-    n_w = w_ext.shape[0] - 1
-    F = np.zeros(n_rows, dtype=np.complex128)
-    J = np.zeros((n_rows, n_w + 1), dtype=np.complex128)
-    for t in range(row.shape[0]):
-        R = w_ext[n1[t]] * w_ext[n2[t]] / (w_ext[d1[t]] * w_ext[d2[t]])
-        if mexp[t] == 1:
-            R = R * m_ext[mi[t]]
-        elif mexp[t] == -1:
-            R = R / m_ext[mi[t]]
-        if kind[t] == 0:
-            v = _plog(1.0 - R)
-            g = sign[t] * (-R / (1.0 - R))
-        else:
-            v = _plog(R)
-            g = sign[t] * (1.0 + 0j)
-        r = row[t]
-        F[r] += sign[t] * v
-        J[r, n1[t]] += g / w_ext[n1[t]]
-        J[r, n2[t]] += g / w_ext[n2[t]]
-        J[r, d1[t]] -= g / w_ext[d1[t]]
-        J[r, d2[t]] -= g / w_ext[d2[t]]
-    return F, J[:, :n_w]
-
-
-if HAVE_NUMBA:
-    _jit = numba.njit(cache=True)
-    _plog = _jit(_plog)
-    _dilog_taylor = _jit(_dilog_taylor)
-    _dilog_bernoulli = _jit(_dilog_bernoulli)
-    _dilog_scalar = _jit(_dilog_scalar)
-    dilog_many_jit = _jit(_dilog_many_loop)
-    eval_terms_jit = _jit(_eval_terms_loop)
-    eval_terms_jac_jit = _jit(_eval_terms_jac_loop)
-else:
-    dilog_many_jit = _dilog_many_loop
-    eval_terms_jit = _eval_terms_loop
-    eval_terms_jac_jit = _eval_terms_jac_loop
-
-
-if USE_JIT:
-    dilog_many = dilog_many_jit
-    eval_terms = eval_terms_jit
-    eval_terms_jac = eval_terms_jac_jit
-else:
-    dilog_many = dilog_many_numpy
-    eval_terms = eval_terms_numpy
-    eval_terms_jac = eval_terms_jac_numpy
-
-
-def warmup():
-    """Trigger JIT compilation of the hot kernels (no-op on the numpy path)."""
-    z = np.array([0.3 + 0.1j, -2.5 + 0.4j, 1.1 + 0.2j, 0.9 + 0.9j])
-    dilog_many(z)
-    w_ext = np.array([1.0 + 0.5j, 2.0 - 1.0j, 1.0 + 0j])
-    m_ext = np.array([1.5 + 0.2j, 1.0 + 0j])
-    idx = np.array([0], dtype=np.int64)
-    one = np.array([1], dtype=np.int64)
-    kind = np.array([0], dtype=np.int8)
-    sign = np.array([1], dtype=np.int8)
-    mexp = np.array([1], dtype=np.int8)
-    eval_terms(w_ext, m_ext, idx, kind, sign, idx, one, idx, one, idx, mexp, 1)
-    eval_terms_jac(w_ext, m_ext, idx, kind, sign, idx, one, idx, one, idx,
-                   mexp, 1)

@@ -202,10 +202,6 @@ def _pinned_or_random_coloring(args, rep):
                              f"{rep.diagram.n_regions}")
         col = coloring.propagate(rep, args.seed_region - 1, seedV)
         col.Wvec = Wvec
-        report = coloring.check_genericity(col, rep)
-        if report:
-            raise VerificationFailure(
-                "pinned coloring is degenerate: " + "; ".join(report))
         return col
     return coloring.random_generic_coloring(rep, args.rng_seed)
 
@@ -213,46 +209,29 @@ def _pinned_or_random_coloring(args, rep):
 def cmd_from_rep(args):
     d = _load_diagram(args.diagram)
     rep = representation.representation_from_json(d, _read_json(args.rep))
-    tol = args.tol
     col = _pinned_or_random_coloring(args, rep)
-    sol = coloring.assemble_solution(col)
-    l_vals = [representation.longitude_eigenvalue(rep, i)
-              for i in range(d.n_components)]
     slopes = (parse_filling(args.filling, d.n_components)
               if args.filling else [None] * d.n_components)
-    uv = []
-    for i, sl in enumerate(slopes):
-        if sl is None:
-            uv.append(None)
-            continue
-        try:
-            uv.append(representation.solve_uv(
-                sol.m[i], l_vals[i], sl[0], sl[1], tol=tol))
-        except representation.RepresentationError as exc:
-            raise VerificationFailure(
-                f"representation does not satisfy the filling "
-                f"{sl[0]}/{sl[1]} on component {i + 1}: {exc}") from None
-    f = representation.FillingSpec(slopes, l=l_vals, uv=uv)
-    doc = engine.solution_report(sol, f, gluing_tol=tol, residual_tol=tol,
-                                 filling_tol=tol)
+    sol, f, vr = engine.from_representation(rep, col, slopes, args.tol)
     for i in range(d.n_components):
         line = f"component {i + 1}: m = {_c2s(sol.m[i])}, " \
-               f"l = {_c2s(l_vals[i])}"
+               f"l = {_c2s(f.l[i])}"
         if slopes[i] is not None:
             line += f", slope {slopes[i][0]}/{slopes[i][1]}, " \
-                    f"(u,v) = {uv[i]}"
+                    f"(u,v) = {f.uv[i]}"
         print(line)
-    W0 = complex(*doc["W0"])
-    print(f"W0  = {_c2s(W0)}")
-    print(f"vol = {doc['vol']:.9f}")
-    print(f"cs  = {doc['cs']:.9f}  (mod pi^2 = {PI_SQUARED:.9f})")
-    print(f"residual_max = {doc['residual_max']:.3g}, gluing max deviation "
-          f"= {doc['gluing_report']['max_deviation']:.3g}")
+    print(f"W0  = {_c2s(vr.W0)}")
+    print(f"vol = {vr.vol:.9f}")
+    print(f"cs  = {vr.cs:.9f}  (mod pi^2 = {PI_SQUARED:.9f})")
+    print(f"residual_max = {vr.residual_max:.3g}, gluing max deviation "
+          f"= {vr.gluing.max_deviation:.3g}")
+    doc = sol.to_json()
+    doc.update(vr.to_json())
     out = {"manifest": RunManifest(
-               "from-rep", [args.diagram, args.rep], tolerance=tol,
+               "from-rep", [args.diagram, args.rep], tolerance=args.tol,
                output=args.json, rng_seed=args.rng_seed).to_json(),
            "summary": d.summary(),
-           "l": [[z.real, z.imag] for z in l_vals],
+           "l": [[z.real, z.imag] for z in f.l],
            "filling": f.to_json(),
            "solution": doc}
     _write_report(args, out)

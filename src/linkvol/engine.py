@@ -11,7 +11,9 @@ over-arc, under-arc). The arc products telescope to 1 identically in (w, m),
 so they act as a wiring test of the region-role bookkeeping rather than as
 equations; the regional products are the actual critical equations.
 
-vol_cs runs the verification gates and delegates to potential.W0.
+vol_cs runs the verification gates and delegates to potential.W0;
+from_representation is the one path from a representation and a region
+coloring to the invariants of a filling.
 """
 
 import math
@@ -19,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, potential
-from .numerics import PI_SQUARED, principal_log
+from . import _kernels, coloring, potential, representation
+from .numerics import cs_mod_pi2
+from .potential import critical_value
 
 _TWO_PI = 2.0 * math.pi
 
@@ -248,18 +251,6 @@ def gluing_check(s):
 # Newton solver
 # ---------------------------------------------------------------------------
 
-def critical_value(s):
-    """The potential minus its weight-gradient correction.
-
-    No meridian corrections are applied here; for eigenvalue-1 solutions
-    this already equals i(vol + i cs) up to integer multiples of pi^2, and
-    it serves as the ranking value for solver output in general.
-    """
-    logw = np.array([principal_log(z) for z in s.w])
-    return complex(potential.total_potential(s)
-                   - np.sum(potential.wdW_all(s) * logw))
-
-
 def _as_meridians(d, m):
     m = np.asarray(m, dtype=complex).reshape(-1)
     if m.shape[0] != d.n_components:
@@ -332,7 +323,8 @@ def newton_solve(d, m, seed, cfg=None):
     def residual_rows(wvec):
         w_ext = np.concatenate([wvec, [1.0 + 0j]])
         try:
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore",
+                             over="ignore"):
                 return _kernels.eval_terms(w_ext, m_ext, *t.wdw, t.n_w)
         except (ValueError, ZeroDivisionError):
             return None
@@ -340,7 +332,8 @@ def newton_solve(d, m, seed, cfg=None):
     def residual_and_jac(wvec):
         w_ext = np.concatenate([wvec, [1.0 + 0j]])
         try:
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore",
+                             over="ignore"):
                 F, Jw = _kernels.eval_terms_jac(w_ext, m_ext, *t.wdw, t.n_w)
         except (ValueError, ZeroDivisionError):
             return None, None
@@ -479,8 +472,7 @@ def multi_start(d, m, cfg=None):
 # End-to-end extraction
 # ---------------------------------------------------------------------------
 
-def vol_cs(s, f, gluing_tol=1e-6, residual_tol=1e-3, degeneracy_tol=1e-8,
-           filling_tol=1e-6):
+def vol_cs(s, f, gluing_tol=1e-6, residual_tol=1e-3, filling_tol=1e-6):
     """Volume / Chern-Simons of a verified solution under a filling.
 
     Runs gluing_check first (printed-precision inputs typically need
@@ -492,14 +484,13 @@ def vol_cs(s, f, gluing_tol=1e-6, residual_tol=1e-3, degeneracy_tol=1e-8,
             f"gluing check failed: max deviation {report.max_deviation:.3g} "
             f"exceeds {gluing_tol:g}")
     vr = potential.W0(s, f, residual_tol=residual_tol,
-                      degeneracy_tol=degeneracy_tol,
                       filling_tol=filling_tol)
     vr.gluing = report
     return vr
 
 
 def solution_report(s, f=None, gluing_tol=1e-6, residual_tol=1e-3,
-                    degeneracy_tol=1e-8, filling_tol=1e-6):
+                    filling_tol=1e-6):
     """Machine-readable record of one solution.
 
     Without a filling the reported W0 is critical_value(s) (no meridian
@@ -507,18 +498,44 @@ def solution_report(s, f=None, gluing_tol=1e-6, residual_tol=1e-3,
     """
     if f is not None and any(sl is not None for sl in f.slopes):
         vr = vol_cs(s, f, gluing_tol=gluing_tol, residual_tol=residual_tol,
-                    degeneracy_tol=degeneracy_tol, filling_tol=filling_tol)
+                    filling_tol=filling_tol)
         doc = s.to_json()
         doc.update(vr.to_json())
         return doc
     report = gluing_check(s)
     val = critical_value(s)
     res = potential.critical_residuals(s).residual_max
-    cs = (-val.real) % PI_SQUARED
-    if cs >= PI_SQUARED:
-        cs -= PI_SQUARED
     doc = s.to_json()
     doc.update({"W0": [val.real, val.imag], "vol": float(val.imag),
-                "cs": float(cs), "residual_max": float(res),
+                "cs": cs_mod_pi2(val), "residual_max": float(res),
                 "gluing_report": report.to_json()})
     return doc
+
+
+def from_representation(rep, col, slopes, tol=1e-3):
+    """The invariants of a representation under a filling.
+
+    Assembles the region weights of the coloring ``col`` (which checks its
+    genericity), derives every component's longitude eigenvalue and, for
+    each filled slope (r, s), the correction integers (u, v); ``slopes``
+    holds one slope or None (unfilled) per component. vol_cs then checks
+    the point at ``tol``. Returns (solution, FillingSpec, VolumeResult).
+    """
+    sol = coloring.assemble_solution(col)
+    l_vals = [representation.longitude_eigenvalue(rep, i)
+              for i in range(rep.diagram.n_components)]
+    uv = []
+    for i, sl in enumerate(slopes):
+        if sl is None:
+            uv.append(None)
+            continue
+        try:
+            uv.append(representation.solve_uv(
+                sol.m[i], l_vals[i], sl[0], sl[1], tol=tol))
+        except representation.RepresentationError as exc:
+            raise representation.RepresentationError(
+                f"representation does not satisfy the filling "
+                f"{sl[0]}/{sl[1]} on component {i + 1}: {exc}") from None
+    f = representation.FillingSpec(list(slopes), l=l_vals, uv=uv)
+    vr = vol_cs(sol, f, gluing_tol=tol, residual_tol=tol, filling_tol=tol)
+    return sol, f, vr

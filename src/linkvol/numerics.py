@@ -14,6 +14,12 @@ from . import _kernels
 
 PI_SQUARED = math.pi * math.pi
 
+_PI2_6 = PI_SQUARED / 6.0
+
+# The CLI prints cs to 9 decimals: a value this close below pi^2 is the
+# class of 0 seen through rounding and is reported as 0.
+_CS_SNAP = 1e-9
+
 
 def principal_log(z):
     """Principal logarithm with arg in (-pi, pi].
@@ -31,6 +37,32 @@ def principal_log(z):
     return out
 
 
+def _dilog_taylor(z):
+    # direct power series, |z| <= 0.5
+    total = 0j
+    power = z
+    k = 1
+    while k <= 62:
+        term = power / (k * k)
+        total += term
+        if abs(term) <= 1e-17 * abs(total):
+            break
+        power *= z
+        k += 1
+    return total
+
+
+def _dilog_bernoulli(u):
+    # series in u = -log(1-z); caller guarantees |u| < 2pi with margin
+    total = 0j
+    upow = u
+    for q in _kernels._QBERN:
+        if q != 0.0:
+            total += q * upow
+        upow *= u
+    return total
+
+
 def dilog(z):
     """Dilogarithm Li2(z) on the principal branch.
 
@@ -44,17 +76,41 @@ def dilog(z):
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError("dilog of non-finite value")
-    return _kernels._dilog_scalar(z)
+    if z == 0.0:
+        return 0j
+    if z == 1.0:
+        return complex(_PI2_6, 0.0)
+    az = abs(z)
+    if az <= 0.5:
+        return _dilog_taylor(z)
+    if az >= 2.0:
+        # inversion: Li2(z) = -Li2(1/z) - pi^2/6 - log(-z)^2 / 2
+        lz = principal_log(-z)
+        return -_dilog_taylor(1.0 / z) - _PI2_6 - 0.5 * lz * lz
+    if abs(1.0 - z) <= 0.5:
+        # reflection: Li2(z) = pi^2/6 - log(z)log(1-z) - Li2(1-z)
+        return (_PI2_6 - principal_log(z) * principal_log(1.0 - z)
+                - _dilog_taylor(1.0 - z))
+    return _dilog_bernoulli(-principal_log(1.0 - z))
 
 
 def dilog_array(z):
-    """Vectorized dilog over an array (JIT or numpy path per env flag)."""
+    """Vectorized dilog over an array of any shape."""
     z = np.ascontiguousarray(z, dtype=np.complex128)
     if not np.all(np.isfinite(z)):
         raise ValueError("dilog of non-finite value")
     shape = z.shape
     out = _kernels.dilog_many(z.ravel())
     return out.reshape(shape)
+
+
+def cs_mod_pi2(w0):
+    """The Chern-Simons value -Re(w0) reduced into [0, pi^2).
+
+    A value within _CS_SNAP below pi^2 is reported as 0, the same class.
+    """
+    cs = (-complex(w0).real) % PI_SQUARED
+    return 0.0 if cs >= PI_SQUARED - _CS_SNAP else cs
 
 
 def mod_pi2_equal(a, b, tol=1e-9):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .numerics import PI_SQUARED, principal_log
+from .numerics import cs_mod_pi2, principal_log
 
 # The crossing term comes in two mirror forms: an overall sign sigma and the
 # meridian exponent (-sigma) inside the four meridian-carrying ratios. Which
@@ -206,14 +206,8 @@ def all_ratios(s):
     return R.reshape(-1, 5)
 
 
-def crossing_ratios(c, s):
-    """The five ratios of one crossing."""
-    return all_ratios(s)[c.index]
-
-
 def _crossing_values(s, warn=True):
-    d = s.diagram
-    t = _tables(d)
+    t = _tables(s.diagram)
     R = all_ratios(s)
     if warn:
         deg = np.abs(R - 1.0) <= 1e-12
@@ -221,13 +215,9 @@ def _crossing_values(s, warn=True):
             warnings.warn(f"degenerate crossing {ci + 1}: ratio equal to 1",
                           DegenerateCrossingWarning, stacklevel=3)
     li = _kernels.dilog_many(np.ascontiguousarray(R.ravel())).reshape(-1, 5)
-    vals = np.empty(d.n_crossings, dtype=complex)
-    for ci in range(d.n_crossings):
-        A, B = R[ci, 0], R[ci, 1]
-        vals[ci] = t.sigma[ci] * (
-            li[ci, 0] + li[ci, 1] - li[ci, 2] - li[ci, 3] + li[ci, 4]
-            - _PI2_6 + principal_log(A) * principal_log(B))
-    return vals
+    logAB = _kernels._plog_vec(R[:, 0]) * _kernels._plog_vec(R[:, 1])
+    return t.sigma * (li[:, 0] + li[:, 1] - li[:, 2] - li[:, 3] + li[:, 4]
+                      - _PI2_6 + logAB)
 
 
 def crossing_potential(c, s):
@@ -311,19 +301,6 @@ def _tau_roles(c, s):
     return (tj, tk, tl, tm)
 
 
-def tau(c, j, s):
-    """Closed-form value of exp(w_j dW_c/dw_j) for one crossing.
-
-    Regions touching the crossing in several roles multiply the role
-    values; a region not touching it at all gives the empty product 1.
-    """
-    out = 1.0 + 0j
-    for region, t in zip(c.regions, _tau_roles(c, s)):
-        if region == j:
-            out *= t
-    return complex(out)
-
-
 def tau_products(s):
     """Per region, the product of tau over all crossings."""
     prod = np.ones(s.diagram.n_regions, dtype=complex)
@@ -386,7 +363,18 @@ def critical_residuals(s):
     return CriticalResiduals(exp_form=exp_form, tau_form=tau_form)
 
 
-def W0(s, f, residual_tol=1e-3, degeneracy_tol=1e-8, filling_tol=1e-6):
+def critical_value(s):
+    """The potential minus its weight-gradient correction.
+
+    No meridian corrections are applied here; for eigenvalue-1 solutions
+    this already equals i(vol + i cs) up to integer multiples of pi^2, and
+    it serves as the ranking value for solver output in general.
+    """
+    return complex(total_potential(s)
+                   - np.sum(wdW_all(s) * _kernels._plog_vec(s.w)))
+
+
+def W0(s, f, residual_tol=1e-3, filling_tol=1e-6):
     """Corrected potential value and the volume / Chern-Simons split.
 
     ``f`` lists one slope per component (None = unfilled); every filled
@@ -400,7 +388,7 @@ def W0(s, f, residual_tol=1e-3, degeneracy_tol=1e-8, filling_tol=1e-6):
         raise PotentialError(
             f"filling lists {f.n_components} components, diagram has "
             f"{d.n_components}")
-    ok, report = is_nondegenerate(s, tol=degeneracy_tol)
+    ok, report = is_nondegenerate(s)
     if not ok:
         raise PotentialError("degenerate solution: " + "; ".join(report[:4]))
     for i, sl in enumerate(f.slopes):
@@ -419,8 +407,7 @@ def W0(s, f, residual_tol=1e-3, degeneracy_tol=1e-8, filling_tol=1e-6):
             f"critical residuals reach {rmax:.3g}, above {residual_tol:g}: "
             f"not a solution")
 
-    logw = np.array([principal_log(z) for z in s.w])
-    val = total_potential(s) - complex(np.sum(wdW_all(s) * logw))
+    val = critical_value(s)
     md = mdW_all(s)
     for i, sl in enumerate(f.slopes):
         if sl is None:
@@ -430,10 +417,6 @@ def W0(s, f, residual_tol=1e-3, degeneracy_tol=1e-8, filling_tol=1e-6):
         lm = principal_log(s.m[i]) + u * 1j * math.pi
         val -= md[i] * lm - (r / si) * lm * lm
 
-    cs = (-val.real) % PI_SQUARED
-    if cs >= PI_SQUARED:
-        cs -= PI_SQUARED
-    elif cs < 0.0:
-        cs += PI_SQUARED
-    return VolumeResult(W0=complex(val), vol=float(val.imag), cs=float(cs),
+    return VolumeResult(W0=complex(val), vol=float(val.imag),
+                        cs=cs_mod_pi2(val),
                         residual_max=rmax, nondegenerate=True)

@@ -56,9 +56,6 @@ class Representation:
     def __post_init__(self):
         self.matrices = [mat(m) for m in self.matrices]
 
-    def generator(self, g):
-        return self.matrices[g]
-
     def meridian_matrix(self, i):
         return self.matrices[self.diagram.meridian_gen[i]]
 
@@ -296,9 +293,6 @@ class FillingSpec:
     @property
     def n_components(self):
         return len(self.slopes)
-
-    def is_unfilled(self, i):
-        return self.slopes[i] is None
 
     def validate(self, m=None, rep=None, tol=1e-6):
         """Check the defining identities; raises on failure."""

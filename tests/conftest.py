@@ -2,14 +2,3 @@ import os
 import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
-
-import pytest
-
-from linkvol import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile the jitted kernels once so timing-sensitive tests measure the
-    # steady state, not compilation
-    _kernels.warmup()

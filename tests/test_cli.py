@@ -132,6 +132,16 @@ def test_from_rep_whitehead(white_path, tmp_path, capsys):
     assert "cs  = 8.684443999" in out
 
 
+def test_from_rep_unfilled_needs_parabolic_meridian(fig8_path, tmp_path,
+                                                     capsys):
+    # the deformed representation has m far from +-1, so "inf" (unfilled)
+    # does not describe it
+    rep = write_rep(tmp_path, "rep.json",
+                    _examples.fig8_matrices(_examples.FIG8_M))
+    assert cli.main(["from-rep", fig8_path, rep, "--filling", "inf"]) == 1
+    assert "not boundary-parabolic" in capsys.readouterr().err
+
+
 def test_from_rep_partial_pins_rejected(fig8_path, tmp_path, capsys):
     rep = write_rep(tmp_path, "rep.json",
                     _examples.fig8_matrices(_examples.FIG8_M))
@@ -163,6 +173,18 @@ def test_solve_verify_round_trip(fig8_path, tmp_path, capsys):
     assert cli.main(["verify", fig8_path, str(out_json)]) == 0
     out = capsys.readouterr().out
     assert "overall: PASS" in out
+
+
+def test_solve_parabolic_cs_prints_zero_not_pi_squared(fig8_path, capsys):
+    # the parabolic figure-eight solutions have cs = 0 mod pi^2; some land
+    # within rounding below pi^2 and must still print as 0
+    assert cli.main(["solve", fig8_path, "--m", "1", "--seeds", "64",
+                     "--rng-seed", "0"]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if "cs = " in ln]
+    assert len(lines) == 11
+    for ln in lines:
+        assert "cs = 0.000000000" in ln, ln
 
 
 def test_solve_deterministic(fig8_path, tmp_path):
