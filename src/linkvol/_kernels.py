@@ -36,8 +36,9 @@ _QBERN = _bernoulli_coeffs(_N_BERN)
 
 def _plog_vec(z):
     out = np.log(z)
-    bad = (out.imag == -_PI) & (z.imag == 0.0)
-    if np.any(bad):
+    bad = out.imag == -_PI
+    if bad.any():
+        bad &= z.imag == 0.0
         out[bad] = np.conj(out[bad])
     return out
 
@@ -104,33 +105,59 @@ def dilog_many(z):
 # ---------------------------------------------------------------------------
 
 
-def _ratios_and_sums(w_ext, m_ext, row, kind, sign, n1, n2, d1, d2, mi, mexp,
-                     n_rows):
-    R = w_ext[n1] * w_ext[n2] / (w_ext[d1] * w_ext[d2])
-    R = R * m_ext[mi] ** mexp
-    vals = np.where(kind == 0, _plog_vec(1.0 - R), _plog_vec(R))
-    F = np.zeros(n_rows, dtype=np.complex128)
-    np.add.at(F, row, sign * vals)
-    return R, F
+class TermTable:
+    """The terms of one family of sums, one array entry per term, for
+    ``n_rows`` output slots over ``n_w`` weights."""
+
+    def __init__(self, row, kind, sign, n1, n2, d1, d2, mi, mexp, n_rows,
+                 n_w):
+        self.row, self.sign = row, sign
+        self.n1, self.n2, self.d1, self.d2 = n1, n2, d1, d2
+        self.mi, self.mexp = mi, mexp
+        self.n_rows, self.n_w = n_rows, n_w
+        self.log1m = kind == 0
+        # d log R / d log w is +1 at n1 and n2 and -1 at d1 and d2, so a
+        # Jacobian term adds (g, g, -g, -g) at these flat (row, w) slots
+        width = n_w + 1
+        self.jac_slots = np.concatenate([row * width + c
+                                         for c in (n1, n2, d1, d2)])
 
 
-def eval_terms(w_ext, m_ext, row, kind, sign, n1, n2, d1, d2, mi, mexp,
-               n_rows):
-    """Per output slot, the signed sum of its logarithmic terms."""
-    return _ratios_and_sums(w_ext, m_ext, row, kind, sign, n1, n2, d1, d2,
-                            mi, mexp, n_rows)[1]
+def _scatter(idx, vals, n_slots):
+    """Sum the last axis of vals into n_slots bins by idx, per leading
+    index, accumulating in term order."""
+    lead = vals.shape[:-1]
+    batch = vals.size // idx.shape[0]
+    flat = idx if batch == 1 else \
+        (idx + n_slots * np.arange(batch)[:, None]).ravel()
+    out = np.zeros(batch * n_slots, dtype=np.complex128)
+    np.add.at(out, flat, vals.ravel())
+    return out.reshape(lead + (n_slots,))
 
 
-def eval_terms_jac(w_ext, m_ext, row, kind, sign, n1, n2, d1, d2, mi, mexp,
-                   n_rows):
-    """The sums of eval_terms and their Jacobian with respect to w."""
-    R, F = _ratios_and_sums(w_ext, m_ext, row, kind, sign, n1, n2, d1, d2,
-                            mi, mexp, n_rows)
-    n_w = w_ext.shape[0] - 1
-    g = np.where(kind == 0, -R / (1.0 - R), np.ones_like(R)) * sign
-    J = np.zeros((n_rows, n_w + 1), dtype=np.complex128)
-    np.add.at(J, (row, n1), g / w_ext[n1])
-    np.add.at(J, (row, n2), g / w_ext[n2])
-    np.add.at(J, (row, d1), -g / w_ext[d1])
-    np.add.at(J, (row, d2), -g / w_ext[d2])
-    return F, J[:, :n_w]
+def _ratios_and_sums(w_ext, m_ext, t):
+    R = (w_ext.take(t.n1, -1) * w_ext.take(t.n2, -1)
+         / (w_ext.take(t.d1, -1) * w_ext.take(t.d2, -1)))
+    R = R * m_ext[t.mi] ** t.mexp
+    vals = _plog_vec(np.where(t.log1m, 1.0 - R, R))
+    return R, _scatter(t.row, t.sign * vals, t.n_rows)
+
+
+def eval_terms(w_ext, m_ext, t):
+    """Per output slot of table t, the signed sum of its logarithmic terms.
+
+    ``w_ext`` is one extended weight vector, shape (n_w + 1,), or a stack
+    of them, shape (S, n_w + 1); the result has shape (..., n_rows).
+    """
+    return _ratios_and_sums(w_ext, m_ext, t)[1]
+
+
+def eval_terms_jac(w_ext, m_ext, t):
+    """The sums of eval_terms and their Jacobian in log coordinates,
+    w_j dF/dw_j, of shapes (..., n_rows) and (..., n_rows, n_w)."""
+    R, F = _ratios_and_sums(w_ext, m_ext, t)
+    g = np.where(t.log1m, -R / (1.0 - R), 1.0) * t.sign
+    width = t.n_w + 1
+    J = _scatter(t.jac_slots, np.concatenate([g, g, -g, -g], axis=-1),
+                 t.n_rows * width)
+    return F, J.reshape(F.shape + (width,))[..., :t.n_w]

@@ -11,11 +11,12 @@ Complex numbers on the command line use the form ``a+bi``; JSON files use
 """
 
 import argparse
+import cmath
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,10 +26,6 @@ from .numerics import PI_SQUARED, dilog, mod_pi2_equal, principal_log
 
 class InputError(ValueError):
     """Bad file, flag syntax, or inconsistent options (exit code 2)."""
-
-
-class VerificationFailure(ValueError):
-    """The computation ran but a mathematical check failed (exit code 1)."""
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +245,14 @@ def cmd_solve(args):
         raise InputError("solve needs --m (comma-separated meridian "
                          "eigenvalues, one per component)")
     m = parse_complex_list(args.m, expected=d.n_components, what="meridian")
+    if not all(z != 0 and cmath.isfinite(z) for z in m):
+        raise InputError("meridian eigenvalues must be finite and nonzero")
+    try:
+        cfg = engine.SolveConfig(seeds=args.seeds, rng_seed=args.rng_seed)
+        if args.tol is not None:
+            cfg = replace(cfg, residual_tol=args.tol)
+    except engine.EngineError as exc:
+        raise InputError(f"invalid --seeds or --tol: {exc}") from None
     f = None
     if args.filling:
         if not args.l:
@@ -257,26 +262,12 @@ def cmd_solve(args):
         slopes = parse_filling(args.filling, d.n_components)
         l_vals = parse_complex_list(args.l, expected=d.n_components,
                                     what="longitude eigenvalue")
-        uv = []
-        for i, sl in enumerate(slopes):
-            if sl is None:
-                uv.append(None)
-                continue
-            try:
-                uv.append(representation.solve_uv(
-                    m[i], l_vals[i], sl[0], sl[1], tol=args.tol or 1e-6))
-            except representation.RepresentationError as exc:
-                raise VerificationFailure(
-                    f"(m, l) do not satisfy the filling {sl[0]}/{sl[1]} "
-                    f"on component {i + 1}: {exc}") from None
-        f = representation.FillingSpec(slopes, l=l_vals, uv=uv)
+        f = representation.FillingSpec.from_eigenvalues(
+            slopes, m, l_vals, tol=args.tol or 1e-6)
     elif args.l:
         raise InputError("--l without --filling has no effect; "
                          "give both or neither")
 
-    cfg = engine.SolveConfig(seeds=args.seeds, rng_seed=args.rng_seed)
-    if args.tol:
-        cfg.residual_tol = args.tol
     sols = engine.multi_start(d, m, cfg)
     print(f"meridians: " + ", ".join(_c2s(z) for z in m))
     print(f"found {len(sols)} distinct solution(s) from {cfg.seeds} seeds")
@@ -560,7 +551,7 @@ def _build_parser():
 
 
 _INPUT_ERRORS = (InputError, diagram.DiagramError)
-_VERIFY_ERRORS = (VerificationFailure, potential.PotentialError,
+_VERIFY_ERRORS = (potential.PotentialError,
                   representation.RepresentationError, coloring.ColoringError,
                   engine.EngineError)
 

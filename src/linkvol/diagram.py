@@ -15,7 +15,7 @@ meridian choices, writhes, and canonical longitude words.
 import json
 import re
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class DiagramError(ValueError):

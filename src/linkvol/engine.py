@@ -3,7 +3,8 @@
 newton_solve runs damped Newton in log-weight coordinates on the critical
 equations at fixed meridian eigenvalues; the global weight-scaling gauge is
 removed by dropping one (redundant) equation and pinning the last weight.
-multi_start wraps it with random seeding and gauge-aware deduplication.
+multi_start runs all its random seeds through the same Newton core as one
+(S, n) array and deduplicates the results up to gauge.
 
 cross_ratios exposes the five tetrahedron shapes each crossing carries, and
 gluing_check evaluates the three families of consistency products (regional,
@@ -281,7 +282,149 @@ def _usable_point(d, w, m, tol=1e-8):
 def _fold(vals):
     """Fold imaginary parts to the nearest multiple of 2*pi i; the critical
     equations determine the logarithm sums only up to that lattice."""
-    return vals - _TWO_PI * 1j * np.round(vals.imag / _TWO_PI)
+    return vals - _TWO_PI * 1j * np.rint(vals.imag / _TWO_PI)
+
+
+def _svd_stack(J):
+    """SVD of a stack of matrices. When the stacked call does not
+    converge, the matrices are decomposed one by one and those that still
+    fail get NaN singular values, so only they read as singular."""
+    try:
+        return np.linalg.svd(J)
+    except np.linalg.LinAlgError:
+        U, Vh = np.zeros_like(J), np.zeros_like(J)
+        sv = np.full(J.shape[:2], np.nan)
+        for i, a in enumerate(J):
+            try:
+                U[i], sv[i], Vh[i] = np.linalg.svd(a)
+            except np.linalg.LinAlgError:
+                pass
+        return U, sv, Vh
+
+
+def _newton_batch(d, m, seeds, cfg):
+    """Damped Newton from every row of ``seeds`` (S, n) at once.
+
+    Each seed takes exactly the decisions a lone run from it would take;
+    the batch only shares the kernel calls, the stacked SVD and the line
+    search rounds (a line search tries the same step lengths 1, damping,
+    damping^2, ... for every seed, so a round evaluates the seeds still
+    searching at one common step). Returns one outcome per seed: its
+    verified Solution or the NewtonFailure that ends it.
+    """
+    n = d.n_regions
+    k = n - 1
+    t = potential._tables(d).wdw
+    m_ext = np.concatenate([m, [1.0 + 0j]])
+    # extended weights: column n holds the constant 1 the kernels expect,
+    # so its log-coordinate is 0 and exp(X) is again extended
+    W = np.ones((seeds.shape[0], n + 1), dtype=complex)
+    W[:, :n] = seeds
+    X = np.log(W)
+    resid = np.full(seeds.shape[0], math.inf)
+    out = [None] * seeds.shape[0]
+    min_step = cfg.damping ** 30 if cfg.damping < 1 else 1e-9
+    # iterate past the acceptance threshold down to this floor, so that the
+    # returned weights (not just the residuals) are as sharp as the
+    # quadratic tail allows — seeds differing by pure gauge then agree far
+    # below the verification tolerance
+    floor = min(cfg.residual_tol, 1e-13)
+
+    def verified(i, diagnostic):
+        sol = potential.Solution(d, W[i, :n].copy(), m.copy())
+        ok, report = potential.is_nondegenerate(sol)
+        if not ok:
+            return NewtonFailure(
+                "converged to a degenerate point: " + "; ".join(report[:4]))
+        if potential.critical_residuals(sol).residual_max \
+                > cfg.residual_tol:
+            return NewtonFailure(diagnostic)
+        return sol
+
+    def settle(ended, stopped, failed):
+        # accept a point that already meets the tolerance (the quadratic
+        # tail bottoms out at machine precision), else fail
+        for i in ended:
+            r = resid[i]
+            if r <= cfg.residual_tol:
+                out[i] = verified(i, f"{stopped} at residual {r:.3g}")
+            else:
+                out[i] = NewtonFailure(f"{failed} (residual {r:.3g})")
+
+    live = np.arange(seeds.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(cfg.max_iterations):
+            if not live.size:
+                break
+            F_raw, J = _kernels.eval_terms_jac(W[live], m_ext, t)
+            r = np.abs(np.exp(F_raw) - 1.0).max(axis=1)
+            resid[live] = r
+            bad = ~np.isfinite(F_raw).all(axis=1)
+            for i in live[bad]:
+                out[i] = NewtonFailure(
+                    f"hit a degenerate point at iteration {it}")
+            done = ~bad & (r <= floor)
+            for i in live[done]:
+                out[i] = verified(i, f"stopped at residual {resid[i]:.3g}, "
+                                     f"above {cfg.residual_tol:g}")
+            go = ~(bad | done)
+            jbad = go & ~np.isfinite(J).all(axis=(1, 2))
+            for i in live[jbad]:
+                out[i] = NewtonFailure(
+                    f"Jacobian not finite at iteration {it}")
+            go &= ~jbad
+            live, F, J = live[go], _fold(F_raw[go, :k]), J[go, :k, :k]
+            if not live.size:
+                break
+            # The critical set at fixed m is typically a positive-
+            # dimensional family (one representation admits a family of
+            # weight vectors), so the reduced Jacobian is rank-deficient
+            # *at* solutions. Take the minimum-norm step: it has no
+            # component along the kernel, so iterates do not slide along
+            # the family and proportionally scaled seeds stay in lockstep.
+            U, sv, Vh = _svd_stack(J)
+            keep = sv > _SV_CUTOFF * sv[:, :1]
+            singular = ~(np.isfinite(sv[:, 0]) & keep.any(axis=1))
+            settle(live[singular], "singular Jacobian",
+                   f"singular Jacobian at iteration {it}")
+            s_inv = np.zeros_like(sv)
+            s_inv[keep] = 1.0 / sv[keep]
+            UhF = np.conj(U).transpose(0, 2, 1) @ F[:, :, None]
+            dx = -(np.conj(Vh).transpose(0, 2, 1)
+                   @ (s_inv[:, :, None] * UhF))[:, :, 0]
+            nonfinite = ~singular & ~np.isfinite(dx).all(axis=1)
+            for i in live[nonfinite]:
+                out[i] = NewtonFailure(
+                    f"non-finite Newton step at iteration {it}")
+            go = ~(singular | nonfinite)
+            live, F, dx = live[go], F[go], dx[go]
+
+            base = (np.abs(F) ** 2).sum(axis=1)
+            pos = np.arange(live.size)     # the seeds of live still searching
+            step = 1.0
+            while step >= min_step and pos.size:
+                rows = live[pos]
+                x_new = X[rows]
+                x_new[:, :k] += step * dx[pos]
+                w_new = np.exp(x_new)
+                F_try = _kernels.eval_terms(w_new, m_ext, t)
+                f_new = (np.abs(_fold(F_try[:, :k])) ** 2).sum(axis=1)
+                acc = (np.isfinite(w_new).all(axis=1)
+                       & np.isfinite(F_try).all(axis=1)
+                       & (f_new <= (1.0 - 1e-4 * step) * base[pos]))
+                X[rows[acc]] = x_new[acc]
+                W[rows[acc]] = w_new[acc]
+                pos = pos[~acc]
+                step *= cfg.damping
+            stalled = np.zeros(live.size, dtype=bool)
+            stalled[pos] = True
+            settle(live[stalled], "line search stalled",
+                   f"line search stalled at iteration {it}")
+            live = live[~stalled]
+
+    settle(live, "stopped",
+           f"no convergence within {cfg.max_iterations} iterations")
+    return out
 
 
 def newton_solve(d, m, seed, cfg=None):
@@ -317,147 +460,38 @@ def newton_solve(d, m, seed, cfg=None):
         noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         w = seed + 1e-3 * scale * noise
 
-    t = potential._tables(d)
-    m_ext = np.concatenate([m, [1.0 + 0j]])
-
-    def residual_rows(wvec):
-        w_ext = np.concatenate([wvec, [1.0 + 0j]])
-        try:
-            with np.errstate(divide="ignore", invalid="ignore",
-                             over="ignore"):
-                return _kernels.eval_terms(w_ext, m_ext, *t.wdw, t.n_w)
-        except (ValueError, ZeroDivisionError):
-            return None
-
-    def residual_and_jac(wvec):
-        w_ext = np.concatenate([wvec, [1.0 + 0j]])
-        try:
-            with np.errstate(divide="ignore", invalid="ignore",
-                             over="ignore"):
-                F, Jw = _kernels.eval_terms_jac(w_ext, m_ext, *t.wdw, t.n_w)
-        except (ValueError, ZeroDivisionError):
-            return None, None
-        return F, Jw * wvec[None, :]
-
-    def verified(wvec, diagnostic):
-        sol = potential.Solution(d, wvec.copy(), m.copy())
-        ok, report = potential.is_nondegenerate(sol)
-        if not ok:
-            raise NewtonFailure(
-                "converged to a degenerate point: " + "; ".join(report[:4]))
-        if potential.critical_residuals(sol).residual_max \
-                > cfg.residual_tol:
-            raise NewtonFailure(diagnostic)
-        return sol
-
-    x = np.log(w)
-    min_step = cfg.damping ** 30 if cfg.damping < 1 else 1e-9
-    # iterate past the acceptance threshold down to this floor, so that the
-    # returned weights (not just the residuals) are as sharp as the
-    # quadratic tail allows — seeds differing by pure gauge then agree far
-    # below the verification tolerance
-    floor = min(cfg.residual_tol, 1e-13)
-    exp_resid = math.inf
-
-    for it in range(cfg.max_iterations):
-        F_raw, J = residual_and_jac(w)
-        if F_raw is None or not np.all(np.isfinite(F_raw)):
-            raise NewtonFailure(
-                f"hit a degenerate point at iteration {it}")
-        exp_resid = float(np.max(np.abs(np.exp(F_raw) - 1.0)))
-        if exp_resid <= floor:
-            return verified(w, f"stopped at residual {exp_resid:.3g}, "
-                               f"above {cfg.residual_tol:g}")
-        F = _fold(F_raw)[: n - 1]
-        if not np.all(np.isfinite(J)):
-            raise NewtonFailure(f"Jacobian not finite at iteration {it}")
-        # The critical set at fixed m is typically a positive-dimensional
-        # family (one representation admits a family of weight vectors), so
-        # the reduced Jacobian is rank-deficient *at* solutions. Take the
-        # minimum-norm step: it has no component along the kernel, so
-        # iterates do not slide along the family and proportionally scaled
-        # seeds stay in lockstep.
-        singular = False
-        try:
-            U, S, Vh = np.linalg.svd(J[: n - 1, : n - 1])
-        except np.linalg.LinAlgError:
-            singular = True
-        else:
-            keep = S > _SV_CUTOFF * S[0]
-            singular = not (np.isfinite(S[0]) and np.any(keep))
-        if singular:
-            if exp_resid <= cfg.residual_tol:
-                return verified(w, f"singular Jacobian at residual "
-                                   f"{exp_resid:.3g}")
-            raise NewtonFailure(
-                f"singular Jacobian at iteration {it} "
-                f"(residual {exp_resid:.3g})")
-        s_inv = np.zeros_like(S)
-        s_inv[keep] = 1.0 / S[keep]
-        dx = -(Vh.conj().T @ (s_inv * (U.conj().T @ F)))
-        if not np.all(np.isfinite(dx)):
-            raise NewtonFailure(f"non-finite Newton step at iteration {it}")
-
-        base = float(np.sum(np.abs(F) ** 2))
-        step = 1.0
-        accepted = False
-        while step >= min_step:
-            x_new = x.copy()
-            x_new[: n - 1] += step * dx
-            with np.errstate(over="ignore"):
-                w_new = np.exp(x_new)
-            F_try = residual_rows(w_new) if np.all(np.isfinite(w_new)) \
-                else None
-            if F_try is not None and np.all(np.isfinite(F_try)):
-                f_new = float(np.sum(np.abs(_fold(F_try)[: n - 1]) ** 2))
-                if f_new <= (1.0 - 1e-4 * step) * base:
-                    accepted = True
-                    break
-            step *= cfg.damping
-        if not accepted:
-            # the quadratic tail bottoms out at machine precision; accept
-            # if the point already satisfies the requested tolerance
-            if exp_resid <= cfg.residual_tol:
-                return verified(w, f"line search stalled at residual "
-                                   f"{exp_resid:.3g}")
-            raise NewtonFailure(
-                f"line search stalled at iteration {it} "
-                f"(residual {exp_resid:.3g})")
-        x, w = x_new, w_new
-
-    if exp_resid <= cfg.residual_tol:
-        return verified(w, f"stopped at residual {exp_resid:.3g}")
-    raise NewtonFailure(
-        f"no convergence within {cfg.max_iterations} iterations "
-        f"(residual {exp_resid:.3g})")
+    res = _newton_batch(d, m, w[None, :], cfg)[0]
+    if isinstance(res, NewtonFailure):
+        raise res
+    return res
 
 
 def multi_start(d, m, cfg=None):
     """Random-seed sweep: distinct verified solutions, best volume first.
 
-    Seeds are standard complex gaussians; failures are skipped. Solutions
-    are deduplicated on gauge-normalized weights (scaled so the last weight
-    is 1) within 1e-6 and sorted by the imaginary part of critical_value
-    descending, earliest seed first on ties.
+    Seeds are standard complex gaussians, drawn in turn until usable, and
+    all run through Newton together; failures are skipped. Solutions are
+    deduplicated in seed order on gauge-normalized weights (scaled so the
+    last weight is 1) within 1e-6 and sorted by the imaginary part of
+    critical_value descending, earliest seed first on ties.
     """
     if cfg is None:
         cfg = SolveConfig()
     m = _as_meridians(d, m)
     n = d.n_regions
     rng = np.random.default_rng(cfg.rng_seed)
-    found = []   # (im, seed index, normalized w, solution)
+    seeds, index = [], []
     for k in range(cfg.seeds):
-        seed = None
         for _ in range(100):
             cand = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             if _usable_point(d, cand, m):
-                seed = cand
+                seeds.append(cand)
+                index.append(k)
                 break
-        if seed is None:
-            continue
-        try:
-            sol = newton_solve(d, m, seed, cfg)
-        except NewtonFailure:
+    outcomes = _newton_batch(d, m, np.array(seeds).reshape(-1, n), cfg)
+    found = []   # (im, seed index, normalized w, solution)
+    for k, sol in zip(index, outcomes):
+        if isinstance(sol, NewtonFailure):
             continue
         norm_w = sol.w / sol.w[n - 1]
         if any(np.max(np.abs(norm_w - prev)) < 1e-6
@@ -524,18 +558,7 @@ def from_representation(rep, col, slopes, tol=1e-3):
     sol = coloring.assemble_solution(col)
     l_vals = [representation.longitude_eigenvalue(rep, i)
               for i in range(rep.diagram.n_components)]
-    uv = []
-    for i, sl in enumerate(slopes):
-        if sl is None:
-            uv.append(None)
-            continue
-        try:
-            uv.append(representation.solve_uv(
-                sol.m[i], l_vals[i], sl[0], sl[1], tol=tol))
-        except representation.RepresentationError as exc:
-            raise representation.RepresentationError(
-                f"representation does not satisfy the filling "
-                f"{sl[0]}/{sl[1]} on component {i + 1}: {exc}") from None
-    f = representation.FillingSpec(list(slopes), l=l_vals, uv=uv)
+    f = representation.FillingSpec.from_eigenvalues(slopes, sol.m, l_vals,
+                                                    tol)
     vr = vol_cs(sol, f, gluing_tol=tol, residual_tol=tol, filling_tol=tol)
     return sol, f, vr

@@ -138,8 +138,6 @@ class _Tables:
     def __init__(self, d):
         nw = d.n_regions
         nm = d.n_components
-        self.n_w = nw
-        self.n_m = nm
         self.sigma = np.array([SIGMA_POS * c.sign for c in d.crossings],
                               dtype=np.int8)
 
@@ -170,16 +168,18 @@ class _Tables:
             for role, ratio, kind, sgn in _MDW_PATTERN:
                 m_rows.append((comps[role], kind, sgn, base + ratio))
 
-        def pack(rows):
+        def pack(rows, n_rows):
             out_row = np.array([r[0] for r in rows], dtype=np.int64)
             kind = np.array([r[1] for r in rows], dtype=np.int8)
             sign = np.array([r[2] for r in rows], dtype=np.int8)
             t = np.array([r[3] for r in rows], dtype=np.int64)
-            return (out_row, kind, sign, self.r_n1[t], self.r_n2[t],
-                    self.r_d1[t], self.r_d2[t], self.r_mi[t], self.r_mexp[t])
+            return _kernels.TermTable(
+                out_row, kind, sign, self.r_n1[t], self.r_n2[t],
+                self.r_d1[t], self.r_d2[t], self.r_mi[t], self.r_mexp[t],
+                n_rows, nw)
 
-        self.wdw = pack(w_rows)
-        self.mdw = pack(m_rows)
+        self.wdw = pack(w_rows, nw)
+        self.mdw = pack(m_rows, nm)
 
 
 def _tables(d):
@@ -253,9 +253,7 @@ def wdW_all(s):
     _check_ratios_regular(s)
     t = _tables(s.diagram)
     w_ext, m_ext = _extended(s)
-    row, kind, sign, n1, n2, d1, d2, mi, mexp = t.wdw
-    return _kernels.eval_terms(w_ext, m_ext, row, kind, sign, n1, n2, d1, d2,
-                               mi, mexp, t.n_w)
+    return _kernels.eval_terms(w_ext, m_ext, t.wdw)
 
 
 def wdW(s, j):
@@ -270,9 +268,7 @@ def mdW_all(s):
     _check_ratios_regular(s)
     t = _tables(s.diagram)
     w_ext, m_ext = _extended(s)
-    row, kind, sign, n1, n2, d1, d2, mi, mexp = t.mdw
-    return _kernels.eval_terms(w_ext, m_ext, row, kind, sign, n1, n2, d1, d2,
-                               mi, mexp, t.n_m)
+    return _kernels.eval_terms(w_ext, m_ext, t.mdw)
 
 
 def mdW(s, i):

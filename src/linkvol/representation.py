@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import Word, wirtinger
+from .diagram import wirtinger
 from .numerics import principal_log
 
 I2 = np.eye(2, dtype=complex)
@@ -289,6 +289,26 @@ class FillingSpec:
             r, s = sl
             if math.gcd(abs(int(r)), abs(int(s))) != 1:
                 raise RepresentationError(f"slope ({r},{s}) is not coprime")
+
+    @classmethod
+    def from_eigenvalues(cls, slopes, m, l, tol=1e-6):
+        """The filling of ``slopes`` (one per component, None = unfilled)
+        at meridian eigenvalues m and longitude eigenvalues l, with the
+        (u, v) of every filled slope from solve_uv; raises
+        RepresentationError naming the component whose (m, l) do not
+        satisfy its slope."""
+        uv = []
+        for i, sl in enumerate(slopes):
+            if sl is None:
+                uv.append(None)
+                continue
+            try:
+                uv.append(solve_uv(m[i], l[i], sl[0], sl[1], tol=tol))
+            except RepresentationError as exc:
+                raise RepresentationError(
+                    f"the eigenvalues (m, l) of component {i + 1} do not "
+                    f"satisfy the filling {sl[0]}/{sl[1]}: {exc}") from None
+        return cls(list(slopes), l=list(l), uv=uv)
 
     @property
     def n_components(self):

@@ -206,6 +206,37 @@ def test_solve_missing_m(fig8_path):
     assert cli.main(["solve", fig8_path]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--m", "0"],
+    ["--m", "nan"],
+    ["--m", "1", "--seeds", "0"],
+    ["--m", "1", "--tol", "-1"],
+    ["--m", "1", "--tol", "0"],
+])
+def test_solve_bad_option_is_input_error(fig8_path, capsys, flags):
+    assert cli.main(["solve", fig8_path, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_filling_mismatch_has_one_wording(fig8_path, tmp_path, capsys):
+    # from-rep and solve --filling share the slope -> (u, v) step, so a
+    # slope the eigenvalues do not satisfy fails the same way in both
+    rep = write_rep(tmp_path, "rep.json",
+                    _examples.fig8_matrices(_examples.FIG8_M))
+    assert cli.main(["from-rep", fig8_path, rep, "--filling", "1/1"]) == 1
+    from_rep_err = capsys.readouterr().err
+    assert cli.main(["solve", fig8_path, "--m=-1.30664+0.04987i",
+                     "--filling", "1/1", "--l=-0.436437873+0.713382743i",
+                     "--seeds", "1"]) == 1
+    solve_err = capsys.readouterr().err
+    for err in (from_rep_err, solve_err):
+        assert err.startswith("verification failure: the eigenvalues "
+                              "(m, l) of component 1 do not satisfy the "
+                              "filling 1/1: ")
+
+
 def test_verify_detects_corrupted_solution(fig8_path, tmp_path, capsys):
     out_json = tmp_path / "solutions.json"
     cli.main(["solve", fig8_path, "--m", "1+0i", "--seeds", "8",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from linkvol import _examples, diagram, engine, potential
+from linkvol import _examples, _kernels, diagram, engine, potential
 from linkvol.numerics import mod_pi2_equal
 
 import oracles
@@ -252,3 +252,144 @@ def test_solution_report_filled_matches_vol_cs():
     assert doc["vol"] == pytest.approx(run.example.regression_vol, abs=1e-12)
     assert doc["cs"] == pytest.approx(run.example.regression_cs, abs=1e-12)
     assert doc["nondegenerate"] is True
+
+
+# ---------------------------------------------------------------------------
+# Batched multi-start: the (S, n) Newton core
+# ---------------------------------------------------------------------------
+
+GOLDENS = (FIG8, WHITEHEAD, TREFOIL)
+
+
+def usable_seeds(d, m, count, rng):
+    seeds = []
+    while len(seeds) < count:
+        cand = rng.standard_normal(d.n_regions) \
+            + 1j * rng.standard_normal(d.n_regions)
+        if engine._usable_point(d, cand, m):
+            seeds.append(cand)
+    return np.array(seeds)
+
+
+def test_stacked_kernels_match_single_rows():
+    # one code path serves (n+1,) and (S, n+1) weights: every row of a
+    # stacked call equals the call on that row alone, and the Jacobian is
+    # the log-coordinate one, w_j dF/dw_j (checked by central differences)
+    rng = np.random.default_rng(66)
+    for pd in GOLDENS:
+        d = diagram.load_diagram(pd)
+        t = potential._tables(d).wdw
+        n = d.n_regions
+        m_ext = np.append(rng.uniform(0.7, 1.4, d.n_components)
+                          + 0.3j, 1.0)
+        W = np.ones((5, n + 1), dtype=complex)
+        W[:, :n] = random_point(pd, rng).w * (1 + 0.1 * rng.standard_normal(
+            (5, n)))
+        F = _kernels.eval_terms(W, m_ext, t)
+        F2, J = _kernels.eval_terms_jac(W, m_ext, t)
+        assert F.shape == (5, n) and J.shape == (5, n, n)
+        for s in range(5):
+            f1 = _kernels.eval_terms(W[s], m_ext, t)
+            f2, j1 = _kernels.eval_terms_jac(W[s], m_ext, t)
+            scale = np.max(np.abs(f1))
+            assert np.max(np.abs(F[s] - f1)) <= 1e-13 * scale
+            assert np.max(np.abs(F2[s] - f1)) <= 1e-13 * scale
+            assert np.max(np.abs(f2 - f1)) <= 1e-13 * scale
+            assert np.max(np.abs(J[s] - j1)) <= 1e-13 * np.max(np.abs(j1))
+        h = 1e-6
+        for j in range(n):
+            up, dn = W[0].copy(), W[0].copy()
+            up[j] *= np.exp(h)
+            dn[j] *= np.exp(-h)
+            fd = (_kernels.eval_terms(up, m_ext, t)
+                  - _kernels.eval_terms(dn, m_ext, t)) / (2 * h)
+            assert np.max(np.abs(fd - J[0][:, j])) < 1e-6
+
+
+def test_batched_seed_does_not_depend_on_its_batch():
+    rng = np.random.default_rng(67)
+    cfg = engine.SolveConfig()
+    for pd in GOLDENS:
+        d = diagram.load_diagram(pd)
+        m = np.ones(d.n_components, dtype=complex)
+        seeds = usable_seeds(d, m, 12, rng)
+        batch = engine._newton_batch(d, m, seeds, cfg)
+        for k in range(0, 12, 3):
+            alone = engine._newton_batch(d, m, seeds[k:k + 1], cfg)[0]
+            trio = engine._newton_batch(d, m, seeds[k:k + 3], cfg)[0]
+            for other in (trio, batch[k]):
+                if isinstance(alone, engine.NewtonFailure):
+                    assert str(other) == str(alone)
+                else:
+                    assert np.array_equal(other.w, alone.w)
+
+
+def test_stacked_svd_failure_marks_only_that_seed(monkeypatch):
+    # when the stacked SVD raises, the matrices are decomposed one by one
+    # and only the one that fails again reads as singular
+    d = diagram.load_diagram(FIG8)
+    m = np.ones(1, dtype=complex)
+    seeds = usable_seeds(d, m, 4, np.random.default_rng(68))
+    cfg = engine.SolveConfig()
+    clean = engine._newton_batch(d, m, seeds, cfg)
+    real_svd = np.linalg.svd
+    single = []
+
+    def svd(a, *args, **kwargs):
+        if a.ndim == 3:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        single.append(a)
+        if len(single) == 1:      # seed 0 at iteration 0
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    out = engine._newton_batch(d, m, seeds, cfg)
+    assert str(out[0]).startswith("singular Jacobian at iteration 0 ")
+    for a, b in zip(clean[1:], out[1:]):
+        if isinstance(a, engine.NewtonFailure):
+            assert str(b) == str(a)
+        else:
+            assert np.array_equal(b.w, a.w)
+
+
+def reference_multi_start(d, m, cfg):
+    """multi_start as a loop of single-seed newton_solve calls."""
+    n = d.n_regions
+    rng = np.random.default_rng(cfg.rng_seed)
+    found = []
+    for _ in range(cfg.seeds):
+        for _ in range(100):
+            cand = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            if engine._usable_point(d, cand, m):
+                break
+        else:
+            continue
+        try:
+            sol = engine.newton_solve(d, m, cand, cfg)
+        except engine.NewtonFailure:
+            continue
+        norm_w = sol.w / sol.w[n - 1]
+        if all(np.max(np.abs(norm_w - prev.w / prev.w[n - 1])) >= 1e-6
+               for prev in found):
+            found.append(sol)
+    return found
+
+
+@pytest.mark.parametrize("pd", GOLDENS, ids=["fig8", "whitehead",
+                                             "trefoil"])
+def test_multi_start_matches_loop_of_newton_solve(pd):
+    d = diagram.load_diagram(pd)
+    m = np.ones(d.n_components, dtype=complex)
+    for rng_seed in range(3):
+        cfg = engine.SolveConfig(rng_seed=rng_seed)
+        got = [engine.critical_value(s) for s in engine.multi_start(d, m,
+                                                                   cfg)]
+        want = [engine.critical_value(s)
+                for s in reference_multi_start(d, m, cfg)]
+        assert len(got) == len(want)
+        for z in want:
+            match = [k for k, y in enumerate(got)
+                     if mod_pi2_equal(y, z, 1e-9)]
+            assert match
+            got.pop(match[0])

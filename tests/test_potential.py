@@ -1,6 +1,3 @@
-import cmath
-import math
-
 import numpy as np
 import pytest
 
