@@ -15,9 +15,11 @@ _PI = math.pi
 _PI2_6 = math.pi * math.pi / 6.0
 
 # Coefficients q_n = B_n / (n! (n+1)) for the expansion
-#   Li2(z) = sum_{n>=0} q_n u^{n+1},   u = -log(1-z),
-# which follows from d(Li2)/du = u/(e^u - 1). Converges for |u| < 2pi.
-_N_BERN = 68
+#   Li2(x) = sum_{n>=0} q_n u^{n+1},   u = -log(1-x),
+# which follows from d(Li2)/du = u/(e^u - 1) and converges for |u| < 2pi.
+# dilog_many only evaluates it at |u| <= pi/3, where the term of degree n
+# is below 2 (1/6)^n / (n+1) |u|, so 23 coefficients reach 1e-18.
+_N_BERN = 23
 
 
 def _bernoulli_coeffs(count):
@@ -43,55 +45,43 @@ def _plog_vec(z):
     return out
 
 
-def _dilog_taylor_vec(z):
-    total = np.zeros_like(z)
-    power = z.copy()
-    for k in range(1, 63):
-        total += power / (k * k)
-        power *= z
-    return total
-
-
 def dilog_many(z):
     """Vectorized principal-branch dilogarithm over a complex128 array.
 
-    The Taylor series covers |z| <= 0.5 (z = 0 included, where it is exact);
-    z = 1 is set to pi^2/6 directly and kept out of the reflection and
-    Bernoulli branches, whose log(1 - z) is singular there.
+    Inversion (z -> 1/z where |z| > 1), then reflection (x -> 1 - x where
+    Re x > 1/2), carry every argument into |x| <= 1, Re x <= 1/2. There
+    u = -log(1 - x) has |u| <= pi/3, and one Horner pass of the Bernoulli
+    series in u gives Li2(x); the two functional equations undo the maps:
+
+        Li2(y) = pi^2/6 - log(y) log(1 - y) - Li2(1 - y)
+        Li2(z) = -Li2(1/z) - pi^2/6 - log(-z)^2 / 2
+
+    The error is about 1e-15 of max(1, |Li2(z)|); for tiny |z| that bound
+    is absolute, as log(1 - x) rounds x. For real z > 1 the value is the
+    limit from below the cut, as the principal log(-z) gives. z = 1 is set
+    to pi^2/6 directly, since log(1 - z) is singular there.
     """
-    z = np.ascontiguousarray(z, dtype=np.complex128)
-    out = np.empty_like(z)
-    az = np.abs(z)
-    one = np.abs(1.0 - z)
-
+    z = np.array(z, dtype=np.complex128)
     exact1 = z == 1.0
-    small = az <= 0.5
-    big = az >= 2.0
-    mid = ~small & ~big & ~exact1
-    refl = mid & (one <= 0.5)
-    bern = mid & ~refl
+    z[exact1] = 0.0
+    inv = np.abs(z) > 1.0
+    x = z.copy()
+    x[inv] = 1.0 / z[inv]
+    refl = x.real > 0.5
+    y = x[refl]
+    x[refl] = 1.0 - y
 
+    u = -np.log(1.0 - x)      # Re(1 - x) >= 1/2: no branch cut to fold
+    out = np.full_like(u, _QBERN[-1])
+    for q in _QBERN[-2::-1]:
+        out *= u
+        out += q
+    out *= u
+
+    out[refl] = _PI2_6 - _plog_vec(y) * _plog_vec(1.0 - y) - out[refl]
+    lz = _plog_vec(-z[inv])
+    out[inv] = -out[inv] - _PI2_6 - 0.5 * lz * lz
     out[exact1] = _PI2_6
-    if np.any(small):
-        out[small] = _dilog_taylor_vec(z[small])
-    if np.any(big):
-        zb = z[big]
-        lz = _plog_vec(-zb)
-        out[big] = -_dilog_taylor_vec(1.0 / zb) - _PI2_6 - 0.5 * lz * lz
-    if np.any(refl):
-        zr = z[refl]
-        out[refl] = (_PI2_6 - _plog_vec(zr) * _plog_vec(1.0 - zr)
-                     - _dilog_taylor_vec(1.0 - zr))
-    if np.any(bern):
-        u = -_plog_vec(1.0 - z[bern])
-        total = np.zeros_like(u)
-        upow = u.copy()
-        for n in range(_N_BERN):
-            q = _QBERN[n]
-            if q != 0.0:
-                total += q * upow
-            upow *= u
-        out[bern] = total
     return out
 
 

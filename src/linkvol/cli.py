@@ -424,6 +424,7 @@ def _selftest_checks():
                 break
         h = 1e-7
         worst = 0.0
+        grad = potential.wdW_all(cand)
         for j in range(d.n_regions):
             wp = cand.w.copy()
             wp[j] *= (1 + h)
@@ -432,9 +433,9 @@ def _selftest_checks():
             fd = ((potential.total_potential(potential.Solution(d, wp, m))
                    - potential.total_potential(potential.Solution(d, wm, m)))
                   / (2 * h))
-            worst = max(worst, abs(fd - potential.wdW(cand, j)))
+            worst = max(worst, abs(fd - grad[j]))
         tau_dev = float(np.max(np.abs(
-            potential.tau_products(cand) - np.exp(potential.wdW_all(cand)))))
+            potential.tau_products(cand) - np.exp(grad))))
         return (worst <= 1e-6 and tau_dev <= 1e-9,
                 f"finite differences {worst:.2e}, tau vs exp {tau_dev:.2e}")
 
@@ -550,7 +551,8 @@ def _build_parser():
     return p
 
 
-_INPUT_ERRORS = (InputError, diagram.DiagramError)
+_INPUT_ERRORS = (InputError, diagram.DiagramError,
+                 representation.RepresentationFormatError)
 _VERIFY_ERRORS = (potential.PotentialError,
                   representation.RepresentationError, coloring.ColoringError,
                   engine.EngineError)

@@ -92,13 +92,13 @@ class CrossRatioSheet:
                 f"{dev:.3g} (tolerance {tol:g})")
 
 
-def cross_ratios(s, degeneracy_tol=1e-8):
+def cross_ratios(s):
     """Shape parameters of the five tetrahedra at every crossing.
 
     Built from the same five ratios as the crossing potential; positive and
     negative crossings distribute them to the slots differently.
     """
-    ok, report = potential.is_nondegenerate(s, tol=degeneracy_tol)
+    ok, report = potential.is_nondegenerate(s)
     if not ok:
         raise EngineError("degenerate ratio: " + "; ".join(report[:4]))
     d = s.diagram
@@ -262,21 +262,12 @@ def _as_meridians(d, m):
     return m
 
 
-def _usable_point(d, w, m, tol=1e-8):
+def _usable_point(d, w, m):
     """A point the solver can start from: finite, nonzero, no ratio near
-    0 or 1."""
+    0, 1 or infinity."""
     if np.any(w == 0) or not np.all(np.isfinite(w)):
         return False
-    try:
-        sol = potential.Solution(d, w, m)
-    except potential.PotentialError:
-        return False
-    R = potential.all_ratios(sol)
-    if not np.all(np.isfinite(R)):
-        return False
-    mag = np.abs(R)
-    return bool(np.all(mag > tol) and np.all(mag < 1.0 / tol)
-                and np.all(np.abs(R - 1.0) > tol))
+    return potential.is_nondegenerate(potential.Solution(d, w, m))[0]
 
 
 def _fold(vals):

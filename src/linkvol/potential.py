@@ -35,6 +35,19 @@ SIGMA_POS = 1
 
 _PI2_6 = math.pi * math.pi / 6.0
 
+# A crossing ratio within this distance of 0 or 1, or above its inverse in
+# magnitude, counts as a collapsed tetrahedron.
+_DEGENERACY_TOL = 1e-8
+
+# is_nondegenerate's report per offence, indexed by the kind it assigns.
+_DEGENERACY_REPORTS = (
+    None,
+    "is not finite",
+    "= {val:.6g} is within {tol:g} of 0",
+    "has magnitude {mag:.3g} >= 1/{tol:g}",
+    "= {val:.6g} is within {tol:g} of 1",
+)
+
 
 class PotentialError(ValueError):
     pass
@@ -220,15 +233,6 @@ def _crossing_values(s, warn=True):
                       - _PI2_6 + logAB)
 
 
-def crossing_potential(c, s):
-    """The five-dilogarithm term of one crossing, principal branches.
-
-    A ratio equal to 1 is flagged with a DegenerateCrossingWarning; the
-    value is still returned (the expression stays finite there).
-    """
-    return complex(_crossing_values(s)[c.index])
-
-
 def total_potential(s):
     """Sum of the crossing terms, accumulated in crossing order."""
     vals = _crossing_values(s)
@@ -256,26 +260,12 @@ def wdW_all(s):
     return _kernels.eval_terms(w_ext, m_ext, t.wdw)
 
 
-def wdW(s, j):
-    """w_j dW/dw_j as a finite sum of principal logarithms."""
-    if not (0 <= j < s.diagram.n_regions):
-        raise PotentialError(f"no region {j + 1}")
-    return complex(wdW_all(s)[j])
-
-
 def mdW_all(s):
     """Vector of m_i dW/dm_i over all components."""
     _check_ratios_regular(s)
     t = _tables(s.diagram)
     w_ext, m_ext = _extended(s)
     return _kernels.eval_terms(w_ext, m_ext, t.mdw)
-
-
-def mdW(s, i):
-    """m_i dW/dm_i as a finite sum of principal logarithms."""
-    if not (0 <= i < s.diagram.n_components):
-        raise PotentialError(f"no component {i + 1}")
-    return complex(mdW_all(s)[i])
 
 
 def _tau_roles(c, s):
@@ -306,35 +296,24 @@ def tau_products(s):
     return prod
 
 
-def is_nondegenerate(s, tol=1e-8):
+def is_nondegenerate(s):
     """Check that every crossing's five ratios stay away from 0, 1 and
     infinity (a ratio at any of those collapses a tetrahedron; near-0 or
     huge ratios are the numerical signature of a family escaping to such a
-    collapse).
+    collapse), by _DEGENERACY_TOL.
 
-    Returns (ok, report); the report lists each offending crossing/ratio.
+    Returns (ok, report); the report lists each offending crossing/ratio,
+    crossing-major.
     """
     R = all_ratios(s)
-    report = []
-    for ci in range(R.shape[0]):
-        for ri in range(5):
-            val = R[ci, ri]
-            mag = abs(val)
-            if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-                report.append(f"crossing {ci + 1}: ratio {ri + 1} is not "
-                              f"finite")
-            elif mag <= tol:
-                report.append(
-                    f"crossing {ci + 1}: ratio {ri + 1} = {val:.6g} is "
-                    f"within {tol:g} of 0")
-            elif mag >= 1.0 / tol:
-                report.append(
-                    f"crossing {ci + 1}: ratio {ri + 1} has magnitude "
-                    f"{mag:.3g} >= 1/{tol:g}")
-            elif abs(val - 1.0) <= tol:
-                report.append(
-                    f"crossing {ci + 1}: ratio {ri + 1} = {val:.6g} is "
-                    f"within {tol:g} of 1")
+    mag = np.abs(R)
+    tol = _DEGENERACY_TOL
+    kind = np.select([~np.isfinite(R), mag <= tol, mag >= 1.0 / tol,
+                      np.abs(R - 1.0) <= tol], [1, 2, 3, 4])
+    report = [f"crossing {ci + 1}: ratio {ri + 1} "
+              + _DEGENERACY_REPORTS[kind[ci, ri]].format(
+                  val=R[ci, ri], mag=mag[ci, ri], tol=tol)
+              for ci, ri in np.argwhere(kind)]
     return (not report, report)
 
 

@@ -8,6 +8,7 @@ crossing relation g_out = g_over^eps g_in g_over^(-eps) holds.
 import cmath
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,10 @@ I2 = np.eye(2, dtype=complex)
 
 class RepresentationError(ValueError):
     pass
+
+
+class RepresentationFormatError(RepresentationError):
+    """The input is not shaped like a representation at all."""
 
 
 def mat(entries):
@@ -93,9 +98,10 @@ def complete_representation(d, partial, tol=1e-6, det_tol=1e-9):
     known = [None] * n
     for key, value in partial.items():
         if isinstance(key, str):
-            if not key.startswith("g"):
-                raise RepresentationError(f"bad generator name {key!r}")
-            gi = int(key[1:]) - 1
+            name = re.fullmatch(r"g(\d+)", key)
+            if not name:
+                raise RepresentationFormatError(f"bad generator name {key!r}")
+            gi = int(name.group(1)) - 1
         else:
             gi = int(key)
         if not (0 <= gi < n):
@@ -388,17 +394,24 @@ class FillingSpec:
 
 
 def representation_from_json(d, doc, tol=1e-6, det_tol=1e-9):
-    """Build a representation from {"generators": {"g1": [[re,im]x4]}}."""
+    """Build a representation from {"generators": {"g1": [[re,im]x4]}}.
+
+    A document of another shape raises RepresentationFormatError.
+    """
     if isinstance(doc, str):
         doc = json.loads(doc)
-    gens = doc.get("generators")
-    if not gens:
-        raise RepresentationError("representation file needs 'generators'")
+    gens = doc.get("generators") if isinstance(doc, dict) else None
+    if not gens or not isinstance(gens, dict):
+        raise RepresentationFormatError(
+            "representation file needs a 'generators' object")
     partial = {}
     for name, flat in gens.items():
-        if len(flat) != 4:
-            raise RepresentationError(
-                f"generator {name}: need 4 row-major entries")
-        vals = [complex(p[0], p[1]) for p in flat]
+        try:
+            vals = [complex(p[0], p[1]) for p in flat]
+        except (IndexError, KeyError, OverflowError, TypeError):
+            vals = None
+        if vals is None or len(vals) != 4:
+            raise RepresentationFormatError(
+                f"generator {name}: need 4 row-major [re, im] entries")
         partial[name] = [[vals[0], vals[1]], [vals[2], vals[3]]]
     return complete_representation(d, partial, tol=tol, det_tol=det_tol)

