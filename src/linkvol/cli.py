@@ -137,9 +137,16 @@ def _write_report(args, doc):
             fh.write("\n")
 
 
+def _f9(x, sign=""):
+    """x to 9 decimals. A value that rounds to zero prints without the
+    sign of its rounding noise: 0.000000000, or +0.000000000 with sign "+"."""
+    x = float(x)
+    return f"{x if round(x, 9) else 0.0:{sign}.9f}"
+
+
 def _c2s(z):
     """Human-readable complex."""
-    return f"{z.real:.9f}{z.imag:+.9f}i"
+    return f"{_f9(z.real)}{_f9(z.imag, '+')}i"
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +225,7 @@ def cmd_from_rep(args):
                     f"(u,v) = {f.uv[i]}"
         print(line)
     print(f"W0  = {_c2s(vr.W0)}")
-    print(f"vol = {vr.vol:.9f}")
+    print(f"vol = {_f9(vr.vol)}")
     print(f"cs  = {vr.cs:.9f}  (mod pi^2 = {PI_SQUARED:.9f})")
     print(f"residual_max = {vr.residual_max:.3g}, gluing max deviation "
           f"= {vr.gluing.max_deviation:.3g}")
@@ -278,8 +285,8 @@ def cmd_solve(args):
             residual_tol=max(cfg.residual_tol, 1e-9),
             filling_tol=args.tol or 1e-6)
         docs.append(doc)
-        print(f"  #{k + 1}: vol = {doc['vol']:+.9f}  cs = {doc['cs']:.9f}  "
-              f"residual {doc['residual_max']:.2e}")
+        print(f"  #{k + 1}: vol = {_f9(doc['vol'], '+')}  "
+              f"cs = {doc['cs']:.9f}  residual {doc['residual_max']:.2e}")
     out = {"manifest": RunManifest(
                "solve", [args.diagram], tolerance=args.tol,
                output=args.json, rng_seed=args.rng_seed).to_json(),
@@ -340,7 +347,7 @@ def _verify_one(d, doc, f, tol):
             record["W0"] = [vr.W0.real, vr.W0.imag]
             record["vol"] = vr.vol
             record["cs"] = vr.cs
-            lines.append(f"  vol = {vr.vol:.9f}, cs = {vr.cs:.9f}")
+            lines.append(f"  vol = {_f9(vr.vol)}, cs = {vr.cs:.9f}")
         except (potential.PotentialError,
                 representation.RepresentationError) as exc:
             ok = False

@@ -34,6 +34,17 @@ _TWO_PI = 2.0 * math.pi
 # noise by 1/sigma and make repeated runs land at scattered family points.
 _SV_CUTOFF = 1e-8
 
+# The line search's ladder of step lengths 1, 1/2, ..., 1/2^30 (exact
+# powers of two). A seed takes the first length that passes the Armijo and
+# finiteness tests, and stalls when none does.
+_STEPS = np.ldexp(1.0, -np.arange(31))
+
+# After the step-1 round, the seeds still searching try the rest of the
+# ladder in blocks of these sizes, one stacked kernel call per block (the
+# last block is cut at the ladder's end). Doubling blocks keep the calls
+# per iteration at six without evaluating many rows past the accepted one.
+_LINE_SEARCH_BLOCKS = (1, 2, 4, 8, 16)
+
 
 class EngineError(ValueError):
     pass
@@ -49,7 +60,6 @@ class SolveConfig:
     residual_tol: float = 1e-10
     seeds: int = 64
     rng_seed: int = 0
-    damping: float = 0.5
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -58,8 +68,6 @@ class SolveConfig:
             raise EngineError("residual_tol must be positive")
         if self.seeds < 1:
             raise EngineError("seeds must be positive")
-        if not (0 < self.damping <= 1):
-            raise EngineError("damping must lie in (0, 1]")
 
 
 @dataclass
@@ -298,10 +306,14 @@ def _newton_batch(d, m, seeds, cfg):
 
     Each seed takes exactly the decisions a lone run from it would take;
     the batch only shares the kernel calls, the stacked SVD and the line
-    search rounds (a line search tries the same step lengths 1, damping,
-    damping^2, ... for every seed, so a round evaluates the seeds still
-    searching at one common step). Returns one outcome per seed: its
-    verified Solution or the NewtonFailure that ends it.
+    search rounds. The line search walks the ladder _STEPS (1, 1/2, ...,
+    1/2^30) for every seed: step 1 first, then, for the seeds still
+    searching, the next lengths in blocks of _LINE_SEARCH_BLOCKS, each
+    block one kernel call on a (seeds x block) stack. A seed takes the
+    earliest length of the ladder that passes, so a block decides and
+    computes bitwise as the same lengths tried one at a time would; it
+    only evaluates some rows past the accepted length. Returns one outcome
+    per seed: its verified Solution or the NewtonFailure that ends it.
     """
     n = d.n_regions
     k = n - 1
@@ -314,7 +326,6 @@ def _newton_batch(d, m, seeds, cfg):
     X = np.log(W)
     resid = np.full(seeds.shape[0], math.inf)
     out = [None] * seeds.shape[0]
-    min_step = cfg.damping ** 30 if cfg.damping < 1 else 1e-9
     # iterate past the acceptance threshold down to this floor, so that the
     # returned weights (not just the residuals) are as sharp as the
     # quadratic tail allows — seeds differing by pure gauge then agree far
@@ -392,21 +403,30 @@ def _newton_batch(d, m, seeds, cfg):
 
             base = (np.abs(F) ** 2).sum(axis=1)
             pos = np.arange(live.size)     # the seeds of live still searching
-            step = 1.0
-            while step >= min_step and pos.size:
+            lo = 0
+            for size in (1,) + _LINE_SEARCH_BLOCKS:
+                if lo >= _STEPS.size or not pos.size:
+                    break
+                steps = _STEPS[lo:lo + size]
+                lo += size
                 rows = live[pos]
-                x_new = X[rows]
-                x_new[:, :k] += step * dx[pos]
+                # (seeds, block, n + 1): row b of a seed is X + steps[b] dx
+                x_new = np.repeat(X[rows][:, None, :], steps.size, axis=1)
+                x_new[:, :, :k] += steps[:, None] * dx[pos][:, None, :]
                 w_new = np.exp(x_new)
-                F_try = _kernels.eval_terms(w_new, m_ext, t)
+                F_try = _kernels.eval_terms(w_new.reshape(-1, n + 1),
+                                            m_ext, t)
                 f_new = (np.abs(_fold(F_try[:, :k])) ** 2).sum(axis=1)
-                acc = (np.isfinite(w_new).all(axis=1)
-                       & np.isfinite(F_try).all(axis=1)
-                       & (f_new <= (1.0 - 1e-4 * step) * base[pos]))
-                X[rows[acc]] = x_new[acc]
-                W[rows[acc]] = w_new[acc]
-                pos = pos[~acc]
-                step *= cfg.damping
+                acc = (np.isfinite(w_new).all(axis=2)
+                       & np.isfinite(F_try).all(axis=1).reshape(
+                           -1, steps.size)
+                       & (f_new.reshape(-1, steps.size)
+                          <= (1.0 - 1e-4 * steps) * base[pos, None]))
+                hit = acc.any(axis=1)
+                first = acc[hit].argmax(axis=1)
+                X[rows[hit]] = x_new[hit, first]
+                W[rows[hit]] = w_new[hit, first]
+                pos = pos[~hit]
             stalled = np.zeros(live.size, dtype=bool)
             stalled[pos] = True
             settle(live[stalled], "line search stalled",

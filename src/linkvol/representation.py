@@ -24,7 +24,8 @@ class RepresentationError(ValueError):
 
 
 class RepresentationFormatError(RepresentationError):
-    """The input is not shaped like a representation at all."""
+    """The input is not shaped like a representation of the diagram: not
+    an object of 2x2 matrices, or a generator the diagram does not have."""
 
 
 def mat(entries):
@@ -105,7 +106,8 @@ def complete_representation(d, partial, tol=1e-6, det_tol=1e-9):
         else:
             gi = int(key)
         if not (0 <= gi < n):
-            raise RepresentationError(f"no generator g{gi + 1}")
+            raise RepresentationFormatError(
+                f"no generator g{gi + 1}: the diagram has g1..g{n}")
         m = mat(value)
         _check_sl2(m, det_tol)
         known[gi] = m

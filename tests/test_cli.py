@@ -157,8 +157,9 @@ _IDENTITY = [[1, 0], [0, 0], [0, 0], [1, 0]]
     {"generators": {"gx": _IDENTITY}},
     {"generators": {"g1": [1, 0, 0, 1]}},
     {"generators": "abc"},
+    {"generators": {"g9": _IDENTITY}},
 ], ids=["top-level-list", "generator-name-gx", "scalar-entries",
-        "generators-string"])
+        "generators-string", "generator-beyond-diagram"])
 def test_from_rep_malformed_file_is_input_error(fig8_path, tmp_path, capsys,
                                                 doc):
     p = tmp_path / "rep.json"
@@ -204,6 +205,28 @@ def test_solve_parabolic_cs_prints_zero_not_pi_squared(fig8_path, capsys):
     assert len(lines) == 11
     for ln in lines:
         assert "cs = 0.000000000" in ln, ln
+
+
+def test_printed_zero_has_no_sign(fig8_path, capsys, monkeypatch):
+    # a volume of +-1e-16 is zero at the printed precision; its sign is
+    # rounding noise and must not show
+    real = cli.engine.solution_report
+    sign = iter([-1.0, 1.0] * 50)
+
+    def report(*args, **kwargs):
+        doc = real(*args, **kwargs)
+        doc["vol"] = next(sign) * 1e-16
+        return doc
+
+    monkeypatch.setattr(cli.engine, "solution_report", report)
+    assert cli.main(["solve", fig8_path, "--m", "1"]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if "vol = " in ln]
+    assert len(lines) >= 2
+    for ln in lines:
+        assert "vol = +0.000000000 " in ln, ln
+    assert cli._c2s(complex(-1e-16, -1e-16)) == "0.000000000+0.000000000i"
+    assert cli._c2s(complex(-1e-3, -2.0)) == "-0.001000000-2.000000000i"
 
 
 def test_solve_deterministic(fig8_path, tmp_path):

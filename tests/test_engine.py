@@ -31,11 +31,11 @@ def test_solve_config_defaults_and_validation():
     assert cfg.residual_tol == 1e-10
     assert cfg.seeds == 64
     assert cfg.rng_seed == 0
-    assert cfg.damping == 0.5
     with pytest.raises(engine.EngineError):
         engine.SolveConfig(seeds=0)
-    with pytest.raises(engine.EngineError):
-        engine.SolveConfig(damping=0.0)
+    # the line search's ladder 1, 1/2, ..., 1/2^30 is fixed, not settable
+    with pytest.raises(TypeError):
+        engine.SolveConfig(damping=0.5)
 
 
 def test_arc_products_telescope_everywhere():
@@ -393,3 +393,57 @@ def test_multi_start_matches_loop_of_newton_solve(pd):
                      if mod_pi2_equal(y, z, 1e-9)]
             assert match
             got.pop(match[0])
+
+
+def multi_start_seeds(d, m, rng_seed, monkeypatch):
+    """The seed array multi_start hands to the Newton core."""
+    seen = []
+    real = engine._newton_batch
+
+    def record(d, m, seeds, cfg):
+        seen.append(seeds)
+        return real(d, m, seeds, cfg)
+
+    monkeypatch.setattr(engine, "_newton_batch", record)
+    engine.multi_start(d, m, engine.SolveConfig(rng_seed=rng_seed))
+    monkeypatch.setattr(engine, "_newton_batch", real)
+    return seen[0]
+
+
+@pytest.mark.parametrize("pd", GOLDENS, ids=["fig8", "whitehead",
+                                             "trefoil"])
+def test_line_search_blocks_decide_as_single_steps(pd, monkeypatch):
+    # a seed takes the earliest passing length of the ladder, so trying
+    # the lengths in blocks gives bitwise the weights and the failure
+    # texts of trying them one at a time
+    d = diagram.load_diagram(pd)
+    m = np.ones(d.n_components, dtype=complex)
+    seeds = multi_start_seeds(d, m, 0, monkeypatch)
+    assert seeds.shape[0] == 64
+    cfg = engine.SolveConfig()
+    blocked = engine._newton_batch(d, m, seeds, cfg)
+    monkeypatch.setattr(engine, "_LINE_SEARCH_BLOCKS", (1,) * 30)
+    single = engine._newton_batch(d, m, seeds, cfg)
+    assert sum(not isinstance(a, engine.NewtonFailure) for a in single) > 0
+    for a, b in zip(single, blocked):
+        if isinstance(a, engine.NewtonFailure):
+            assert isinstance(b, engine.NewtonFailure)
+            assert str(b) == str(a)
+        else:
+            assert b.w.tobytes() == a.w.tobytes()
+
+
+def test_multi_start_residual_call_budget(monkeypatch):
+    # the blocked line search makes at most six residual calls per Newton
+    # iteration; this run made 236, and 660 with one call per step length
+    calls = []
+    real = _kernels.eval_terms
+
+    def count(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "eval_terms", count)
+    engine.multi_start(diagram.load_diagram(FIG8), [1.0],
+                       engine.SolveConfig(seeds=64, rng_seed=0))
+    assert len(calls) <= 1.25 * 236

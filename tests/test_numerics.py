@@ -31,6 +31,31 @@ def test_principal_log_examples():
         numerics.principal_log(0)
 
 
+def test_plog_vec_seams_match_mpmath():
+    # log|z| + i atan2 in real arithmetic: on the cut (imaginary part +0.0
+    # and -0.0 both give +pi), at extreme |z| and within 1e-12 of |z| = 1
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(43)
+    r = rng.uniform(1e-3, 1e3, 50)
+    cut_up = -r + 0j
+    cut_down = cut_up.copy()
+    cut_down.imag = -0.0
+    assert np.all(np.signbit(cut_down.imag))
+    t = rng.uniform(-np.pi, np.pi, 200)
+    extreme = 10.0 ** rng.uniform(-300, 300, 200) * np.exp(1j * t)
+    unit = np.exp(1j * t) * (1.0 + rng.uniform(-1e-12, 1e-12, 200))
+    for cut in (cut_up, cut_down):
+        assert np.all(_kernels._plog_vec(cut).imag == math.pi)
+    z = np.concatenate([cut_up, cut_down, extreme, unit])
+    out = _kernels._plog_vec(z)
+    with mpmath.workdps(40):
+        for zz, got in zip(z, out):
+            ref = mpmath.log(mpmath.mpc(zz.real, zz.imag))
+            re, im = float(ref.real), float(ref.imag)
+            assert abs(got.imag - im) <= 1e-15
+            assert abs(got.real - re) <= 1e-15 * max(1.0, abs(re))
+
+
 def test_principal_log_exp_roundtrip():
     rng = np.random.default_rng(7)
     for z in sample_points(rng, 400):
