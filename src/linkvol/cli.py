@@ -227,8 +227,7 @@ def cmd_from_rep(args):
     print(f"W0  = {_c2s(vr.W0)}")
     print(f"vol = {_f9(vr.vol)}")
     print(f"cs  = {vr.cs:.9f}  (mod pi^2 = {PI_SQUARED:.9f})")
-    print(f"residual_max = {vr.residual_max:.3g}, gluing max deviation "
-          f"= {vr.gluing.max_deviation:.3g}")
+    print(f"residual_max = {vr.residual_max:.3g}")
     doc = sol.to_json()
     doc.update(vr.to_json())
     out = {"manifest": RunManifest(
@@ -281,8 +280,7 @@ def cmd_solve(args):
     docs = []
     for k, s in enumerate(sols):
         doc = engine.solution_report(
-            s, f, gluing_tol=max(cfg.residual_tol, 1e-9),
-            residual_tol=max(cfg.residual_tol, 1e-9),
+            s, f, residual_tol=max(cfg.residual_tol, 1e-9),
             filling_tol=args.tol or 1e-6)
         docs.append(doc)
         print(f"  #{k + 1}: vol = {_f9(doc['vol'], '+')}  "
@@ -308,7 +306,7 @@ def _verify_one(d, doc, f, tol):
     record = {}
     try:
         sol = potential.Solution.from_json(d, doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad solution record: {exc}") from None
     ok = True
     nondeg, report = potential.is_nondegenerate(sol)
@@ -330,16 +328,6 @@ def _verify_one(d, doc, f, tol):
         for j, (a, b) in enumerate(zip(res.exp_form, res.tau_form)):
             lines.append(f"    region {j + 1}: exp-form {abs(a):.3e}, "
                          f"tau-form {abs(b):.3e}")
-
-    gl = engine.gluing_check(sol)
-    record["gluing_max_deviation"] = gl.max_deviation
-    if not gl.passed(tol):
-        ok = False
-        lines.append(f"  gluing products FAILED (max deviation "
-                     f"{gl.max_deviation:.3g} > {tol:g}): regional "
-                     f"{gl.regional_deviation:.3e}, over "
-                     f"{gl.over_deviation:.3e}, under "
-                     f"{gl.under_deviation:.3e}")
 
     if f is not None and ok:
         try:
@@ -368,6 +356,8 @@ def cmd_verify(args):
     else:
         raise InputError(f"{args.solutions}: expected a solution object "
                          f"or a report with a 'solutions' list")
+    if not isinstance(docs, list):
+        raise InputError(f"{args.solutions}: 'solutions' must be a list")
     f = None
     if args.filling_file:
         f = representation.FillingSpec.from_json(_read_json(

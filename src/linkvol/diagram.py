@@ -105,7 +105,6 @@ class LinkDiagram:
     over_arcs: list        # per generator, list of edges
     under_arcs: list
     overarc_of: dict       # edge -> generator index
-    underarc_of: dict
     left_region: dict      # edge -> region index on its left
     right_region: dict
     meridian_gen: list     # per component, chosen meridian generator index
@@ -114,9 +113,6 @@ class LinkDiagram:
     @property
     def n_crossings(self):
         return len(self.crossings)
-
-    def gen_name(self, g):
-        return f"g{g + 1}"
 
     def summary(self):
         h = self.n_components
@@ -423,10 +419,6 @@ def build_diagram(pd):
             arc.append(x)
         under_arcs.append(arc)
     under_arcs.sort(key=lambda arc: (comp_of[arc[0]], arc[0]))
-    underarc_of = {}
-    for ui, arc in enumerate(under_arcs):
-        for e in arc:
-            underarc_of[e] = ui
 
     meridian_gen = []
     for i in range(h):
@@ -483,7 +475,7 @@ def build_diagram(pd):
         pd=pd, crossings=crossings, n_regions=n_regions, n_components=h,
         components=components, comp_of=comp_of, succ=succ, head=head,
         tail=tail, over_arcs=over_arcs, under_arcs=under_arcs,
-        overarc_of=overarc_of, underarc_of=underarc_of,
+        overarc_of=overarc_of,
         left_region=left_region, right_region=right_region,
         meridian_gen=meridian_gen, writhes=writhes)
 

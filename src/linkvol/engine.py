@@ -6,15 +6,13 @@ removed by dropping one (redundant) equation and pinning the last weight.
 multi_start runs all its random seeds through the same Newton core as one
 (S, n) array and deduplicates the results up to gauge.
 
-cross_ratios exposes the five tetrahedron shapes each crossing carries, and
-gluing_check evaluates the three families of consistency products (regional,
-over-arc, under-arc). The arc products telescope to 1 identically in (w, m),
-so they act as a wiring test of the region-role bookkeeping rather than as
-equations; the regional products are the actual critical equations.
+cross_ratios exposes the five tetrahedron shapes each crossing carries.
+Whether a point is critical is decided by potential.critical_residuals
+alone, in both its exponential and its closed-form tau form.
 
-vol_cs runs the verification gates and delegates to potential.W0;
 from_representation is the one path from a representation and a region
-coloring to the invariants of a filling.
+coloring to the invariants of a filling; potential.W0 checks the point and
+evaluates them.
 """
 
 import math
@@ -70,190 +68,23 @@ class SolveConfig:
             raise EngineError("seeds must be positive")
 
 
-@dataclass
-class CrossRatioSheet:
-    """Per crossing, the five tetrahedron shape parameters.
-
-    Slot 2 is the central tetrahedron of the crossing's octahedron; slots
-    (0, 1) and (3, 4) are the side pairs meeting it along the two internal
-    edges, so shapes[0]*shapes[1]*shapes[2] and shapes[3]*shapes[4]*shapes[2]
-    are identically 1.
-    """
-
-    shapes: np.ndarray   # (n_crossings, 5) complex
-    signs: np.ndarray    # (n_crossings,) crossing signs
-
-    def octahedron_products(self):
-        z = self.shapes
-        return np.stack([z[:, 0] * z[:, 1] * z[:, 2],
-                         z[:, 3] * z[:, 4] * z[:, 2]], axis=1)
-
-    @property
-    def max_product_deviation(self):
-        return float(np.max(np.abs(self.octahedron_products() - 1.0)))
-
-    def validate(self, tol=1e-9):
-        dev = self.max_product_deviation
-        if not (dev <= tol):
-            raise EngineError(
-                f"octahedron internal-edge products deviate from 1 by "
-                f"{dev:.3g} (tolerance {tol:g})")
-
-
 def cross_ratios(s):
-    """Shape parameters of the five tetrahedra at every crossing.
+    """Shape parameters of the five tetrahedra at every crossing, as an
+    (n_crossings, 5) array.
 
     Built from the same five ratios as the crossing potential; positive and
-    negative crossings distribute them to the slots differently.
+    negative crossings distribute them to the slots differently. Slot 2 is
+    the central tetrahedron of the crossing's octahedron; slots (0, 1) and
+    (3, 4) are the side pairs meeting it along the two internal edges, so
+    z0*z1*z2 and z3*z4*z2 are identically 1.
     """
     ok, report = potential.is_nondegenerate(s)
     if not ok:
         raise EngineError("degenerate ratio: " + "; ".join(report[:4]))
-    d = s.diagram
-    R = potential.all_ratios(s)   # columns (A, B, D, E, C)
-    shapes = np.empty_like(R)
-    signs = np.empty(d.n_crossings, dtype=np.int64)
-    for ci, c in enumerate(d.crossings):
-        a, b, dd, e, cc = R[ci]
-        if potential.SIGMA_POS * c.sign == 1:
-            shapes[ci] = (a, 1.0 / dd, cc, b, 1.0 / e)
-        else:
-            shapes[ci] = (1.0 / b, e, 1.0 / cc, 1.0 / a, dd)
-        signs[ci] = c.sign
-    sheet = CrossRatioSheet(shapes=shapes, signs=signs)
-    sheet.validate()
-    return sheet
-
-
-# ---------------------------------------------------------------------------
-# Gluing products
-# ---------------------------------------------------------------------------
-
-def _overarc_product(d, w, mi, arc):
-    # Start: the arc's first edge leaves its crossing where the strand
-    # surfaces. Sides are (left, right) of the edge in its direction of
-    # travel, read off that crossing's own role table.
-    ci, _pos = d.tail[arc[0]]
-    x = d.crossings[ci]
-    if x.sign > 0:
-        lft, rgt = x.regions[3], x.regions[2]
-    else:
-        lft, rgt = x.regions[2], x.regions[3]
-    p = w[lft] / (mi * w[rgt])
-    for e in arc:
-        ch, ph = d.head[e]
-        x = d.crossings[ch]
-        if ph == 0:
-            # arc ends by diving under
-            if x.sign > 0:
-                lft, rgt = x.regions[0], x.regions[1]
-            else:
-                lft, rgt = x.regions[1], x.regions[0]
-            p *= mi * w[rgt] / w[lft]
-        else:
-            # over-passage: the strand crosses both side regions
-            if x.sign > 0:
-                in_l, in_r = x.regions[3], x.regions[0]
-                out_l, out_r = x.regions[2], x.regions[1]
-            else:
-                in_l, in_r = x.regions[0], x.regions[3]
-                out_l, out_r = x.regions[1], x.regions[2]
-            p /= (mi * w[in_l] / w[in_r]) * (w[out_r] / (mi * w[out_l]))
-    return p
-
-
-def _underarc_product(d, w, mi, arc):
-    ci, _pos = d.tail[arc[0]]
-    x = d.crossings[ci]
-    if x.sign > 0:
-        lft, rgt = x.regions[2], x.regions[1]
-    else:
-        lft, rgt = x.regions[1], x.regions[2]
-    p = w[rgt] / (mi * w[lft])
-    for e in arc:
-        ch, ph = d.head[e]
-        x = d.crossings[ch]
-        if ph != 0:
-            # arc ends by passing over
-            if x.sign > 0:
-                lft, rgt = x.regions[3], x.regions[0]
-            else:
-                lft, rgt = x.regions[0], x.regions[3]
-            p *= mi * w[lft] / w[rgt]
-        else:
-            # under-passage
-            if x.sign > 0:
-                in_l, in_r = x.regions[0], x.regions[1]
-                out_l, out_r = x.regions[3], x.regions[2]
-            else:
-                in_l, in_r = x.regions[1], x.regions[0]
-                out_l, out_r = x.regions[2], x.regions[3]
-            p /= (mi * w[in_r] / w[in_l]) * (w[out_l] / (mi * w[out_r]))
-    return p
-
-
-@dataclass
-class GluingReport:
-    """Deviations of the three product families from 1.
-
-    regional holds one product per region (the critical equations in
-    closed form); over_edges / under_edges hold one telescoping product per
-    arc (identities at any non-degenerate point).
-    """
-
-    regional: np.ndarray
-    over_edges: np.ndarray
-    under_edges: np.ndarray
-
-    @property
-    def regional_deviation(self):
-        return float(np.max(np.abs(self.regional - 1.0)))
-
-    @property
-    def over_deviation(self):
-        return float(np.max(np.abs(self.over_edges - 1.0)))
-
-    @property
-    def under_deviation(self):
-        return float(np.max(np.abs(self.under_edges - 1.0)))
-
-    @property
-    def max_deviation(self):
-        return max(self.regional_deviation, self.over_deviation,
-                   self.under_deviation)
-
-    def passed(self, tol=1e-6):
-        return self.max_deviation <= tol
-
-    def to_json(self):
-        def pairs(a):
-            return [[z.real, z.imag] for z in a]
-        return {"regional_products": pairs(self.regional),
-                "over_edge_products": pairs(self.over_edges),
-                "under_edge_products": pairs(self.under_edges),
-                "deviations": {"regional": self.regional_deviation,
-                               "over": self.over_deviation,
-                               "under": self.under_deviation},
-                "max_deviation": self.max_deviation}
-
-
-def gluing_check(s):
-    """All three product families at a candidate point.
-
-    The over/under products equal 1 identically, so a deviation there means
-    broken bookkeeping, not a bad solution; the regional products equal 1
-    exactly at solutions.
-    """
-    d = s.diagram
-    regional = potential.tau_products(s)
-    over = np.array([
-        _overarc_product(d, s.w, s.m[d.comp_of[arc[0]]], arc)
-        for arc in d.over_arcs])
-    under = np.array([
-        _underarc_product(d, s.w, s.m[d.comp_of[arc[0]]], arc)
-        for arc in d.under_arcs])
-    return GluingReport(regional=regional, over_edges=over,
-                        under_edges=under)
+    a, b, dd, e, cc = potential.all_ratios(s).T   # columns (A, B, D, E, C)
+    pos = potential._tables(s.diagram).sigma[:, None] == 1
+    return np.where(pos, np.stack([a, 1.0 / dd, cc, b, 1.0 / e], axis=1),
+                    np.stack([1.0 / b, e, 1.0 / cc, 1.0 / a, dd], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -517,43 +348,21 @@ def multi_start(d, m, cfg=None):
 # End-to-end extraction
 # ---------------------------------------------------------------------------
 
-def vol_cs(s, f, gluing_tol=1e-6, residual_tol=1e-3, filling_tol=1e-6):
-    """Volume / Chern-Simons of a verified solution under a filling.
-
-    Runs gluing_check first (printed-precision inputs typically need
-    gluing_tol around 1e-3) and attaches the report to the result.
-    """
-    report = gluing_check(s)
-    if not report.passed(gluing_tol):
-        raise EngineError(
-            f"gluing check failed: max deviation {report.max_deviation:.3g} "
-            f"exceeds {gluing_tol:g}")
-    vr = potential.W0(s, f, residual_tol=residual_tol,
-                      filling_tol=filling_tol)
-    vr.gluing = report
-    return vr
-
-
-def solution_report(s, f=None, gluing_tol=1e-6, residual_tol=1e-3,
-                    filling_tol=1e-6):
+def solution_report(s, f=None, residual_tol=1e-3, filling_tol=1e-6):
     """Machine-readable record of one solution.
 
     Without a filling the reported W0 is critical_value(s) (no meridian
-    corrections); with one it is the corrected value from vol_cs.
+    corrections); with one it is the corrected value from potential.W0.
     """
+    doc = s.to_json()
     if f is not None and any(sl is not None for sl in f.slopes):
-        vr = vol_cs(s, f, gluing_tol=gluing_tol, residual_tol=residual_tol,
-                    filling_tol=filling_tol)
-        doc = s.to_json()
-        doc.update(vr.to_json())
+        doc.update(potential.W0(s, f, residual_tol=residual_tol,
+                                filling_tol=filling_tol).to_json())
         return doc
-    report = gluing_check(s)
     val = critical_value(s)
     res = potential.critical_residuals(s).residual_max
-    doc = s.to_json()
     doc.update({"W0": [val.real, val.imag], "vol": float(val.imag),
-                "cs": cs_mod_pi2(val), "residual_max": float(res),
-                "gluing_report": report.to_json()})
+                "cs": cs_mod_pi2(val), "residual_max": float(res)})
     return doc
 
 
@@ -563,13 +372,13 @@ def from_representation(rep, col, slopes, tol=1e-3):
     Assembles the region weights of the coloring ``col`` (which checks its
     genericity), derives every component's longitude eigenvalue and, for
     each filled slope (r, s), the correction integers (u, v); ``slopes``
-    holds one slope or None (unfilled) per component. vol_cs then checks
-    the point at ``tol``. Returns (solution, FillingSpec, VolumeResult).
+    holds one slope or None (unfilled) per component. potential.W0 then
+    checks the point at ``tol``. Returns (solution, FillingSpec,
+    VolumeResult).
     """
     sol = coloring.assemble_solution(col)
     l_vals = [representation.longitude_eigenvalue(rep, i)
               for i in range(rep.diagram.n_components)]
     f = representation.FillingSpec.from_eigenvalues(slopes, sol.m, l_vals,
                                                     tol)
-    vr = vol_cs(sol, f, gluing_tol=tol, residual_tol=tol, filling_tol=tol)
-    return sol, f, vr
+    return sol, f, potential.W0(sol, f, residual_tol=tol, filling_tol=tol)

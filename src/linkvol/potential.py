@@ -18,7 +18,6 @@ All logarithms are principal; no branch tracking happens anywhere.
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +49,6 @@ _DEGENERACY_REPORTS = (
 
 
 class PotentialError(ValueError):
-    pass
-
-
-class DegenerateCrossingWarning(UserWarning):
     pass
 
 
@@ -101,15 +96,11 @@ class VolumeResult:
     cs: float          # defined mod pi^2, normalized into [0, pi^2)
     residual_max: float
     nondegenerate: bool
-    gluing: object = None
 
     def to_json(self):
-        doc = {"W0": [self.W0.real, self.W0.imag], "vol": self.vol,
-               "cs": self.cs, "residual_max": self.residual_max,
-               "nondegenerate": self.nondegenerate}
-        if self.gluing is not None:
-            doc["gluing_report"] = self.gluing.to_json()
-        return doc
+        return {"W0": [self.W0.real, self.W0.imag], "vol": self.vol,
+                "cs": self.cs, "residual_max": self.residual_max,
+                "nondegenerate": self.nondegenerate}
 
 
 # Per crossing the five ratios, in the fixed order used throughout this
@@ -219,27 +210,17 @@ def all_ratios(s):
     return R.reshape(-1, 5)
 
 
-def _crossing_values(s, warn=True):
+def total_potential(s):
+    """Sum of the crossing terms, accumulated in crossing order (cumsum
+    adds left to right; np.sum's pairwise order would move the last
+    bits)."""
     t = _tables(s.diagram)
     R = all_ratios(s)
-    if warn:
-        deg = np.abs(R - 1.0) <= 1e-12
-        for ci in np.nonzero(np.any(deg, axis=1))[0]:
-            warnings.warn(f"degenerate crossing {ci + 1}: ratio equal to 1",
-                          DegenerateCrossingWarning, stacklevel=3)
     li = _kernels.dilog_many(np.ascontiguousarray(R.ravel())).reshape(-1, 5)
     logAB = _kernels._plog_vec(R[:, 0]) * _kernels._plog_vec(R[:, 1])
-    return t.sigma * (li[:, 0] + li[:, 1] - li[:, 2] - li[:, 3] + li[:, 4]
+    vals = t.sigma * (li[:, 0] + li[:, 1] - li[:, 2] - li[:, 3] + li[:, 4]
                       - _PI2_6 + logAB)
-
-
-def total_potential(s):
-    """Sum of the crossing terms, accumulated in crossing order."""
-    vals = _crossing_values(s)
-    total = 0j
-    for v in vals:
-        total += v
-    return complex(total)
+    return complex(np.cumsum(vals)[-1])
 
 
 def _check_ratios_regular(s):

@@ -24,8 +24,9 @@ class RepresentationError(ValueError):
 
 
 class RepresentationFormatError(RepresentationError):
-    """The input is not shaped like a representation of the diagram: not
-    an object of 2x2 matrices, or a generator the diagram does not have."""
+    """The input is not shaped like a representation of the diagram (not
+    an object of 2x2 matrices, or a generator the diagram does not have),
+    or like a filling."""
 
 
 def mat(entries):
@@ -322,28 +323,15 @@ class FillingSpec:
     def n_components(self):
         return len(self.slopes)
 
-    def validate(self, m=None, rep=None, tol=1e-6):
+    def validate(self, m=None, tol=1e-6):
         """Check the defining identities; raises on failure."""
         for i, sl in enumerate(self.slopes):
             if sl is None:
-                if m is not None:
-                    if min(abs(m[i] - 1), abs(m[i] + 1)) > tol:
-                        raise RepresentationError(
-                            f"component {i + 1} is marked unfilled but its "
-                            f"meridian eigenvalue {m[i]:.6g} is not ±1 "
-                            f"(not boundary-parabolic)")
-                if rep is not None:
-                    from .diagram import longitude_word
-                    for name, matx in (
-                            ("meridian", rep.meridian_matrix(i)),
-                            ("longitude",
-                             evaluate_word(rep, longitude_word(rep.diagram, i)))):
-                        tr = matx[0, 0] + matx[1, 1]
-                        if min(abs(tr - 2), abs(tr + 2)) > tol:
-                            raise RepresentationError(
-                                f"component {i + 1} is marked unfilled but its "
-                                f"{name} trace {tr:.6g} is not ±2 "
-                                f"(not boundary-parabolic)")
+                if m is not None and min(abs(m[i] - 1), abs(m[i] + 1)) > tol:
+                    raise RepresentationError(
+                        f"component {i + 1} is marked unfilled but its "
+                        f"meridian eigenvalue {m[i]:.6g} is not ±1 "
+                        f"(not boundary-parabolic)")
                 continue
             r, s = sl
             if self.l[i] is None:
@@ -375,24 +363,53 @@ class FillingSpec:
 
     @classmethod
     def from_json(cls, doc):
+        """The filling a to_json document describes. A document of another
+        shape raises RepresentationFormatError."""
         if isinstance(doc, str):
             doc = json.loads(doc)
-        slopes = []
-        for sl in doc["slopes"]:
-            if sl is None or sl == "inf":
-                slopes.append(None)
-            else:
-                slopes.append((int(sl[0]), int(sl[1])))
-        h = len(slopes)
-        l = [None] * h
-        for i, z in enumerate(doc.get("l") or []):
-            if z is not None:
-                l[i] = complex(z[0], z[1])
-        uv = [None] * h
-        for i, p in enumerate(doc.get("uv") or []):
-            if p is not None:
-                uv[i] = (int(p[0]), int(p[1]))
-        return cls(slopes, l, uv)
+        slopes = doc.get("slopes") if isinstance(doc, dict) else None
+        if not isinstance(slopes, list):
+            raise RepresentationFormatError(
+                "filling needs a 'slopes' list")
+        slopes = [None if sl is None or sl == "inf" else
+                  _json_pair(sl, int, f"slope {i + 1}",
+                             '"inf", null or an [r, s] pair of integers')
+                  for i, sl in enumerate(slopes)]
+        l = [None if z is None else
+             complex(*_json_pair(z, float, f"l {i + 1}",
+                                 "null or an [re, im] pair of numbers"))
+             for i, z in enumerate(_json_entries(doc, "l", len(slopes)))]
+        uv = [None if p is None else
+              _json_pair(p, int, f"uv {i + 1}",
+                         "null or a [u, v] pair of integers")
+              for i, p in enumerate(_json_entries(doc, "uv", len(slopes)))]
+        try:
+            return cls(slopes, l, uv)
+        except RepresentationError as exc:
+            raise RepresentationFormatError(f"filling: {exc}") from None
+
+
+def _json_entries(doc, key, n):
+    """doc[key] as a list of n entries; absent or null means n nulls."""
+    entries = doc.get(key)
+    if entries is None:
+        return [None] * n
+    if not isinstance(entries, list) or len(entries) != n:
+        raise RepresentationFormatError(
+            f"filling '{key}' must be a list of {n} entries, one per slope")
+    return entries
+
+
+def _json_pair(p, kind, what, expected):
+    """A pair of numbers of ``kind`` (int, or float, which admits ints) as
+    a tuple; anything else raises RepresentationFormatError."""
+    kinds = (int,) if kind is int else (int, float)
+    if not (isinstance(p, (list, tuple)) and len(p) == 2
+            and all(isinstance(x, kinds) and not isinstance(x, bool)
+                    for x in p)):
+        raise RepresentationFormatError(
+            f"filling {what}: expected {expected}, got {p!r}")
+    return tuple(kind(x) for x in p)
 
 
 def representation_from_json(d, doc, tol=1e-6, det_tol=1e-9):

@@ -1,9 +1,10 @@
 """Independent numerical oracles, written and frozen before the main package.
 
 Nothing in this module imports from linkvol. Each oracle is a from-scratch
-computation (series, Newton on gluing equations, finite differences) used to
-cross-check the package, plus mpmath as an independent mature implementation
-of the dilogarithm.
+computation (series, Newton on gluing equations, finite differences, the
+telescoping arc products of the octahedral decomposition) used to
+cross-check the package, plus mpmath as an independent mature
+implementation of the dilogarithm.
 """
 
 import cmath
@@ -156,3 +157,89 @@ def principal_arg(re, im):
     if a == -math.pi:
         a = math.pi
     return a
+
+
+def _overarc_product(d, w, mi, arc):
+    # Start: the arc's first edge leaves its crossing where the strand
+    # surfaces. Sides are (left, right) of the edge in its direction of
+    # travel, read off that crossing's own role table.
+    x = d.crossings[d.tail[arc[0]][0]]
+    if x.sign > 0:
+        lft, rgt = x.regions[3], x.regions[2]
+    else:
+        lft, rgt = x.regions[2], x.regions[3]
+    p = w[lft] / (mi * w[rgt])
+    for e in arc:
+        ch, ph = d.head[e]
+        x = d.crossings[ch]
+        if ph == 0:
+            # arc ends by diving under
+            if x.sign > 0:
+                lft, rgt = x.regions[0], x.regions[1]
+            else:
+                lft, rgt = x.regions[1], x.regions[0]
+            p *= mi * w[rgt] / w[lft]
+        else:
+            # over-passage: the strand crosses both side regions
+            if x.sign > 0:
+                in_l, in_r = x.regions[3], x.regions[0]
+                out_l, out_r = x.regions[2], x.regions[1]
+            else:
+                in_l, in_r = x.regions[0], x.regions[3]
+                out_l, out_r = x.regions[1], x.regions[2]
+            p /= (mi * w[in_l] / w[in_r]) * (w[out_r] / (mi * w[out_l]))
+    return p
+
+
+def _underarc_product(d, w, mi, arc):
+    x = d.crossings[d.tail[arc[0]][0]]
+    if x.sign > 0:
+        lft, rgt = x.regions[2], x.regions[1]
+    else:
+        lft, rgt = x.regions[1], x.regions[2]
+    p = w[rgt] / (mi * w[lft])
+    for e in arc:
+        ch, ph = d.head[e]
+        x = d.crossings[ch]
+        if ph != 0:
+            # arc ends by passing over
+            if x.sign > 0:
+                lft, rgt = x.regions[3], x.regions[0]
+            else:
+                lft, rgt = x.regions[0], x.regions[3]
+            p *= mi * w[lft] / w[rgt]
+        else:
+            # under-passage
+            if x.sign > 0:
+                in_l, in_r = x.regions[0], x.regions[1]
+                out_l, out_r = x.regions[3], x.regions[2]
+            else:
+                in_l, in_r = x.regions[1], x.regions[0]
+                out_l, out_r = x.regions[2], x.regions[3]
+            p /= (mi * w[in_r] / w[in_l]) * (w[out_l] / (mi * w[out_r]))
+    return p
+
+
+def arc_products(d, w, m):
+    """The edge-gluing products of every over-arc and every under-arc,
+    as (over, under) lists, at region weights w and meridian eigenvalues
+    m (one per component).
+
+    ``d`` is a parsed diagram, used duck-typed: its crossings (sign and
+    role-ordered regions), the head/tail (crossing, ray position) of each
+    edge, the component of each edge, and the over- and under-arcs as edge
+    lists. Each product telescopes to 1 identically in (w, m), so a
+    deviation means broken region-role bookkeeping, not a bad point.
+    """
+    over = [_overarc_product(d, w, m[d.comp_of[arc[0]]], arc)
+            for arc in d.over_arcs]
+    under = [_underarc_product(d, w, m[d.comp_of[arc[0]]], arc)
+             for arc in d.under_arcs]
+    return over, under
+
+
+def octahedron_products(shapes):
+    """Per crossing, the products z0*z1*z2 and z3*z4*z2 of its five
+    tetrahedron shapes (slot 2 the central tetrahedron, (0, 1) and (3, 4)
+    the side pairs along the two internal edges); both are 1."""
+    return [(z[0] * z[1] * z[2], z[3] * z[4] * z[2]) for z in shapes]

@@ -149,11 +149,12 @@ def test_criterion_5_identity_suite():
             tau_worst = max(tau_worst, float(np.max(np.abs(
                 potential.tau_products(s)
                 - np.exp(potential.wdW_all(s))))))
-            rep = engine.gluing_check(s)
-            tele_worst = max(tele_worst, rep.over_deviation,
-                             rep.under_deviation)
-            oct_worst = max(oct_worst,
-                            engine.cross_ratios(s).max_product_deviation)
+            over, under = oracles.arc_products(d, s.w, s.m)
+            tele_worst = max([tele_worst]
+                             + [abs(p - 1.0) for p in over + under])
+            oct_worst = max([oct_worst] + [
+                abs(p - 1.0) for pair in oracles.octahedron_products(
+                    engine.cross_ratios(s)) for p in pair])
             if k < 10:   # finite differences on a subsample
                 h = 1e-7
                 grad = potential.wdW_all(s)

@@ -311,6 +311,75 @@ def test_verify_with_filling_file(fig8_path, tmp_path, capsys):
     assert "overall: PASS" in capsys.readouterr().out
 
 
+@pytest.fixture()
+def fig8_report(fig8_path, tmp_path, capsys):
+    """A from-rep report of the figure-eight 2/3 golden: one solution and
+    its filling."""
+    rep = write_rep(tmp_path, "rep.json",
+                    _examples.fig8_matrices(_examples.FIG8_M))
+    report = tmp_path / "report.json"
+    assert cli.main(["from-rep", fig8_path, rep, "--filling", "2/3",
+                     "--json", str(report)]) == 0
+    capsys.readouterr()
+    return json.loads(report.read_text())
+
+
+_VOLUME_KEYS = {"w", "m", "W0", "vol", "cs", "residual_max"}
+
+
+def test_solution_json_keys(fig8_path, fig8_report, tmp_path):
+    # a solution record carries the weights, the invariants and the
+    # residual that gated them, and nothing else
+    assert set(fig8_report["solution"]) == _VOLUME_KEYS | {"nondegenerate"}
+    out_json = tmp_path / "solutions.json"
+    assert cli.main(["solve", fig8_path, "--m", "1", "--seeds", "8",
+                     "--json", str(out_json)]) == 0
+    docs = json.loads(out_json.read_text())["solutions"]
+    assert docs
+    for doc in docs:
+        assert set(doc) == _VOLUME_KEYS
+
+
+@pytest.mark.parametrize("filling", [
+    {},
+    {"slopes": [[2]]},
+    {"slopes": "inf"},
+    {"slopes": ["2/3"]},
+    {"slopes": [[2, 3]], "l": [[1.0]]},
+    {"slopes": [[2, 3]], "uv": [[1, -2, 0]]},
+    {"slopes": [[2, 3]], "l": [None, None]},
+    {"slopes": [[2, 4]]},
+    [],
+], ids=["no-slopes", "short-slope", "slopes-string", "slope-string",
+        "short-l", "long-uv", "l-count", "slope-not-coprime", "list"])
+def test_verify_malformed_filling_file_is_input_error(
+        fig8_path, fig8_report, tmp_path, capsys, filling):
+    report = tmp_path / "solution.json"
+    report.write_text(json.dumps(fig8_report["solution"]))
+    p = tmp_path / "filling.json"
+    p.write_text(json.dumps(filling))
+    assert cli.main(["verify", fig8_path, str(report), str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("change", [
+    {"filling": {"slopes": [[2]]}},
+    {"filling": {"slopes": [[2, 3]], "uv": ["1,-2"]}},
+    {"solutions": 5},
+    {"solution": {"w": [[1.0]], "m": [[1.0, 0.0]]}},
+], ids=["inline-filling", "inline-uv", "solutions-not-list",
+        "short-weight"])
+def test_verify_malformed_report_is_input_error(
+        fig8_path, fig8_report, tmp_path, capsys, change):
+    doc = dict(fig8_report, **change)
+    p = tmp_path / "report.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["verify", fig8_path, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_selftest_passes_quickly(capsys):
     t0 = time.perf_counter()
     assert cli.main(["selftest"]) == 0

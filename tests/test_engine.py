@@ -47,26 +47,21 @@ def test_arc_products_telescope_everywhere():
     for pd in (FIG8, WHITEHEAD, TREFOIL, KINKED):
         for _ in range(5):
             s = random_point(pd, rng)
-            rep = engine.gluing_check(s)
-            assert rep.over_deviation < 1e-12
-            assert rep.under_deviation < 1e-12
+            over, under = oracles.arc_products(s.diagram, s.w, s.m)
+            assert len(over) == len(s.diagram.over_arcs)
+            assert len(under) == len(s.diagram.under_arcs)
+            assert np.max(np.abs(np.array(over) - 1.0)) < 1e-12
+            assert np.max(np.abs(np.array(under) - 1.0)) < 1e-12
 
 
 def test_regional_products_detect_non_solutions():
+    # the regional products are the tau form of the critical residuals
     rng = np.random.default_rng(61)
     s = random_point(FIG8, rng)
-    rep = engine.gluing_check(s)
-    assert rep.regional_deviation > 1e-3   # a random point is not critical
-    assert not rep.passed(1e-6)
-
-
-def test_gluing_report_json_shape():
-    rng = np.random.default_rng(62)
-    s = random_point(FIG8, rng)
-    doc = engine.gluing_check(s).to_json()
-    assert set(doc) == {"regional_products", "over_edge_products",
-                        "under_edge_products", "deviations", "max_deviation"}
-    assert len(doc["regional_products"]) == s.diagram.n_regions
+    res = potential.critical_residuals(s)
+    # a random point is not critical
+    assert np.max(np.abs(res.tau_form)) > 1e-3
+    assert res.residual_max > 1e-6
 
 
 def test_cross_ratio_octahedron_identities():
@@ -74,9 +69,17 @@ def test_cross_ratio_octahedron_identities():
     for pd in (FIG8, WHITEHEAD, KINKED):
         for _ in range(5):
             s = random_point(pd, rng)
-            sheet = engine.cross_ratios(s)
-            assert sheet.max_product_deviation < 1e-12
-            assert sheet.shapes.shape == (s.diagram.n_crossings, 5)
+            shapes = engine.cross_ratios(s)
+            assert shapes.shape == (s.diagram.n_crossings, 5)
+            # the per-crossing loop the vectorised form replaced
+            for c, z, (a, b, dd, e, cc) in zip(s.diagram.crossings, shapes,
+                                                potential.all_ratios(s)):
+                ref = ((a, 1.0 / dd, cc, b, 1.0 / e)
+                       if potential.SIGMA_POS * c.sign == 1
+                       else (1.0 / b, e, 1.0 / cc, 1.0 / a, dd))
+                assert list(z) == list(ref)
+            prods = np.array(oracles.octahedron_products(shapes))
+            assert np.max(np.abs(prods - 1.0)) < 1e-12
 
 
 def test_cross_ratios_reject_degenerate_point():
@@ -203,21 +206,22 @@ def test_newton_fails_cleanly_on_degenerate_flat_seed():
 def test_vol_cs_end_to_end_golden():
     run = _examples.run_pipeline(_examples.figure_eight_golden())
     ex = run.example
-    res = engine.vol_cs(run.solution, run.filling, gluing_tol=1e-9,
-                        residual_tol=1e-9, filling_tol=1e-3)
+    res = potential.W0(run.solution, run.filling, residual_tol=1e-9,
+                       filling_tol=1e-3)
     assert abs(res.vol - ex.regression_vol) < 1e-12
     assert abs(res.cs - ex.regression_cs) < 1e-12
-    assert res.gluing is not None
-    assert res.gluing.max_deviation < 1e-12
+    assert res.residual_max < 1e-12
 
 
 def test_vol_cs_rejects_broken_gluing():
+    # a perturbed weight breaks the regional gluing products, which are
+    # the tau form of the critical residuals
     run = _examples.run_pipeline(_examples.figure_eight_golden())
     w = run.solution.w.copy()
     w[2] *= 1.01
     bad = potential.Solution(run.solution.diagram, w, run.solution.m)
-    with pytest.raises(engine.EngineError, match="gluing"):
-        engine.vol_cs(bad, run.filling, gluing_tol=1e-6)
+    with pytest.raises(potential.PotentialError, match="not a solution"):
+        potential.W0(bad, run.filling, residual_tol=1e-6, filling_tol=1e-3)
 
 
 def test_conjugate_solution_negates_volume():
@@ -237,9 +241,7 @@ def test_conjugate_solution_negates_volume():
 def test_solution_report_unfilled_keys(fig8_parabolic_solutions):
     _, sols = fig8_parabolic_solutions
     doc = engine.solution_report(sols[0])
-    for key in ("w", "m", "W0", "vol", "cs", "residual_max",
-                "gluing_report"):
-        assert key in doc
+    assert set(doc) == {"w", "m", "W0", "vol", "cs", "residual_max"}
     assert len(doc["w"]) == sols[0].diagram.n_regions
     assert doc["residual_max"] < 1e-10
 
@@ -247,8 +249,7 @@ def test_solution_report_unfilled_keys(fig8_parabolic_solutions):
 def test_solution_report_filled_matches_vol_cs():
     run = _examples.run_pipeline(_examples.figure_eight_golden())
     doc = engine.solution_report(run.solution, run.filling,
-                                 gluing_tol=1e-9, residual_tol=1e-9,
-                                 filling_tol=1e-3)
+                                 residual_tol=1e-9, filling_tol=1e-3)
     assert doc["vol"] == pytest.approx(run.example.regression_vol, abs=1e-12)
     assert doc["cs"] == pytest.approx(run.example.regression_cs, abs=1e-12)
     assert doc["nondegenerate"] is True

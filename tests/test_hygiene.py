@@ -1,4 +1,4 @@
-"""Source checks on the package modules that need no import of them."""
+"""Source checks on the package modules, and the package's exports."""
 
 import ast
 import pathlib
@@ -38,3 +38,12 @@ def test_no_unused_imports(path):
     unused = [f"{path.name}:{line}: {name}"
               for name, line in imported_names(tree) if name not in used]
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+def test_every_export_exists():
+    import linkvol
+
+    missing = [name for name in linkvol.__all__
+               if not hasattr(linkvol, name)]
+    assert not missing, "listed in __all__ but not defined: " + \
+        ", ".join(missing)
