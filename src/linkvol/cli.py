@@ -13,7 +13,6 @@ Complex numbers on the command line use the form ``a+bi``; JSON files use
 import argparse
 import cmath
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -42,13 +41,6 @@ def parse_complex(text):
     except ValueError:
         raise InputError(f"cannot parse complex number {text!r}; "
                          f"expected the form a+bi") from None
-
-
-def parse_complex_list(text, expected=None, what="value"):
-    vals = [parse_complex(part) for part in text.split(",")]
-    if expected is not None and len(vals) != expected:
-        raise InputError(f"expected {expected} {what}(s), got {len(vals)}")
-    return vals
 
 
 def parse_vec2(text, flag):
@@ -80,12 +72,11 @@ def parse_filling(text, n_components):
         except ValueError:
             raise InputError(f"cannot parse slope {part!r}; expected "
                              f"r/s, an integer, or inf") from None
-        if s == 0:
-            raise InputError(f"slope {part!r} has s = 0; meridional "
-                             f"filling is not supported")
-        if math.gcd(abs(r), abs(s)) != 1:
-            raise InputError(f"slope {part!r} is not coprime")
         slopes.append((r, s))
+    try:
+        representation.FillingSpec(slopes)
+    except representation.RepresentationError as exc:
+        raise InputError(f"--filling: {exc}") from None
     return slopes
 
 
@@ -250,7 +241,10 @@ def cmd_solve(args):
     if not args.m:
         raise InputError("solve needs --m (comma-separated meridian "
                          "eigenvalues, one per component)")
-    m = parse_complex_list(args.m, expected=d.n_components, what="meridian")
+    m = [parse_complex(part) for part in args.m.split(",")]
+    if len(m) != d.n_components:
+        raise InputError(f"expected {d.n_components} meridian(s), got "
+                         f"{len(m)}")
     if not all(z != 0 and cmath.isfinite(z) for z in m):
         raise InputError("meridian eigenvalues must be finite and nonzero")
     try:
@@ -259,30 +253,31 @@ def cmd_solve(args):
             cfg = replace(cfg, residual_tol=args.tol)
     except engine.EngineError as exc:
         raise InputError(f"invalid --seeds or --tol: {exc}") from None
-    f = None
-    if args.filling:
-        if not args.l:
-            raise InputError("--filling in solve mode also needs --l "
-                             "(longitude eigenvalues cannot be derived "
-                             "without a representation)")
-        slopes = parse_filling(args.filling, d.n_components)
-        l_vals = parse_complex_list(args.l, expected=d.n_components,
-                                    what="longitude eigenvalue")
-        f = representation.FillingSpec.from_eigenvalues(
-            slopes, m, l_vals, tol=args.tol or 1e-6)
-    elif args.l:
-        raise InputError("--l without --filling has no effect; "
-                         "give both or neither")
+    slopes = (parse_filling(args.filling, d.n_components)
+              if args.filling else None)
+    filling_tol = args.tol or 1e-6
 
     sols = engine.multi_start(d, m, cfg)
-    print(f"meridians: " + ", ".join(_c2s(z) for z in m))
-    print(f"found {len(sols)} distinct solution(s) from {cfg.seeds} seeds")
     docs = []
-    for k, s in enumerate(sols):
-        doc = engine.solution_report(
+    for s in sols:
+        f = None
+        if slopes is not None:
+            # each point carries its own longitudes, l = exp(-(m dW/dm)/2);
+            # a point whose (m, l) miss the slope is not a filled solution
+            try:
+                f = representation.FillingSpec.from_eigenvalues(
+                    slopes, s.m, np.exp(-0.5 * potential.mdW_all(s)),
+                    tol=filling_tol)
+            except representation.RepresentationError:
+                continue
+        docs.append(engine.solution_report(
             s, f, residual_tol=max(cfg.residual_tol, 1e-9),
-            filling_tol=args.tol or 1e-6)
-        docs.append(doc)
+            filling_tol=filling_tol))
+    print(f"meridians: " + ", ".join(_c2s(z) for z in m))
+    print(f"found {len(sols)} distinct solution(s) from {cfg.seeds} seeds"
+          + (f"; {len(sols) - len(docs)} of them do not satisfy the filling "
+             f"and are left out" if slopes is not None else ""))
+    for k, doc in enumerate(docs):
         print(f"  #{k + 1}: vol = {_f9(doc['vol'], '+')}  "
               f"cs = {doc['cs']:.9f}  residual {doc['residual_max']:.2e}")
     out = {"manifest": RunManifest(
@@ -290,7 +285,8 @@ def cmd_solve(args):
                output=args.json, rng_seed=args.rng_seed).to_json(),
            "summary": d.summary(),
            "m": [[z.real, z.imag] for z in m],
-           "filling": f.to_json() if f is not None else None,
+           "filling": (None if slopes is None else
+                       representation.FillingSpec(slopes).to_json()),
            "solutions": docs}
     _write_report(args, out)
     return 0
@@ -358,16 +354,21 @@ def cmd_verify(args):
                          f"or a report with a 'solutions' list")
     if not isinstance(docs, list):
         raise InputError(f"{args.solutions}: 'solutions' must be a list")
-    f = None
+    shared = None
     if args.filling_file:
-        f = representation.FillingSpec.from_json(_read_json(
+        shared = representation.FillingSpec.from_json(_read_json(
             args.filling_file))
     elif isinstance(payload, dict) and payload.get("filling"):
-        f = representation.FillingSpec.from_json(payload["filling"])
+        shared = representation.FillingSpec.from_json(payload["filling"])
     tol = args.tol
     all_ok = True
     records = []
     for k, doc in enumerate(docs):
+        # a filling file applies to all; else a solution's own comes first
+        f = shared
+        if (not args.filling_file and isinstance(doc, dict)
+                and doc.get("filling")):
+            f = representation.FillingSpec.from_json(doc["filling"])
         ok, lines, record = _verify_one(d, doc, f, tol)
         record["index"] = k
         records.append(record)
@@ -521,10 +522,9 @@ def _build_parser():
     sp = sub.add_parser("solve", help="multi-start numerical solve")
     sp.add_argument("diagram")
     sp.add_argument("--m", help="meridian eigenvalues a+bi, comma-separated")
-    sp.add_argument("--filling", help="slopes r/s,r/s,inf per component")
-    sp.add_argument("--l", help="longitude eigenvalues (required with "
-                                "--filling; no representation available "
-                                "to derive them)")
+    sp.add_argument("--filling", help="slopes r/s,r/s,inf per component; "
+                                      "solutions off the filling are left "
+                                      "out")
     sp.add_argument("--seeds", type=int, default=64,
                     help="number of random starts (default 64)")
     common(sp, rng=True, tol=None)

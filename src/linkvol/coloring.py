@@ -19,6 +19,11 @@ from . import representation as R
 # V_left. Pinned empirically against the bundled reference colorings.
 TRANSPORT_SIGN = 1
 
+# Relative tolerance of the transport and genericity checks, and the seed/W
+# draws random_generic_coloring makes before giving up.
+_TOL = 1e-9
+_MAX_ATTEMPTS = 1000
+
 
 class ColoringError(ValueError):
     pass
@@ -41,10 +46,10 @@ def _transport_matrices(rep):
     return mats
 
 
-def propagate(rep, seed_region, seedV, tol=1e-9):
+def propagate(rep, seed_region, seedV):
     """Breadth-first transport of the seed vector to every region.
 
-    Every arc is re-checked after propagation; a residual bigger than tol
+    Every arc is re-checked after propagation; a residual bigger than _TOL
     means the representation and the transport convention disagree.
     """
     d = rep.diagram
@@ -79,21 +84,21 @@ def propagate(rep, seed_region, seedV, tol=1e-9):
     for e in sorted(trans):
         lr, rr = d.left_region[e], d.right_region[e]
         resid = float(np.max(np.abs(V[rr] - trans[e] @ V[lr])))
-        if resid > tol * max(1.0, scale):
+        if resid > _TOL * max(1.0, scale):
             raise ColoringError(
                 f"representation/transport convention mismatch: arc {e} "
                 f"closes with residual {resid:.3g}")
     return RegionColoring(rep=rep, V=V, seed_region=seed_region)
 
 
-def _is_eigenvector(v, m, tol):
+def _is_eigenvector(v, m):
     w = m @ v
     resid = abs(v[0] * w[1] - v[1] * w[0])
     scale = float(np.max(np.abs(v)) * np.max(np.abs(w)))
-    return resid <= tol * max(scale, 1e-300)
+    return resid <= _TOL * max(scale, 1e-300)
 
 
-def check_genericity(col, rep=None, tol=1e-9):
+def check_genericity(col):
     """Report violations that would make the induced solution degenerate.
 
     Conditions: (i) det(W, V_j) != 0 for every region; (ii) W is not an
@@ -101,8 +106,6 @@ def check_genericity(col, rep=None, tol=1e-9):
     any generator matrix. Returns a list of human-readable violations;
     empty means generic.
     """
-    if rep is None:
-        rep = col.rep
     if col.Wvec is None:
         raise ColoringError("coloring has no W vector")
     W = np.asarray(col.Wvec, dtype=complex).reshape(2)
@@ -110,24 +113,23 @@ def check_genericity(col, rep=None, tol=1e-9):
     scaleW = float(np.max(np.abs(W)))
     for j, v in enumerate(col.V):
         w_j = W[0] * v[1] - W[1] * v[0]
-        if abs(w_j) <= tol * max(1.0, scaleW * float(np.max(np.abs(v)))):
+        if abs(w_j) <= _TOL * max(1.0, scaleW * float(np.max(np.abs(v)))):
             report.append(f"det(W, V_{j + 1}) = 0")
-    for gi, m in enumerate(rep.matrices):
-        if _is_eigenvector(W, m, tol):
+    for gi, m in enumerate(col.rep.matrices):
+        if _is_eigenvector(W, m):
             report.append(f"W is an eigenvector of ρ(g{gi + 1})")
         for j, v in enumerate(col.V):
-            if _is_eigenvector(v, m, tol):
+            if _is_eigenvector(v, m):
                 report.append(f"V_{j + 1} is an eigenvector of ρ(g{gi + 1})")
     return report
 
 
-def assemble_solution(col, rep=None):
+def assemble_solution(col):
     """Region weights w_j = det(W, V_j) plus meridian eigenvalues."""
     from .potential import Solution
 
-    if rep is None:
-        rep = col.rep
-    report = check_genericity(col, rep)
+    rep = col.rep
+    report = check_genericity(col)
     if report:
         raise ColoringError(
             "degenerate coloring: " + "; ".join(report) +
@@ -139,7 +141,7 @@ def assemble_solution(col, rep=None):
     return Solution(diagram=rep.diagram, w=w, m=m)
 
 
-def random_generic_coloring(rep, rng_seed=0, tol=1e-9, max_attempts=1000):
+def random_generic_coloring(rep, rng_seed=0):
     """Sample small-integer-grid seed/W vectors until genericity holds."""
     rng = np.random.default_rng(rng_seed)
     n = rep.diagram.n_regions
@@ -152,18 +154,18 @@ def random_generic_coloring(rep, rng_seed=0, tol=1e-9, max_attempts=1000):
                 return complex(a, b)
 
     last_report = None
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         seed_region = int(rng.integers(0, n))
         seedV = np.array([grid_complex(), grid_complex()])
         Wvec = np.array([grid_complex(), grid_complex()])
         try:
-            col = propagate(rep, seed_region, seedV, tol=tol)
+            col = propagate(rep, seed_region, seedV)
         except ColoringError:
             continue
         col.Wvec = Wvec
-        last_report = check_genericity(col, rep, tol=tol)
+        last_report = check_genericity(col)
         if not last_report:
             return col
     raise ColoringError(
-        f"no generic coloring found in {max_attempts} attempts; "
+        f"no generic coloring found in {_MAX_ATTEMPTS} attempts; "
         f"last report: {last_report}")

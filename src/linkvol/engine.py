@@ -352,12 +352,14 @@ def solution_report(s, f=None, residual_tol=1e-3, filling_tol=1e-6):
     """Machine-readable record of one solution.
 
     Without a filling the reported W0 is critical_value(s) (no meridian
-    corrections); with one it is the corrected value from potential.W0.
+    corrections); with one it is the corrected value from potential.W0,
+    and the record carries the filling under "filling".
     """
     doc = s.to_json()
     if f is not None and any(sl is not None for sl in f.slopes):
         doc.update(potential.W0(s, f, residual_tol=residual_tol,
                                 filling_tol=filling_tol).to_json())
+        doc["filling"] = f.to_json()
         return doc
     val = critical_value(s)
     res = potential.critical_residuals(s).residual_max

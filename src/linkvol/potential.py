@@ -11,12 +11,13 @@ corrected value
                           - (r_i/s_i)(log m_i + u_i pi i)^2 ]
 
 encodes volume and Chern-Simons invariant of the filled manifold as
-W0 = i(vol + i cs) up to integer multiples of pi^2.
+W0 = i(vol + i cs) up to integer multiples of pi^2. The point carries its
+own longitude eigenvalues, l_i = exp(-(m_i dW/dm_i)/2), and W0 checks each
+filled slope against them (Neumann-Zagier, Topology 24, 1985).
 
 All logarithms are principal; no branch tracking happens anywhere.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .numerics import cs_mod_pi2, principal_log
+from .representation import RepresentationError
 
 # The crossing term comes in two mirror forms: an overall sign sigma and the
 # meridian exponent (-sigma) inside the four meridian-carrying ratios. Which
@@ -82,8 +84,6 @@ class Solution:
 
     @classmethod
     def from_json(cls, diagram, doc):
-        if isinstance(doc, str):
-            doc = json.loads(doc)
         w = [complex(p[0], p[1]) for p in doc["w"]]
         m = [complex(p[0], p[1]) for p in doc["m"]]
         return cls(diagram=diagram, w=w, m=m)
@@ -333,10 +333,11 @@ def critical_value(s):
 def W0(s, f, residual_tol=1e-3, filling_tol=1e-6):
     """Corrected potential value and the volume / Chern-Simons split.
 
-    ``f`` lists one slope per component (None = unfilled); every filled
-    component needs its longitude eigenvalue and correction integers
-    (u, v), and the solution must satisfy the critical equations to
-    residual_tol. vol is the imaginary part, cs the negated real part
+    ``f`` lists one slope per component (None = unfilled) and the (u, v)
+    of every filled one. The solution must satisfy the critical equations
+    to residual_tol; then, to filling_tol, every unfilled component must
+    have m = ±1 and every filled slope must hold with u and the point's
+    own longitude. vol is the imaginary part, cs the negated real part
     normalized into [0, pi^2).
     """
     d = s.diagram
@@ -347,14 +348,6 @@ def W0(s, f, residual_tol=1e-3, filling_tol=1e-6):
     ok, report = is_nondegenerate(s)
     if not ok:
         raise PotentialError("degenerate solution: " + "; ".join(report[:4]))
-    for i, sl in enumerate(f.slopes):
-        if sl is None:
-            continue
-        if int(sl[1]) == 0:
-            raise PotentialError(
-                f"meridional filling (slope with s = 0) on component "
-                f"{i + 1} is unsupported")
-    f.validate(m=s.m, tol=filling_tol)
 
     res = critical_residuals(s)
     rmax = res.residual_max
@@ -367,10 +360,27 @@ def W0(s, f, residual_tol=1e-3, filling_tol=1e-6):
     md = mdW_all(s)
     for i, sl in enumerate(f.slopes):
         if sl is None:
+            if min(abs(s.m[i] - 1), abs(s.m[i] + 1)) > filling_tol:
+                raise PotentialError(
+                    f"component {i + 1} is marked unfilled but its "
+                    f"meridian eigenvalue {s.m[i]:.6g} is not ±1 "
+                    f"(not boundary-parabolic)")
             continue
+        if f.uv[i] is None:
+            raise RepresentationError(
+                f"filled component {i + 1} needs correction integers (u,v)")
         r, si = int(sl[0]), int(sl[1])
-        u, _v = f.uv[i]
+        u = f.uv[i][0]
         lm = principal_log(s.m[i]) + u * 1j * math.pi
+        # s log l = -s md/2 mod 2 pi i s, so t is an integer (v up to the
+        # sign of l); resid is |r log m + s log l + pi i (r u + s v)|
+        t = (r * lm - si * md[i] / 2) / (si * 1j * math.pi)
+        resid = abs(t - round(t.real)) * abs(si) * math.pi
+        if resid > filling_tol:
+            raise PotentialError(
+                f"component {i + 1} does not satisfy the filling {r}/{si} "
+                f"with u = {u}: r (log m + u pi i) + s log l is {resid:.3g} "
+                f"away from the multiples of pi i")
         val -= md[i] * lm - (r / si) * lm * lm
 
     return VolumeResult(W0=complex(val), vol=float(val.imag),

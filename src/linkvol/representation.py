@@ -6,17 +6,25 @@ crossing relation g_out = g_over^eps g_in g_over^(-eps) holds.
 """
 
 import cmath
-import json
 import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import wirtinger
+from .diagram import longitude_word, wirtinger
 from .numerics import principal_log
 
 I2 = np.eye(2, dtype=complex)
+
+# How far a generator's determinant may miss 1; the largest relation
+# residual, which is also how close to ±I a meridian counts as ±I; the
+# lower-left entry below which a meridian is triangular; and the largest
+# commutator entry of a meridian and its longitude.
+_DET_TOL = 1e-9
+_RELATION_TOL = 1e-6
+_TRIANGULAR_TOL = 1e-12
+_COMMUTE_TOL = 1e-9
 
 
 class RepresentationError(ValueError):
@@ -49,12 +57,6 @@ def mat_dist(a, b):
     return float(np.max(np.abs(a - b)))
 
 
-def _check_sl2(m, tol=1e-9):
-    if abs(det2(m) - 1) > tol:
-        raise RepresentationError(
-            f"matrix determinant {det2(m):.6g} is not 1 (tolerance {tol:g})")
-
-
 @dataclass
 class Representation:
     diagram: object
@@ -80,16 +82,7 @@ class Representation:
         return worst
 
 
-def _check_meridians(rep, tol=1e-6):
-    for i in range(rep.diagram.n_components):
-        m = rep.meridian_matrix(i)
-        if mat_dist(m, I2) <= tol or mat_dist(m, -I2) <= tol:
-            raise RepresentationError(
-                f"ρ(μ_{i + 1}) ≠ ±I violated: the meridian of component "
-                f"{i + 1} maps to ±identity")
-
-
-def complete_representation(d, partial, tol=1e-6, det_tol=1e-9):
+def complete_representation(d, partial):
     """Fill in all Wirtinger generators from a generating subset.
 
     ``partial`` maps generator names ("g1", ...) or 0-based indices to
@@ -110,7 +103,10 @@ def complete_representation(d, partial, tol=1e-6, det_tol=1e-9):
             raise RepresentationFormatError(
                 f"no generator g{gi + 1}: the diagram has g1..g{n}")
         m = mat(value)
-        _check_sl2(m, det_tol)
+        if abs(det2(m) - 1) > _DET_TOL:
+            raise RepresentationError(
+                f"matrix determinant {det2(m):.6g} is not 1 (tolerance "
+                f"{_DET_TOL:g})")
         known[gi] = m
 
     if all(k is None for k in known):
@@ -132,10 +128,11 @@ def complete_representation(d, partial, tol=1e-6, det_tol=1e-9):
                 if known[out_g] is None:
                     known[out_g] = derived
                     progress = True
-                elif mat_dist(known[out_g], derived) > tol:
+                elif mat_dist(known[out_g], derived) > _RELATION_TOL:
                     raise RepresentationError(
                         "relations inconsistent: crossing relation residual "
-                        f"{mat_dist(known[out_g], derived):.3g} exceeds {tol:g}")
+                        f"{mat_dist(known[out_g], derived):.3g} exceeds "
+                        f"{_RELATION_TOL:g}")
             if known[out_g] is not None and known[in_g] is None:
                 known[in_g] = dconj(known[out_g])
                 progress = True
@@ -147,10 +144,17 @@ def complete_representation(d, partial, tol=1e-6, det_tol=1e-9):
 
     rep = Representation(d, known)
     res = rep.relation_residual()
-    if res > tol:
+    if res > _RELATION_TOL:
         raise RepresentationError(
-            f"relations inconsistent: residual {res:.3g} exceeds {tol:g}")
-    _check_meridians(rep)
+            f"relations inconsistent: residual {res:.3g} exceeds "
+            f"{_RELATION_TOL:g}")
+    for i in range(d.n_components):
+        m = rep.meridian_matrix(i)
+        if (mat_dist(m, I2) <= _RELATION_TOL
+                or mat_dist(m, -I2) <= _RELATION_TOL):
+            raise RepresentationError(
+                f"ρ(μ_{i + 1}) ≠ ±I violated: the meridian of component "
+                f"{i + 1} maps to ±identity")
     return rep
 
 
@@ -162,12 +166,13 @@ def evaluate_word(rep, word):
     return out
 
 
-def meridian_eigenvalue(rep, i, tol=1e-12):
+def meridian_eigenvalue(rep, i):
     m = rep.meridian_matrix(i)
-    if mat_dist(m, I2) <= 1e-6 or mat_dist(m, -I2) <= 1e-6:
+    if (mat_dist(m, I2) <= _RELATION_TOL
+            or mat_dist(m, -I2) <= _RELATION_TOL):
         raise RepresentationError(f"ρ(μ_{i + 1}) = ±I has no preferred "
                                   f"eigenvalue")
-    if abs(m[1, 0]) <= tol:
+    if abs(m[1, 0]) <= _TRIANGULAR_TOL:
         return complex(m[0, 0])
     tr = m[0, 0] + m[1, 1]
     # The square root halves the working precision near tr = ±2, turning a
@@ -203,17 +208,13 @@ def _eigenvector(m, lam, tol=1e-9):
     return v / nv
 
 
-def longitude_eigenvalue(rep, i, word=None, comm_tol=1e-9):
+def longitude_eigenvalue(rep, i):
     """Eigenvalue of the longitude on the eigenvector shared with the
     meridian, so that the pair (m_i, l_i) lives on one boundary line."""
-    from .diagram import longitude_word
-
-    if word is None:
-        word = longitude_word(rep.diagram, i)
-    lam_mat = evaluate_word(rep, word)
+    lam_mat = evaluate_word(rep, longitude_word(rep.diagram, i))
     mu_mat = rep.meridian_matrix(i)
     comm = mu_mat @ lam_mat - lam_mat @ mu_mat
-    if float(np.max(np.abs(comm))) > comm_tol:
+    if float(np.max(np.abs(comm))) > _COMMUTE_TOL:
         raise RepresentationError(
             f"longitude of component {i + 1} does not commute with its "
             f"meridian (residual {float(np.max(np.abs(comm))):.3g}); "
@@ -279,8 +280,10 @@ def solve_uv(m, l, r, s, tol=1e-6):
 
 @dataclass
 class FillingSpec:
-    """Per component: slope None (unfilled) or coprime (r, s), the longitude
-    eigenvalue, and the correction integers (u, v) for finite slopes."""
+    """Per component: slope None (unfilled) or coprime (r, s) with s != 0,
+    a longitude eigenvalue, and the correction integers (u, v) for filled
+    slopes. potential.W0 reads u and checks the slope against the point's
+    own longitude; l is kept for the record."""
 
     slopes: list
     l: list = None
@@ -292,12 +295,13 @@ class FillingSpec:
             self.l = [None] * h
         if self.uv is None:
             self.uv = [None] * h
-        for sl in self.slopes:
-            if sl is None:
-                continue
-            r, s = sl
-            if math.gcd(abs(int(r)), abs(int(s))) != 1:
+        for r, s in filter(None, self.slopes):
+            if math.gcd(int(r), int(s)) != 1:
                 raise RepresentationError(f"slope ({r},{s}) is not coprime")
+            if int(s) == 0:
+                raise RepresentationError(
+                    f"slope ({r},{s}) has s = 0: meridional filling is not "
+                    f"supported")
 
     @classmethod
     def from_eigenvalues(cls, slopes, m, l, tol=1e-6):
@@ -323,33 +327,6 @@ class FillingSpec:
     def n_components(self):
         return len(self.slopes)
 
-    def validate(self, m=None, tol=1e-6):
-        """Check the defining identities; raises on failure."""
-        for i, sl in enumerate(self.slopes):
-            if sl is None:
-                if m is not None and min(abs(m[i] - 1), abs(m[i] + 1)) > tol:
-                    raise RepresentationError(
-                        f"component {i + 1} is marked unfilled but its "
-                        f"meridian eigenvalue {m[i]:.6g} is not ±1 "
-                        f"(not boundary-parabolic)")
-                continue
-            r, s = sl
-            if self.l[i] is None:
-                raise RepresentationError(
-                    f"filled component {i + 1} needs a longitude eigenvalue")
-            if self.uv[i] is None:
-                raise RepresentationError(
-                    f"filled component {i + 1} needs correction integers (u,v)")
-            if m is None:
-                continue
-            u, v = self.uv[i]
-            resid = abs(r * principal_log(m[i]) + s * principal_log(self.l[i])
-                        + 1j * math.pi * (r * u + s * v))
-            if resid > tol:
-                raise RepresentationError(
-                    f"filling identity fails for component {i + 1}: "
-                    f"residual {resid:.3g} exceeds {tol:g}")
-
     def to_json(self):
         def cplx(z):
             return None if z is None else [z.real, z.imag]
@@ -365,8 +342,6 @@ class FillingSpec:
     def from_json(cls, doc):
         """The filling a to_json document describes. A document of another
         shape raises RepresentationFormatError."""
-        if isinstance(doc, str):
-            doc = json.loads(doc)
         slopes = doc.get("slopes") if isinstance(doc, dict) else None
         if not isinstance(slopes, list):
             raise RepresentationFormatError(
@@ -412,13 +387,11 @@ def _json_pair(p, kind, what, expected):
     return tuple(kind(x) for x in p)
 
 
-def representation_from_json(d, doc, tol=1e-6, det_tol=1e-9):
+def representation_from_json(d, doc):
     """Build a representation from {"generators": {"g1": [[re,im]x4]}}.
 
     A document of another shape raises RepresentationFormatError.
     """
-    if isinstance(doc, str):
-        doc = json.loads(doc)
     gens = doc.get("generators") if isinstance(doc, dict) else None
     if not gens or not isinstance(gens, dict):
         raise RepresentationFormatError(
@@ -433,4 +406,4 @@ def representation_from_json(d, doc, tol=1e-6, det_tol=1e-9):
             raise RepresentationFormatError(
                 f"generator {name}: need 4 row-major [re, im] entries")
         partial[name] = [[vals[0], vals[1]], [vals[2], vals[3]]]
-    return complete_representation(d, partial, tol=tol, det_tol=det_tol)
+    return complete_representation(d, partial)

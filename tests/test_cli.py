@@ -239,9 +239,53 @@ def test_solve_deterministic(fig8_path, tmp_path):
     assert da["solutions"] == db["solutions"]
 
 
-def test_solve_filling_needs_longitude(fig8_path, capsys):
-    assert cli.main(["solve", fig8_path, "--m", "1+0i",
-                     "--filling", "2/3"]) == 2
+def _solve_lines(out):
+    return [ln for ln in out.splitlines() if ln.startswith("  #")]
+
+
+def test_solve_filling_reads_longitude_from_point(fig8_path, tmp_path,
+                                                  capsys):
+    # each solution's longitude is exp(-(m dW/dm)/2); only the points whose
+    # (m, l) satisfy 2/3 are reported, and the summary counts the rest
+    out_json = tmp_path / "filled.json"
+    assert cli.main(["solve", fig8_path, "--m=-1.30664+0.04987i",
+                     "--filling", "2/3", "--tol", "1e-3", "--seeds", "64",
+                     "--json", str(out_json)]) == 0
+    out = capsys.readouterr().out
+    lines = _solve_lines(out)
+    assert "found 21 distinct solution(s) from 64 seeds; 13 of them do " \
+           "not satisfy the filling and are left out" in out
+    assert len(lines) == 8
+    for ln in lines:
+        assert "cs = 3.338472473" in ln, ln
+    doc = json.loads(out_json.read_text())
+    assert len(doc["solutions"]) == 8
+    for sol in doc["solutions"]:
+        assert sol["vol"] == pytest.approx(1.737378076, abs=1e-6)
+        assert sol["filling"]["slopes"] == [[2, 3]]
+        assert sol["filling"]["uv"][0][0] == 1
+        # the golden's l up to sign, which moves only v
+        l = complex(*sol["filling"]["l"][0])
+        golden = _examples.figure_eight_golden().regression_l[0]
+        assert min(abs(l - golden), abs(l + golden)) < 1e-9
+    # verify reads each solution's own filling and passes all of them
+    assert cli.main(["verify", fig8_path, str(out_json)]) == 0
+    assert "overall: PASS (8 solution(s)" in capsys.readouterr().out
+
+
+def test_solve_filling_whitehead(white_path, capsys):
+    m = ",".join(f"{z.real}{z.imag:+}i" for z in _examples.WHITEHEAD_M)
+    assert cli.main(["solve", white_path, f"--m={m}",
+                     "--filling=-5/1,-5/2", "--tol", "1e-3",
+                     "--seeds", "64"]) == 0
+    out = capsys.readouterr().out
+    lines = _solve_lines(out)
+    assert "17 of them do not satisfy the filling" in out
+    assert len(lines) == 4
+    for ln in lines:
+        vol, cs = (float(ln.split(key)[1].split()[0])
+                   for key in ("vol = ", "cs = "))
+        assert abs(vol - 0.942795) < 5e-7 and abs(cs - 8.684444) < 5e-7, ln
 
 
 def test_solve_missing_m(fig8_path):
@@ -263,20 +307,14 @@ def test_solve_bad_option_is_input_error(fig8_path, capsys, flags):
 
 
 def test_filling_mismatch_has_one_wording(fig8_path, tmp_path, capsys):
-    # from-rep and solve --filling share the slope -> (u, v) step, so a
-    # slope the eigenvalues do not satisfy fails the same way in both
+    # from-rep names the component whose (m, l) miss the slope; solve
+    # leaves such points out (test_solve_filling_reads_longitude_from_point)
     rep = write_rep(tmp_path, "rep.json",
                     _examples.fig8_matrices(_examples.FIG8_M))
     assert cli.main(["from-rep", fig8_path, rep, "--filling", "1/1"]) == 1
-    from_rep_err = capsys.readouterr().err
-    assert cli.main(["solve", fig8_path, "--m=-1.30664+0.04987i",
-                     "--filling", "1/1", "--l=-0.436437873+0.713382743i",
-                     "--seeds", "1"]) == 1
-    solve_err = capsys.readouterr().err
-    for err in (from_rep_err, solve_err):
-        assert err.startswith("verification failure: the eigenvalues "
-                              "(m, l) of component 1 do not satisfy the "
-                              "filling 1/1: ")
+    assert capsys.readouterr().err.startswith(
+        "verification failure: the eigenvalues (m, l) of component 1 do "
+        "not satisfy the filling 1/1: ")
 
 
 def test_verify_detects_corrupted_solution(fig8_path, tmp_path, capsys):
@@ -298,12 +336,12 @@ def test_verify_detects_corrupted_solution(fig8_path, tmp_path, capsys):
 def test_verify_with_filling_file(fig8_path, tmp_path, capsys):
     out_json = tmp_path / "solutions.json"
     cli.main(["solve", fig8_path,
-              "--m=-1.30664+0.04987i", "--filling", "2/3",
-              "--l=-0.436437873+0.713382743i", "--tol", "1e-3",
+              "--m=-1.30664+0.04987i", "--filling", "2/3", "--tol", "1e-3",
               "--seeds", "16", "--json", str(out_json)])
     doc = json.loads(out_json.read_text())
+    assert doc["solutions"]
     filling_path = tmp_path / "filling.json"
-    filling_path.write_text(json.dumps(doc["filling"]))
+    filling_path.write_text(json.dumps(doc["solutions"][0]["filling"]))
     capsys.readouterr()
     code = cli.main(["verify", fig8_path, str(out_json),
                      str(filling_path), "--tol", "1e-3"])
@@ -349,9 +387,11 @@ def test_solution_json_keys(fig8_path, fig8_report, tmp_path):
     {"slopes": [[2, 3]], "uv": [[1, -2, 0]]},
     {"slopes": [[2, 3]], "l": [None, None]},
     {"slopes": [[2, 4]]},
+    {"slopes": [[1, 0]]},
     [],
 ], ids=["no-slopes", "short-slope", "slopes-string", "slope-string",
-        "short-l", "long-uv", "l-count", "slope-not-coprime", "list"])
+        "short-l", "long-uv", "l-count", "slope-not-coprime",
+        "slope-meridional", "list"])
 def test_verify_malformed_filling_file_is_input_error(
         fig8_path, fig8_report, tmp_path, capsys, filling):
     report = tmp_path / "solution.json"
@@ -363,13 +403,37 @@ def test_verify_malformed_filling_file_is_input_error(
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_verify_unfilled_solutions_against_a_filling(
+        fig8_path, fig8_report, tmp_path, capsys):
+    # the from-rep filling (u = 1) passes exactly the points whose own
+    # longitude satisfies 2/3; its stored l is not read
+    out_json = tmp_path / "unfilled.json"
+    assert cli.main(["solve", fig8_path, "--m=-1.30664+0.04987i",
+                     "--tol", "1e-3", "--seeds", "64",
+                     "--json", str(out_json)]) == 0
+    filling_path = tmp_path / "filling.json"
+    filling_path.write_text(json.dumps(fig8_report["filling"]))
+    report = tmp_path / "verify.json"
+    capsys.readouterr()
+    assert cli.main(["verify", fig8_path, str(out_json), str(filling_path),
+                     "--json", str(report)]) == 1
+    results = json.loads(report.read_text())["results"]
+    assert len(results) == 21
+    passed = [r for r in results if r["passed"]]
+    assert len(passed) == 8
+    for r in results:
+        on_filling = "vol" in r and abs(r["vol"] - 1.737378076) < 1e-6
+        assert r["passed"] == on_filling
+
+
 @pytest.mark.parametrize("change", [
     {"filling": {"slopes": [[2]]}},
     {"filling": {"slopes": [[2, 3]], "uv": ["1,-2"]}},
+    {"filling": "x"},
     {"solutions": 5},
     {"solution": {"w": [[1.0]], "m": [[1.0, 0.0]]}},
-], ids=["inline-filling", "inline-uv", "solutions-not-list",
-        "short-weight"])
+], ids=["inline-filling", "inline-uv", "filling-string",
+        "solutions-not-list", "short-weight"])
 def test_verify_malformed_report_is_input_error(
         fig8_path, fig8_report, tmp_path, capsys, change):
     doc = dict(fig8_report, **change)

@@ -67,11 +67,11 @@ def test_genericity_violations_reported(fig8_rep):
     col = _pinned(fig8_rep, ex)
     # W parallel to the seed vector zeroes the seed region's weight
     col.Wvec = np.array(ex.seedV, dtype=complex)
-    report = coloring.check_genericity(col, fig8_rep)
+    report = coloring.check_genericity(col)
     assert report
     assert any("W" in line or "weight" in line for line in report)
     with pytest.raises(coloring.ColoringError):
-        coloring.assemble_solution(col, fig8_rep)
+        coloring.assemble_solution(col)
 
 
 def test_random_generic_coloring_deterministic(fig8_rep):

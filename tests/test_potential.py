@@ -254,12 +254,46 @@ def test_meridian_inversion_preserves_criticality(fig8_solved):
     assert potential.critical_residuals(inverted).residual_max < 1e-10
 
 
-def test_w0_rejects_meridional_filling(fig8_solved):
+@pytest.mark.parametrize("ex", _examples.all_golden(),
+                         ids=lambda ex: ex.name)
+def test_point_longitude_is_representation_longitude(ex):
+    # l_i = exp(-(m_i dW/dm_i)/2) at the point is the representation's
+    # longitude eigenvalue up to sign, for any coloring
+    for seed in (None, *range(10)):
+        run = _examples.run_pipeline(ex, seed)
+        l_point = np.exp(-0.5 * potential.mdW_all(run.solution))
+        for i, lp in enumerate(l_point):
+            l_rep = representation.longitude_eigenvalue(run.rep, i)
+            assert min(abs(lp - l_rep), abs(lp + l_rep)) < 1e-9, (seed, i)
+
+
+def test_w0_checks_slope_against_point_longitude(fig8_solved):
     run = fig8_solved
-    f = representation.FillingSpec([(1, 0)], l=list(run.filling.l),
-                                   uv=[(0, 0)])
-    with pytest.raises(potential.PotentialError, match="meridional"):
-        potential.W0(run.solution, f, residual_tol=1e-9, filling_tol=10.0)
+    (u, v), = run.filling.uv
+    # W0 never reads the stored l: a wrong one changes nothing
+    wrong_l = representation.FillingSpec(
+        list(run.filling.slopes), l=[complex(5.0, 5.0)], uv=[(u, v)])
+    res = potential.W0(run.solution, wrong_l, residual_tol=1e-9,
+                       filling_tol=1e-3)
+    assert res.W0 == run.result.W0
+    # u + 1 with any v is off the filling line for 2/3
+    off = representation.FillingSpec(
+        list(run.filling.slopes), l=list(run.filling.l), uv=[(u + 1, v)])
+    with pytest.raises(potential.PotentialError,
+                       match="does not satisfy the filling 2/3"):
+        potential.W0(run.solution, off, residual_tol=1e-9, filling_tol=1e-3)
+
+
+def test_w0_unfilled_needs_parabolic_meridian(fig8_solved):
+    run = fig8_solved
+    with pytest.raises(potential.PotentialError,
+                       match="not boundary-parabolic"):
+        potential.W0(run.solution, representation.FillingSpec([None]),
+                     residual_tol=1e-9, filling_tol=1e-6)
+    parabolic = _examples.run_pipeline(_examples.figure_eight_parabolic())
+    res = potential.W0(parabolic.solution, representation.FillingSpec([None]),
+                       residual_tol=1e-9, filling_tol=1e-6)
+    assert res.W0 == parabolic.result.W0
 
 
 def test_w0_rejects_non_solution(fig8_solved):

@@ -176,11 +176,13 @@ def test_filling_spec_round_trip(fig8):
     assert abs(g.l[0] - f.l[0]) < 1e-15
 
 
-def test_filling_spec_validate_parabolic():
-    f = representation.FillingSpec([None], l=[complex(-1.0)], uv=[None])
-    f.validate(m=[complex(1.0)], tol=1e-6)
-    with pytest.raises(representation.RepresentationError):
-        f.validate(m=[complex(1.5)], tol=1e-6)
+def test_filling_spec_rejects_meridional_slope():
+    # gcd(1, 0) = 1, but s = 0 is no Dehn filling W0 can evaluate
+    with pytest.raises(representation.RepresentationError, match="s = 0"):
+        representation.FillingSpec([(1, 0)], l=[complex(-1.0)], uv=[(0, 0)])
+    with pytest.raises(representation.RepresentationFormatError,
+                       match="s = 0"):
+        representation.FillingSpec.from_json({"slopes": [[1, 0]]})
 
 
 def test_representation_from_json_round_trip(fig8):
