@@ -91,36 +91,32 @@ def propagate(rep, seed_region, seedV):
     return RegionColoring(rep=rep, V=V, seed_region=seed_region)
 
 
-def _is_eigenvector(v, m):
-    w = m @ v
-    resid = abs(v[0] * w[1] - v[1] * w[0])
-    scale = float(np.max(np.abs(v)) * np.max(np.abs(w)))
-    return resid <= _TOL * max(scale, 1e-300)
-
-
 def check_genericity(col):
     """Report violations that would make the induced solution degenerate.
 
     Conditions: (i) det(W, V_j) != 0 for every region; (ii) W is not an
     eigenvector of any generator matrix; (iii) no V_j is an eigenvector of
-    any generator matrix. Returns a list of human-readable violations;
-    empty means generic.
+    any generator matrix. A vector u is an eigenvector of g when u and g u
+    are parallel, tested on all (generator, vector) pairs at once. Returns
+    a list of human-readable violations, determinants first, then per
+    generator W and V_1, V_2, ...; empty means generic.
     """
     if col.Wvec is None:
         raise ColoringError("coloring has no W vector")
     W = np.asarray(col.Wvec, dtype=complex).reshape(2)
-    report = []
-    scaleW = float(np.max(np.abs(W)))
-    for j, v in enumerate(col.V):
-        w_j = W[0] * v[1] - W[1] * v[0]
-        if abs(w_j) <= _TOL * max(1.0, scaleW * float(np.max(np.abs(v)))):
-            report.append(f"det(W, V_{j + 1}) = 0")
-    for gi, m in enumerate(col.rep.matrices):
-        if _is_eigenvector(W, m):
-            report.append(f"W is an eigenvector of ρ(g{gi + 1})")
-        for j, v in enumerate(col.V):
-            if _is_eigenvector(v, m):
-                report.append(f"V_{j + 1} is an eigenvector of ρ(g{gi + 1})")
+    V = np.array(col.V, dtype=complex).reshape(-1, 2)
+    det = np.abs(W[0] * V[:, 1] - W[1] * V[:, 0])
+    det_scale = np.maximum(1.0, np.max(np.abs(W)) * np.abs(V).max(axis=1))
+    report = [f"det(W, V_{j + 1}) = 0"
+              for j in np.flatnonzero(det <= _TOL * det_scale)]
+    U = np.vstack([W, V])                          # row 0 is W
+    GU = np.array(col.rep.matrices) @ U.T          # (generators, 2, 1 + n)
+    cross = np.abs(U[:, 0] * GU[:, 1] - U[:, 1] * GU[:, 0])
+    scale = np.abs(U).max(axis=1) * np.abs(GU).max(axis=1)
+    names = ["W"] + [f"V_{j + 1}" for j in range(V.shape[0])]
+    report += [f"{names[k]} is an eigenvector of ρ(g{gi + 1})"
+               for gi, k in np.argwhere(
+                   cross <= _TOL * np.maximum(scale, 1e-300))]
     return report
 
 

@@ -249,34 +249,6 @@ def mdW_all(s):
     return _kernels.eval_terms(w_ext, m_ext, t.mdw)
 
 
-def _tau_roles(c, s):
-    """Closed-form tau values of one crossing for roles (j, k, l, m)."""
-    j, k, l, m = c.regions
-    wj, wk, wl, wm = s.w[j], s.w[k], s.w[l], s.w[m]
-    ma, mb = s.m[c.alpha], s.m[c.beta]
-    P = wk * wm - wj * wl
-    if SIGMA_POS * c.sign == 1:
-        tj = (ma * wj - wk) * (mb * wj - wm) / P
-        tk = -P / ((wk / ma - wj) * (mb * wk - wl))
-        tl = (wl / mb - wk) * (wl / ma - wm) / P
-        tm = -P / ((wm / mb - wj) * (ma * wm - wl))
-    else:
-        tj = P / ((wj / ma - wk) * (wj / mb - wm))
-        tk = -(ma * wk - wj) * (wk / mb - wl) / P
-        tl = P / ((mb * wl - wk) * (ma * wl - wm))
-        tm = -(mb * wm - wj) * (wm / ma - wl) / P
-    return (tj, tk, tl, tm)
-
-
-def tau_products(s):
-    """Per region, the product of tau over all crossings."""
-    prod = np.ones(s.diagram.n_regions, dtype=complex)
-    for c in s.diagram.crossings:
-        for region, t in zip(c.regions, _tau_roles(c, s)):
-            prod[region] *= t
-    return prod
-
-
 def is_nondegenerate(s):
     """Check that every crossing's five ratios stay away from 0, 1 and
     infinity (a ratio at any of those collapses a tetrahedron; near-0 or
@@ -298,25 +270,10 @@ def is_nondegenerate(s):
     return (not report, report)
 
 
-@dataclass
-class CriticalResiduals:
-    """Both forms of the defining residuals: exp of the logarithmic
-    derivative minus 1, and the closed-form tau product minus 1."""
-
-    exp_form: np.ndarray
-    tau_form: np.ndarray
-
-    @property
-    def residual_max(self):
-        return float(max(np.max(np.abs(self.exp_form)),
-                         np.max(np.abs(self.tau_form))))
-
-
 def critical_residuals(s):
-    """Per-region deviations of the critical-point equations from 0."""
-    exp_form = np.exp(wdW_all(s)) - 1.0
-    tau_form = tau_products(s) - 1.0
-    return CriticalResiduals(exp_form=exp_form, tau_form=tau_form)
+    """Per region, exp(w_j dW/dw_j) - 1: the deviation of the critical-
+    point equations from 0."""
+    return np.exp(wdW_all(s)) - 1.0
 
 
 def critical_value(s):
@@ -349,8 +306,7 @@ def W0(s, f, residual_tol=1e-3, filling_tol=1e-6):
     if not ok:
         raise PotentialError("degenerate solution: " + "; ".join(report[:4]))
 
-    res = critical_residuals(s)
-    rmax = res.residual_max
+    rmax = float(np.abs(critical_residuals(s)).max())
     if rmax > residual_tol:
         raise PotentialError(
             f"critical residuals reach {rmax:.3g}, above {residual_tol:g}: "

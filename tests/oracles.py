@@ -243,3 +243,64 @@ def octahedron_products(shapes):
     tetrahedron shapes (slot 2 the central tetrahedron, (0, 1) and (3, 4)
     the side pairs along the two internal edges); both are 1."""
     return [(z[0] * z[1] * z[2], z[3] * z[4] * z[2]) for z in shapes]
+
+
+def _tau_roles(c, w, m):
+    # positive crossings carry the potential's first mirror form
+    # (sigma = +1), negative ones the second
+    j, k, l, mm = c.regions
+    wj, wk, wl, wm = w[j], w[k], w[l], w[mm]
+    ma, mb = m[c.alpha], m[c.beta]
+    P = wk * wm - wj * wl
+    if c.sign > 0:
+        return ((ma * wj - wk) * (mb * wj - wm) / P,
+                -P / ((wk / ma - wj) * (mb * wk - wl)),
+                (wl / mb - wk) * (wl / ma - wm) / P,
+                -P / ((wm / mb - wj) * (ma * wm - wl)))
+    return (P / ((wj / ma - wk) * (wj / mb - wm)),
+            -(ma * wk - wj) * (wk / mb - wl) / P,
+            P / ((mb * wl - wk) * (ma * wl - wm)),
+            -(mb * wm - wj) * (wm / ma - wl) / P)
+
+
+def tau_products(d, w, m):
+    """Per region, the product over crossings of the closed-form tau
+    values, at region weights w and meridian eigenvalues m.
+
+    ``d`` is used duck-typed: each crossing's sign, role-ordered regions
+    (j, k, l, m) and the components alpha, beta of its two strands. The
+    product equals exp(w_j dW/dw_j) identically in (w, m), so it is 1 for
+    every region exactly at a critical point.
+    """
+    prod = [1.0 + 0j] * d.n_regions
+    for c in d.crossings:
+        for region, t in zip(c.regions, _tau_roles(c, w, m)):
+            prod[region] *= t
+    return prod
+
+
+def genericity_report(W, V, matrices, tol):
+    """The genericity violations of an auxiliary vector W and region
+    vectors V under generator matrices, one (generator, vector) pair at a
+    time: first det(W, V_j) = 0, then per generator whether W and each
+    V_j is an eigenvector, i.e. parallel to its image, relative to tol."""
+    def is_eigenvector(v, g):
+        gv = (g[0][0] * v[0] + g[0][1] * v[1],
+              g[1][0] * v[0] + g[1][1] * v[1])
+        resid = abs(v[0] * gv[1] - v[1] * gv[0])
+        scale = max(abs(v[0]), abs(v[1])) * max(abs(gv[0]), abs(gv[1]))
+        return resid <= tol * max(scale, 1e-300)
+
+    report = []
+    scale_w = max(abs(W[0]), abs(W[1]))
+    for j, v in enumerate(V):
+        det = W[0] * v[1] - W[1] * v[0]
+        if abs(det) <= tol * max(1.0, scale_w * max(abs(v[0]), abs(v[1]))):
+            report.append(f"det(W, V_{j + 1}) = 0")
+    for gi, g in enumerate(matrices):
+        if is_eigenvector(W, g):
+            report.append(f"W is an eigenvector of ρ(g{gi + 1})")
+        for j, v in enumerate(V):
+            if is_eigenvector(v, g):
+                report.append(f"V_{j + 1} is an eigenvector of ρ(g{gi + 1})")
+    return report

@@ -298,12 +298,34 @@ def test_solve_missing_m(fig8_path):
     ["--m", "1", "--seeds", "0"],
     ["--m", "1", "--tol", "-1"],
     ["--m", "1", "--tol", "0"],
+    ["--m", "1", "--tol", "nan"],
+    ["--m", "1", "--tol", "inf"],
 ])
 def test_solve_bad_option_is_input_error(fig8_path, capsys, flags):
     assert cli.main(["solve", fig8_path, *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-3"])
+def test_from_rep_and_verify_bad_tol_is_input_error(
+        fig8_path, fig8_report, tmp_path, capsys, tol):
+    # one rule for --tol: finite and positive. A NaN or infinite
+    # tolerance would pass every check, e.g. a 3/1 filling of the 2/3
+    # representation, or a solution with a shifted weight
+    rep = write_rep(tmp_path, "rep.json",
+                    _examples.fig8_matrices(_examples.FIG8_M))
+    shifted = dict(fig8_report["solution"])
+    shifted["w"] = [[shifted["w"][0][0] + 0.3, shifted["w"][0][1]]] \
+        + shifted["w"][1:]
+    sol = tmp_path / "shifted.json"
+    sol.write_text(json.dumps(shifted))
+    for argv in (["from-rep", fig8_path, rep, "--filling", "3/1"],
+                 ["verify", fig8_path, str(sol)]):
+        assert cli.main([*argv, f"--tol={tol}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tol ") and err.count("\n") == 1
 
 
 def test_filling_mismatch_has_one_wording(fig8_path, tmp_path, capsys):

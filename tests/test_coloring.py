@@ -4,6 +4,8 @@ import pytest
 from linkvol import _examples, coloring, diagram, potential, representation
 from linkvol.numerics import mod_pi2_equal
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def fig8_rep():
@@ -59,7 +61,7 @@ def test_scaled_weights_are_still_critical(fig8_rep):
     ex = _examples.figure_eight_golden()
     sol = coloring.assemble_solution(_pinned(fig8_rep, ex))
     scaled = potential.Solution(sol.diagram, sol.w * complex(2.0, 0.5), sol.m)
-    assert potential.critical_residuals(scaled).residual_max < 1e-10
+    assert np.abs(potential.critical_residuals(scaled)).max() < 1e-10
 
 
 def test_genericity_violations_reported(fig8_rep):
@@ -72,6 +74,32 @@ def test_genericity_violations_reported(fig8_rep):
     assert any("W" in line or "weight" in line for line in report)
     with pytest.raises(coloring.ColoringError):
         coloring.assemble_solution(col)
+
+
+def test_genericity_matches_pairwise_reference():
+    # random small-integer colorings of the three goldens, many of them
+    # with violations: the stacked test reports what the pair-by-pair
+    # reference reports, in the same order
+    rng = np.random.default_rng(70)
+
+    def grid_vector():
+        v = rng.integers(-2, 3, size=(2, 2))
+        return np.array([complex(*v[0]), complex(*v[1])]) if v.any() \
+            else np.array([1, 0], dtype=complex)
+
+    flagged = 0
+    for ex in _examples.all_golden():
+        d = diagram.load_diagram(ex.pd)
+        rep = representation.complete_representation(d, ex.seed_matrices)
+        for _ in range(60):
+            col = coloring.propagate(rep, int(rng.integers(d.n_regions)),
+                                     grid_vector())
+            col.Wvec = grid_vector()
+            report = coloring.check_genericity(col)
+            assert report == oracles.genericity_report(
+                col.Wvec, col.V, rep.matrices, coloring._TOL)
+            flagged += bool(report)
+    assert 0 < flagged < 180     # both generic and flagged colorings
 
 
 def test_random_generic_coloring_deterministic(fig8_rep):
@@ -93,7 +121,8 @@ def test_random_colorings_are_critical_and_agree_mod_pi2(fig8_rep):
     base = _examples.run_pipeline(ex).result.W0
     for seed in (0, 1, 2):
         run = _examples.run_pipeline(ex, coloring_seed=seed)
-        assert potential.critical_residuals(run.solution).residual_max < 1e-10
+        assert np.abs(potential.critical_residuals(run.solution)).max() \
+            < 1e-10
         assert mod_pi2_equal(run.result.W0, base, 1e-8)
         assert abs(run.result.vol - ex.regression_vol) < 1e-9
 

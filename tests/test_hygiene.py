@@ -47,3 +47,32 @@ def test_every_export_exists():
                if not hasattr(linkvol, name)]
     assert not missing, "listed in __all__ but not defined: " + \
         ", ".join(missing)
+
+
+def test_every_private_name_is_used():
+    # a module-level _name is internal to the package, so a definition
+    # that nothing in src/linkvol reads is dead code left behind
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                defined = [n.id for t in targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name)]
+            else:
+                continue
+            unused += [f"{name}:{node.lineno}: {d}" for d in defined
+                       if d.startswith("_") and not d.startswith("__")
+                       and d not in used]
+    assert not unused, "private but never used: " + ", ".join(unused)
