@@ -143,11 +143,16 @@ def eval_terms(w_ext, m_ext, t):
 
 
 def eval_terms_jac(w_ext, m_ext, t):
-    """The sums of eval_terms and their Jacobian in log coordinates,
-    w_j dF/dw_j, of shapes (..., n_rows) and (..., n_rows, n_w)."""
+    """The sums of eval_terms, their Jacobian in log coordinates,
+    w_j dF/dw_j, and the ratio distance min(|R|, 1/|R|, |1 - R|) over the
+    table's terms: how close the point is to a collapsed tetrahedron.
+    Shapes (..., n_rows), (..., n_rows, n_w) and (...)."""
     R, F = _ratios_and_sums(w_ext, m_ext, t)
-    g = np.where(t.log1m, -R / (1.0 - R), 1.0) * t.sign
+    one_minus = 1.0 - R
+    g = np.where(t.log1m, -R / one_minus, 1.0) * t.sign
     width = t.n_w + 1
     J = _scatter(t.jac_slots, np.concatenate([g, g, -g, -g], axis=-1),
                  t.n_rows * width)
-    return F, J.reshape(F.shape + (width,))[..., :t.n_w]
+    mag = np.abs(R)
+    dist = np.minimum(np.minimum(mag, 1.0 / mag), np.abs(one_minus))
+    return F, J.reshape(F.shape + (width,))[..., :t.n_w], dist.min(axis=-1)

@@ -260,7 +260,7 @@ def cmd_solve(args):
 
     sols = engine.multi_start(d, m, cfg)
     docs = []
-    for s in sols:
+    for s, val, res in zip(sols, sols.values, sols.residuals):
         f = None
         if slopes is not None:
             # each point carries its own longitudes, l = exp(-(m dW/dm)/2);
@@ -273,7 +273,7 @@ def cmd_solve(args):
                 continue
         docs.append(engine.solution_report(
             s, f, residual_tol=max(cfg.residual_tol, 1e-9),
-            filling_tol=filling_tol))
+            filling_tol=filling_tol, critical=(val, res)))
     print(f"meridians: " + ", ".join(_c2s(z) for z in m))
     print(f"found {len(sols)} distinct solution(s) from {cfg.seeds} seeds"
           + (f"; {len(sols) - len(docs)} of them do not satisfy the filling "

@@ -4,7 +4,16 @@ newton_solve runs damped Newton in log-weight coordinates on the critical
 equations at fixed meridian eigenvalues; the global weight-scaling gauge is
 removed by dropping one (redundant) equation and pinning the last weight.
 multi_start runs all its random seeds through the same Newton core as one
-(S, n) array and deduplicates the results up to gauge.
+(S, n) array and deduplicates the results up to gauge. It draws its
+candidate seeds in blocks and screens each block with one stacked call of
+the degeneracy predicate (potential.degeneracy_reports), which also
+verifies the converged seeds. The distinct solutions get their critical
+values and residuals from one stacked potential.critical_values call.
+
+A seed heading for a collapsed tetrahedron is cut early: when its ratio
+distance min(|R|, 1/|R|, |1 - R|), which the Jacobian kernel returns, is
+below 1e-7 and has fallen on 3 consecutive iterations, the seed fails with
+"ran off toward a degenerate point at iteration N", whatever its residual.
 
 cross_ratios exposes the five tetrahedron shapes each crossing carries.
 A point is critical when every exp(w_j dW/dw_j) - 1 is within tolerance:
@@ -43,6 +52,15 @@ _STEPS = np.ldexp(1.0, -np.arange(31))
 # last block is cut at the ladder's end). Doubling blocks keep the calls
 # per iteration at six without evaluating many rows past the accepted one.
 _LINE_SEARCH_BLOCKS = (1, 2, 4, 8, 16)
+
+# The run-off cut. A seed whose ratio distance min(|R|, 1/|R|, |1 - R|)
+# is below _RUNOFF_DIST and has fallen on _RUNOFF_FALLS consecutive
+# iterations is heading for a collapsed tetrahedron and fails there.
+# Converging seeds do pass near the boundary (to 1.35e-8 on the 5_2 knot),
+# but on nine diagrams of 3 to 15 crossings (64 seeds, rng seeds 0-9) the
+# cut keeps all 748 converging seeds and removes 40% of the Jacobian rows.
+_RUNOFF_DIST = 1e-7
+_RUNOFF_FALLS = 3
 
 
 class EngineError(ValueError):
@@ -102,12 +120,18 @@ def _as_meridians(d, m):
     return m
 
 
+def _usable_points(d, w, m):
+    """Per row of w (S, n): a point the solver can start from, one that
+    passes potential.degeneracy_reports (finite, nonzero, no ratio near 0,
+    1 or infinity)."""
+    return np.array([not report
+                     for report in potential.degeneracy_reports(d, w, m)],
+                    dtype=bool)
+
+
 def _usable_point(d, w, m):
-    """A point the solver can start from: finite, nonzero, no ratio near
-    0, 1 or infinity."""
-    if np.any(w == 0) or not np.all(np.isfinite(w)):
-        return False
-    return potential.is_nondegenerate(potential.Solution(d, w, m))[0]
+    """_usable_points at the one point w (n,)."""
+    return _usable_points(d, w[None, :], m)[0]
 
 
 def _fold(vals):
@@ -144,8 +168,10 @@ def _newton_batch(d, m, seeds, cfg):
     block one kernel call on a (seeds x block) stack. A seed takes the
     earliest length of the ladder that passes, so a block decides and
     computes bitwise as the same lengths tried one at a time would; it
-    only evaluates some rows past the accepted length. Returns one outcome
-    per seed: its verified Solution or the NewtonFailure that ends it.
+    only evaluates some rows past the accepted length. A seed that runs
+    off toward a degenerate point (the rule at _RUNOFF_DIST) fails at once.
+    Returns one outcome per seed: its verified Solution or the
+    NewtonFailure that ends it.
     """
     n = d.n_regions
     k = n - 1
@@ -157,6 +183,10 @@ def _newton_batch(d, m, seeds, cfg):
     W[:, :n] = seeds
     X = np.log(W)
     resid = np.full(seeds.shape[0], math.inf)
+    # ratio distance at the last iteration and the falls of it in a row;
+    # the first iteration has no earlier distance, so it is no fall
+    dist_prev = np.zeros(seeds.shape[0])
+    falls = np.zeros(seeds.shape[0], dtype=int)
     out = [None] * seeds.shape[0]
     # iterate past the acceptance threshold down to this floor, so that the
     # returned weights (not just the residuals) are as sharp as the
@@ -164,38 +194,50 @@ def _newton_batch(d, m, seeds, cfg):
     # below the verification tolerance
     floor = min(cfg.residual_tol, 1e-13)
 
-    def verified(i):
-        sol = potential.Solution(d, W[i, :n].copy(), m.copy())
-        ok, report = potential.is_nondegenerate(sol)
-        if not ok:
-            return NewtonFailure(
-                "converged to a degenerate point: " + "; ".join(report[:4]))
-        return sol
+    def accept(ended):
+        # the converged seeds pass the degeneracy predicate in one call
+        if not ended.size:
+            return
+        reports = potential.degeneracy_reports(d, W[ended, :n], m)
+        for i, report in zip(ended, reports):
+            out[i] = NewtonFailure(
+                "converged to a degenerate point: " + "; ".join(report[:4])
+            ) if report else potential.Solution(d, W[i, :n].copy(),
+                                                m.copy())
 
     def settle(ended, failed):
         # accept a point that already meets the tolerance (the quadratic
         # tail bottoms out at machine precision), else fail
-        for i in ended:
-            r = resid[i]
-            out[i] = verified(i) if r <= cfg.residual_tol else \
-                NewtonFailure(f"{failed} (residual {r:.3g})")
+        met = resid[ended] <= cfg.residual_tol
+        accept(ended[met])
+        for i in ended[~met]:
+            out[i] = NewtonFailure(f"{failed} (residual {resid[i]:.3g})")
 
     live = np.arange(seeds.shape[0])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in range(cfg.max_iterations):
             if not live.size:
                 break
-            F_raw, J = _kernels.eval_terms_jac(W[live], m_ext, t)
+            F_raw, J, dist = _kernels.eval_terms_jac(W[live], m_ext, t)
             r = np.abs(np.exp(F_raw) - 1.0).max(axis=1)
             resid[live] = r
+            falls[live] = np.where(dist < dist_prev[live],
+                                   falls[live] + 1, 0)
+            dist_prev[live] = dist
             bad = ~np.isfinite(F_raw).all(axis=1)
             for i in live[bad]:
                 out[i] = NewtonFailure(
                     f"hit a degenerate point at iteration {it}")
             done = ~bad & (r <= floor)
-            for i in live[done]:
-                out[i] = verified(i)
-            go = ~(bad | done)
+            accept(live[done])
+            # never accepted on the residual: near-collapsed points can
+            # meet a loose residual_tol
+            runoff = ~(bad | done) & (dist < _RUNOFF_DIST) \
+                & (falls[live] >= _RUNOFF_FALLS)
+            for i in live[runoff]:
+                out[i] = NewtonFailure(
+                    f"ran off toward a degenerate point at iteration {it}")
+            go = ~(bad | done | runoff)
             jbad = go & ~np.isfinite(J).all(axis=(1, 2))
             for i in live[jbad]:
                 out[i] = NewtonFailure(
@@ -310,52 +352,82 @@ def newton_solve(d, m, seed, cfg=None):
     return res
 
 
+class SolutionSet(list):
+    """multi_start's distinct solutions, best volume first. ``values`` and
+    ``residuals`` hold critical_value and critical_residuals of each, in
+    list order, from one stacked evaluation."""
+
+    def __init__(self, sols, values, residuals):
+        super().__init__(sols)
+        self.values, self.residuals = values, residuals
+
+
+def _draw_seeds(d, m, cfg):
+    """The seeds of multi_start, an (S, n) array.
+
+    Candidates are standard complex gaussians; seed k is the first usable
+    one drawn in turn, or none after 100 rejections. The candidates come
+    in blocks, one standard_normal((B, 2, n)) call (the stream of B
+    one-at-a-time draws) screened by one stacked predicate call.
+    """
+    n = d.n_regions
+    rng = np.random.default_rng(cfg.rng_seed)
+    seeds = []
+    k = tries = 0
+    while k < cfg.seeds:
+        z = rng.standard_normal((cfg.seeds - k, 2, n))
+        block = z[:, 0] + 1j * z[:, 1]
+        for cand, ok in zip(block, _usable_points(d, block, m)):
+            tries += 1
+            if ok:
+                seeds.append(cand)
+            if ok or tries == 100:
+                k, tries = k + 1, 0
+                if k == cfg.seeds:
+                    break
+    return np.array(seeds).reshape(-1, n)
+
+
 def multi_start(d, m, cfg=None):
     """Random-seed sweep: distinct verified solutions, best volume first.
 
-    Seeds are standard complex gaussians, drawn in turn until usable, and
-    all run through Newton together; failures are skipped. Solutions are
-    deduplicated in seed order on gauge-normalized weights (scaled so the
-    last weight is 1) within 1e-6 and sorted by the imaginary part of
-    critical_value descending, earliest seed first on ties.
+    The seeds (see _draw_seeds) all run through Newton together; failures
+    are skipped. Solutions are deduplicated in seed order on
+    gauge-normalized weights (scaled so the last weight is 1) within 1e-6
+    and sorted by the imaginary part of critical_value descending,
+    earliest seed first on ties. Returns a SolutionSet.
     """
     if cfg is None:
         cfg = SolveConfig()
     m = _as_meridians(d, m)
     n = d.n_regions
-    rng = np.random.default_rng(cfg.rng_seed)
-    seeds, index = [], []
-    for k in range(cfg.seeds):
-        for _ in range(100):
-            cand = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            if _usable_point(d, cand, m):
-                seeds.append(cand)
-                index.append(k)
-                break
-    outcomes = _newton_batch(d, m, np.array(seeds).reshape(-1, n), cfg)
-    found = []   # (im, seed index, normalized w, solution)
-    for k, sol in zip(index, outcomes):
+    found = []   # (normalized w, solution), in seed order
+    for sol in _newton_batch(d, m, _draw_seeds(d, m, cfg), cfg):
         if isinstance(sol, NewtonFailure):
             continue
         norm_w = sol.w / sol.w[n - 1]
-        if any(np.max(np.abs(norm_w - prev)) < 1e-6
-               for _, _, prev, _ in found):
+        if any(np.max(np.abs(norm_w - prev)) < 1e-6 for prev, _ in found):
             continue
-        found.append((critical_value(sol).imag, k, norm_w, sol))
-    found.sort(key=lambda rec: (-rec[0], rec[1]))
-    return [rec[3] for rec in found]
+        found.append((norm_w, sol))
+    sols = [sol for _, sol in found]
+    vals, res = potential.critical_values(
+        d, np.array([s.w for s in sols], complex).reshape(-1, n), m)
+    order = sorted(range(len(sols)), key=lambda i: -vals[i].imag)
+    return SolutionSet([sols[i] for i in order], vals[order], res[order])
 
 
 # ---------------------------------------------------------------------------
 # End-to-end extraction
 # ---------------------------------------------------------------------------
 
-def solution_report(s, f=None, residual_tol=1e-3, filling_tol=1e-6):
+def solution_report(s, f=None, residual_tol=1e-3, filling_tol=1e-6,
+                    critical=None):
     """Machine-readable record of one solution.
 
     Without a filling the reported W0 is critical_value(s) (no meridian
     corrections); with one it is the corrected value from potential.W0,
-    and the record carries the filling under "filling".
+    and the record carries the filling under "filling". ``critical`` is
+    (critical_value(s), critical_residuals(s)) when the caller holds them.
     """
     doc = s.to_json()
     if f is not None and any(sl is not None for sl in f.slopes):
@@ -363,8 +435,9 @@ def solution_report(s, f=None, residual_tol=1e-3, filling_tol=1e-6):
                                 filling_tol=filling_tol).to_json())
         doc["filling"] = f.to_json()
         return doc
-    val = critical_value(s)
-    res = np.abs(potential.critical_residuals(s)).max()
+    val, res = critical if critical is not None else \
+        (critical_value(s), potential.critical_residuals(s))
+    val, res = complex(val), np.abs(res).max()
     doc.update({"W0": [val.real, val.imag], "vol": float(val.imag),
                 "cs": cs_mod_pi2(val), "residual_max": float(res)})
     return doc

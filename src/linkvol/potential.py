@@ -157,7 +157,7 @@ class _Tables:
                 (j, l, m, k, nm, 0),
             ])
         cols = np.array(r_rows, dtype=np.int64).T
-        self.r_n1, self.r_n2, self.r_d1, self.r_d2 = cols[0:4]
+        self.r_nd = np.ascontiguousarray(cols[0:4])   # n1, n2, d1, d2
         self.r_mi = cols[4]
         self.r_mexp = cols[5].astype(np.int8)
 
@@ -178,8 +178,8 @@ class _Tables:
             sign = np.array([r[2] for r in rows], dtype=np.int8)
             t = np.array([r[3] for r in rows], dtype=np.int64)
             return _kernels.TermTable(
-                out_row, kind, sign, self.r_n1[t], self.r_n2[t],
-                self.r_d1[t], self.r_d2[t], self.r_mi[t], self.r_mexp[t],
+                out_row, kind, sign, *self.r_nd[:, t], self.r_mi[t],
+                self.r_mexp[t],
                 n_rows, nw)
 
         self.wdw = pack(w_rows, nw)
@@ -194,40 +194,52 @@ def _tables(d):
     return t
 
 
-def _extended(s):
-    w_ext = np.concatenate([s.w, [1.0 + 0j]])
-    m_ext = np.concatenate([s.m, [1.0 + 0j]])
-    return w_ext, m_ext
+def _ext(v):
+    """v (or each row of a stack v) with the constant 1 appended that the
+    index sentinels point at."""
+    out = np.empty(v.shape[:-1] + (v.shape[-1] + 1,), complex)
+    out[..., :-1] = v
+    out[..., -1] = 1.0
+    return out
+
+
+def _ratios(d, w, m):
+    """The five ratios of every crossing at a weight vector w (n,), or at
+    each row of a stack w (S, n): shape (n_crossings, 5) or
+    (S, n_crossings, 5)."""
+    t = _tables(d)
+    g = _ext(w).take(t.r_nd, -1)
+    R = g[..., 0, :] * g[..., 1, :] / (g[..., 2, :] * g[..., 3, :])
+    R = R * _ext(m)[t.r_mi] ** t.r_mexp.astype(np.int64)
+    return R.reshape(w.shape[:-1] + (t.sigma.shape[0], 5))
 
 
 def all_ratios(s):
     """All five ratios of every crossing, shape (n_crossings, 5), in the
     fixed order documented at the top of this module."""
-    t = _tables(s.diagram)
-    w_ext, m_ext = _extended(s)
-    R = w_ext[t.r_n1] * w_ext[t.r_n2] / (w_ext[t.r_d1] * w_ext[t.r_d2])
-    R = R * m_ext[t.r_mi] ** t.r_mexp.astype(np.int64)
-    return R.reshape(-1, 5)
+    return _ratios(s.diagram, s.w, s.m)
+
+
+def _potentials(d, R):
+    """The sum of the crossing terms at ratios R (..., n_crossings, 5),
+    accumulated in crossing order (cumsum adds left to right; np.sum's
+    pairwise order would move the last bits)."""
+    li = _kernels.dilog_many(R.ravel()).reshape(R.shape)
+    logAB = _kernels._plog_vec(R[..., 0]) * _kernels._plog_vec(R[..., 1])
+    vals = _tables(d).sigma * (li[..., 0] + li[..., 1] - li[..., 2]
+                               - li[..., 3] + li[..., 4] - _PI2_6 + logAB)
+    return np.cumsum(vals, axis=-1)[..., -1]
 
 
 def total_potential(s):
-    """Sum of the crossing terms, accumulated in crossing order (cumsum
-    adds left to right; np.sum's pairwise order would move the last
-    bits)."""
-    t = _tables(s.diagram)
-    R = all_ratios(s)
-    li = _kernels.dilog_many(np.ascontiguousarray(R.ravel())).reshape(-1, 5)
-    logAB = _kernels._plog_vec(R[:, 0]) * _kernels._plog_vec(R[:, 1])
-    vals = t.sigma * (li[:, 0] + li[:, 1] - li[:, 2] - li[:, 3] + li[:, 4]
-                      - _PI2_6 + logAB)
-    return complex(np.cumsum(vals)[-1])
+    """Sum of the crossing terms."""
+    return complex(_potentials(s.diagram, all_ratios(s)))
 
 
-def _check_ratios_regular(s):
-    R = all_ratios(s)
+def _check_ratios_regular(R):
     bad = R == 1.0
     if np.any(bad):
-        ci = int(np.nonzero(np.any(bad, axis=1))[0][0])
+        ci = int(np.argwhere(bad)[0][-2])
         raise PotentialError(
             f"degenerate crossing {ci + 1}: a ratio equals 1, the "
             f"logarithmic derivative is singular")
@@ -235,38 +247,45 @@ def _check_ratios_regular(s):
 
 def wdW_all(s):
     """Vector of w_j dW/dw_j over all regions."""
-    _check_ratios_regular(s)
-    t = _tables(s.diagram)
-    w_ext, m_ext = _extended(s)
-    return _kernels.eval_terms(w_ext, m_ext, t.wdw)
+    _check_ratios_regular(all_ratios(s))
+    return _kernels.eval_terms(_ext(s.w), _ext(s.m), _tables(s.diagram).wdw)
 
 
 def mdW_all(s):
     """Vector of m_i dW/dm_i over all components."""
-    _check_ratios_regular(s)
-    t = _tables(s.diagram)
-    w_ext, m_ext = _extended(s)
-    return _kernels.eval_terms(w_ext, m_ext, t.mdw)
+    _check_ratios_regular(all_ratios(s))
+    return _kernels.eval_terms(_ext(s.w), _ext(s.m), _tables(s.diagram).mdw)
 
 
-def is_nondegenerate(s):
-    """Check that every crossing's five ratios stay away from 0, 1 and
-    infinity (a ratio at any of those collapses a tetrahedron; near-0 or
-    huge ratios are the numerical signature of a family escaping to such a
-    collapse), by _DEGENERACY_TOL.
+def degeneracy_reports(d, w, m):
+    """The degeneracy predicate at every row of a weight stack w (S, n)
+    with meridians m: every crossing's five ratios must stay away from 0,
+    1 and infinity (a ratio at any of those collapses a tetrahedron;
+    near-0 or huge ratios are the numerical signature of a family
+    escaping to such a collapse), by _DEGENERACY_TOL. A zero or non-finite
+    weight always fails it.
 
-    Returns (ok, report); the report lists each offending crossing/ratio,
-    crossing-major.
+    Returns one report per row: the offending crossing/ratios,
+    crossing-major, empty where the point is nondegenerate.
     """
-    R = all_ratios(s)
-    mag = np.abs(R)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        R = _ratios(d, w, m)
+        mag = np.abs(R)
     tol = _DEGENERACY_TOL
     kind = np.select([~np.isfinite(R), mag <= tol, mag >= 1.0 / tol,
                       np.abs(R - 1.0) <= tol], [1, 2, 3, 4])
-    report = [f"crossing {ci + 1}: ratio {ri + 1} "
-              + _DEGENERACY_REPORTS[kind[ci, ri]].format(
-                  val=R[ci, ri], mag=mag[ci, ri], tol=tol)
-              for ci, ri in np.argwhere(kind)]
+    reports = [[] for _ in range(R.shape[0])]
+    for si, ci, ri in np.argwhere(kind):
+        reports[si].append(
+            f"crossing {ci + 1}: ratio {ri + 1} "
+            + _DEGENERACY_REPORTS[kind[si, ci, ri]].format(
+                val=R[si, ci, ri], mag=mag[si, ci, ri], tol=tol))
+    return reports
+
+
+def is_nondegenerate(s):
+    """degeneracy_reports at the one point s. Returns (ok, report)."""
+    report = degeneracy_reports(s.diagram, s.w[None, :], s.m)[0]
     return (not report, report)
 
 
@@ -276,6 +295,18 @@ def critical_residuals(s):
     return np.exp(wdW_all(s)) - 1.0
 
 
+def critical_values(d, w, m):
+    """critical_value and critical_residuals at every row of a weight
+    stack w (S, n) with meridians m, in one stacked evaluation: shapes (S,)
+    and (S, n). Each row is bitwise what the one-point functions give.
+    A 1-d w gives the one point's pair."""
+    R = _ratios(d, w, m)
+    _check_ratios_regular(R)
+    wdw = _kernels.eval_terms(_ext(w), _ext(m), _tables(d).wdw)
+    val = _potentials(d, R) - np.sum(wdw * _kernels._plog_vec(w), axis=-1)
+    return val, np.exp(wdw) - 1.0
+
+
 def critical_value(s):
     """The potential minus its weight-gradient correction.
 
@@ -283,8 +314,7 @@ def critical_value(s):
     this already equals i(vol + i cs) up to integer multiples of pi^2, and
     it serves as the ranking value for solver output in general.
     """
-    return complex(total_potential(s)
-                   - np.sum(wdW_all(s) * _kernels._plog_vec(s.w)))
+    return complex(critical_values(s.diagram, s.w, s.m)[0])
 
 
 def W0(s, f, residual_tol=1e-3, filling_tol=1e-6):

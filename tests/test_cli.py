@@ -4,7 +4,8 @@ import time
 import numpy as np
 import pytest
 
-from linkvol import _examples, cli
+from linkvol import _examples, _kernels, cli, diagram, potential
+from linkvol.numerics import cs_mod_pi2
 
 FIG8 = _examples.FIG8_PD
 WHITEHEAD = _examples.WHITEHEAD_PD
@@ -253,7 +254,7 @@ def test_solve_filling_reads_longitude_from_point(fig8_path, tmp_path,
                      "--json", str(out_json)]) == 0
     out = capsys.readouterr().out
     lines = _solve_lines(out)
-    assert "found 21 distinct solution(s) from 64 seeds; 13 of them do " \
+    assert "found 19 distinct solution(s) from 64 seeds; 11 of them do " \
            "not satisfy the filling and are left out" in out
     assert len(lines) == 8
     for ln in lines:
@@ -280,12 +281,48 @@ def test_solve_filling_whitehead(white_path, capsys):
                      "--seeds", "64"]) == 0
     out = capsys.readouterr().out
     lines = _solve_lines(out)
-    assert "17 of them do not satisfy the filling" in out
+    assert "11 of them do not satisfy the filling" in out
     assert len(lines) == 4
     for ln in lines:
         vol, cs = (float(ln.split(key)[1].split()[0])
                    for key in ("vol = ", "cs = "))
         assert abs(vol - 0.942795) < 5e-7 and abs(cs - 8.684444) < 5e-7, ln
+
+
+def test_solve_reports_read_one_stacked_evaluation(tmp_path, monkeypatch):
+    # each unfilled report's W0, vol, cs and residual_max are bitwise
+    # critical_value and critical_residuals at its weights; they come from
+    # one stacked call after Newton, and no call evaluates one point alone
+    shapes = []
+    real = _kernels.eval_terms
+
+    def record(w_ext, m_ext, t):
+        shapes.append(w_ext.shape)
+        return real(w_ext, m_ext, t)
+
+    path, out_json = tmp_path / "d.pd", tmp_path / "s.json"
+    for pd, m in ((FIG8, "1"), (WHITEHEAD, "1,1"),
+                  (_examples.TREFOIL_PD, "1")):
+        d = diagram.load_diagram(pd)
+        path.write_text(pd + "\n")
+        for rng_seed in range(3):
+            shapes.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(_kernels, "eval_terms", record)
+                assert cli.main(["solve", str(path), "--m", m, "--rng-seed",
+                                 str(rng_seed), "--json",
+                                 str(out_json)]) == 0
+            docs = json.loads(out_json.read_text())["solutions"]
+            assert docs and shapes[-1] == (len(docs), d.n_regions + 1)
+            assert all(len(shape) == 2 for shape in shapes)
+            for doc in docs:
+                s = potential.Solution.from_json(d, doc)
+                val = potential.critical_value(s)
+                assert doc["W0"] == [val.real, val.imag]
+                assert doc["vol"] == val.imag
+                assert doc["cs"] == cs_mod_pi2(val)
+                assert doc["residual_max"] == float(
+                    np.abs(potential.critical_residuals(s)).max())
 
 
 def test_solve_missing_m(fig8_path):
@@ -440,7 +477,7 @@ def test_verify_unfilled_solutions_against_a_filling(
     assert cli.main(["verify", fig8_path, str(out_json), str(filling_path),
                      "--json", str(report)]) == 1
     results = json.loads(report.read_text())["results"]
-    assert len(results) == 21
+    assert len(results) == 19
     passed = [r for r in results if r["passed"]]
     assert len(passed) == 8
     for r in results:

@@ -288,16 +288,24 @@ def test_stacked_kernels_match_single_rows():
         W[:, :n] = random_point(pd, rng).w * (1 + 0.1 * rng.standard_normal(
             (5, n)))
         F = _kernels.eval_terms(W, m_ext, t)
-        F2, J = _kernels.eval_terms_jac(W, m_ext, t)
+        F2, J, dist = _kernels.eval_terms_jac(W, m_ext, t)
         assert F.shape == (5, n) and J.shape == (5, n, n)
+        assert dist.shape == (5,)
         for s in range(5):
             f1 = _kernels.eval_terms(W[s], m_ext, t)
-            f2, j1 = _kernels.eval_terms_jac(W[s], m_ext, t)
+            f2, j1, d1 = _kernels.eval_terms_jac(W[s], m_ext, t)
             scale = np.max(np.abs(f1))
             assert np.max(np.abs(F[s] - f1)) <= 1e-13 * scale
             assert np.max(np.abs(F2[s] - f1)) <= 1e-13 * scale
             assert np.max(np.abs(f2 - f1)) <= 1e-13 * scale
             assert np.max(np.abs(J[s] - j1)) <= 1e-13 * np.max(np.abs(j1))
+            # the ratio distance covers all five ratios of every crossing
+            R = potential.all_ratios(potential.Solution(d, W[s, :n],
+                                                        m_ext[:-1]))
+            mag = np.abs(R)
+            want = np.min(np.minimum(np.minimum(mag, 1 / mag),
+                                     np.abs(1 - R)))
+            assert dist[s] == d1 == want
         h = 1e-6
         for j in range(n):
             up, dn = W[0].copy(), W[0].copy()
@@ -358,15 +366,10 @@ def test_stacked_svd_failure_marks_only_that_seed(monkeypatch):
 def reference_multi_start(d, m, cfg):
     """multi_start as a loop of single-seed newton_solve calls."""
     n = d.n_regions
-    rng = np.random.default_rng(cfg.rng_seed)
     found = []
-    for _ in range(cfg.seeds):
-        for _ in range(100):
-            cand = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            if engine._usable_point(d, cand, m):
-                break
-        else:
-            continue
+    for cand in oracles.draw_seeds(np.random.default_rng(cfg.rng_seed), n,
+                                   cfg.seeds,
+                                   lambda w: engine._usable_point(d, w, m)):
         try:
             sol = engine.newton_solve(d, m, cand, cfg)
         except engine.NewtonFailure:
@@ -437,7 +440,8 @@ def test_line_search_blocks_decide_as_single_steps(pd, monkeypatch):
 
 def test_multi_start_residual_call_budget(monkeypatch):
     # the blocked line search makes at most six residual calls per Newton
-    # iteration; this run made 236, and 660 with one call per step length
+    # iteration, run-off seeds leave the batch early, and the distinct
+    # solutions are evaluated in one stacked call; this run makes 157
     calls = []
     real = _kernels.eval_terms
 
@@ -448,4 +452,100 @@ def test_multi_start_residual_call_budget(monkeypatch):
     monkeypatch.setattr(_kernels, "eval_terms", count)
     engine.multi_start(diagram.load_diagram(FIG8), [1.0],
                        engine.SolveConfig(seeds=64, rng_seed=0))
-    assert len(calls) <= 1.25 * 236
+    assert len(calls) <= 157
+
+
+# ---------------------------------------------------------------------------
+# Run-off cut, block seed screen, stacked evaluation
+# ---------------------------------------------------------------------------
+
+RUNOFF = "ran off toward a degenerate point at iteration "
+
+
+@pytest.mark.parametrize("pd", GOLDENS, ids=["fig8", "whitehead",
+                                             "trefoil"])
+def test_runoff_cut_keeps_every_converging_seed(pd, monkeypatch):
+    # a seed the cut does not end takes bitwise the steps it takes without
+    # the cut; so every seed that converges without it converges with it
+    # to the same weights, and every other seed keeps its outcome or ends
+    # with the run-off reason
+    d = diagram.load_diagram(pd)
+    m = np.ones(d.n_components, dtype=complex)
+    cfg = engine.SolveConfig()
+    cut_total = 0
+    for rng_seed in range(3):
+        seeds = multi_start_seeds(d, m, rng_seed, monkeypatch)
+        cut = engine._newton_batch(d, m, seeds, cfg)
+        with monkeypatch.context() as mp:
+            mp.setattr(engine, "_RUNOFF_DIST", 0.0)
+            free = engine._newton_batch(d, m, seeds, cfg)
+        assert sum(not isinstance(a, engine.NewtonFailure)
+                   for a in free) > 0
+        for a, b in zip(free, cut):
+            if isinstance(b, engine.NewtonFailure) and \
+                    str(b).startswith(RUNOFF):
+                assert isinstance(a, engine.NewtonFailure)
+                assert not str(a).startswith(RUNOFF)
+                cut_total += 1
+            elif isinstance(a, engine.NewtonFailure):
+                assert str(b) == str(a)
+            else:
+                assert b.w.tobytes() == a.w.tobytes()
+    assert cut_total > 0
+
+
+def test_newton_solve_stops_a_runoff_seed(monkeypatch):
+    d = diagram.load_diagram(FIG8)
+    m = np.ones(1, dtype=complex)
+    seeds = multi_start_seeds(d, m, 0, monkeypatch)
+    outcomes = engine._newton_batch(d, m, seeds, engine.SolveConfig())
+    k = next(k for k, out in enumerate(outcomes)
+             if str(out).startswith(RUNOFF))
+    with pytest.raises(engine.NewtonFailure, match=RUNOFF) as exc:
+        engine.newton_solve(d, m, seeds[k])
+    assert int(str(exc.value).rsplit(" ", 1)[1]) < 49
+
+
+@pytest.mark.parametrize("pd", GOLDENS, ids=["fig8", "whitehead",
+                                             "trefoil"])
+def test_seed_screen_matches_one_at_a_time_draws(pd, monkeypatch):
+    # block draws screened in one stacked call hand Newton bitwise the
+    # seeds of drawing and screening one candidate at a time
+    d = diagram.load_diagram(pd)
+    m = np.ones(d.n_components, dtype=complex)
+    for rng_seed in range(3):
+        want = oracles.draw_seeds(np.random.default_rng(rng_seed),
+                                  d.n_regions, 64,
+                                  lambda w: engine._usable_point(d, w, m))
+        got = multi_start_seeds(d, m, rng_seed, monkeypatch)
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_seed_screen_rejection_cap(monkeypatch):
+    # a predicate that rejects about 98% of the candidates: some seeds
+    # reach the 100-try cap and are skipped, exactly as in the one-at-a-
+    # time draws
+    d = diagram.load_diagram(FIG8)
+    m = np.ones(1, dtype=complex)
+    monkeypatch.setattr(engine, "_usable_points",
+                        lambda d, w, m: w[:, 0].real > 2.0)
+    seen = []
+
+    def record(d, m, seeds, cfg):
+        seen.append(seeds)
+        return [engine.NewtonFailure("not run")] * seeds.shape[0]
+
+    monkeypatch.setattr(engine, "_newton_batch", record)
+    assert engine.multi_start(d, m, engine.SolveConfig(rng_seed=5)) == []
+    want = oracles.draw_seeds(np.random.default_rng(5), d.n_regions, 64,
+                              lambda w: w[0].real > 2.0)
+    assert 0 < len(want) < 64
+    assert seen[0].tobytes() == np.array(want).tobytes()
+
+
+def test_multi_start_with_no_solution():
+    d = diagram.load_diagram(FIG8)
+    sols = engine.multi_start(d, [1.0], engine.SolveConfig(
+        seeds=1, max_iterations=1))
+    assert sols == [] and sols.values.shape == (0,)
+    assert sols.residuals.shape == (0, d.n_regions)

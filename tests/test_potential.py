@@ -150,6 +150,31 @@ def test_is_nondegenerate_flags_zero_and_huge():
     assert not ok
 
 
+def test_stacked_predicate_and_values_match_one_point():
+    # degeneracy_reports and critical_values on a stack of points give, row
+    # by row, bitwise what is_nondegenerate, critical_value and
+    # critical_residuals give at each point alone
+    rng = np.random.default_rng(51)
+    for pd in (FIG8, WHITEHEAD, TREFOIL):
+        d = diagram.load_diagram(pd)
+        m = random_point(d, rng).m
+        W = np.array([random_point(d, rng, m=m).w for _ in range(5)])
+        W[1, 0] = 1e-12
+        W[3, 2] = 0.0
+        reports = potential.degeneracy_reports(d, W, m)
+        assert reports[1] and reports[3] and not reports[0]
+        for k in (0, 1, 2, 4):
+            s = potential.Solution(d, W[k], m)
+            assert potential.is_nondegenerate(s) == (not reports[k],
+                                                     reports[k])
+        vals, res = potential.critical_values(d, W[[0, 2, 4]], m)
+        for w, val, r in zip(W[[0, 2, 4]], vals, res):
+            s = potential.Solution(d, w, m)
+            assert np.complex128(potential.critical_value(s)).tobytes() \
+                == val.tobytes()
+            assert potential.critical_residuals(s).tobytes() == r.tobytes()
+
+
 def test_solution_json_round_trip():
     d = diagram.load_diagram(WHITEHEAD)
     rng = np.random.default_rng(50)
