@@ -88,29 +88,24 @@ def dilog_many(z):
 # ---------------------------------------------------------------------------
 # Term tables: each row of a table is one logarithmic term
 #     sign * log(1 - R)   (kind 0)   or   sign * log(R)   (kind 1)
-# accumulated into an output slot, where R is the monomial
-#     R = m[mi]^mexp * w[n1] * w[n2] / (w[d1] * w[d2]).
-# Index sentinels point one past the end of w (resp. m), where a constant 1
-# is stored, so absent factors cost nothing and need no branching.
+# accumulated into an output slot, where R is one of the point's crossing
+# ratios, read from the flattened (n_crossings * 5) ratio array by index.
 # ---------------------------------------------------------------------------
 
 
 class TermTable:
     """The terms of one family of sums, one array entry per term, for
-    ``n_rows`` output slots over ``n_w`` weights."""
+    ``n_rows`` output slots over ``n_w`` weights. Term i reads ratio
+    ``ratio[i]``; Jacobian entry e adds d(term)/d(log R) of term
+    ``jac_src[e]`` (negated from index n_terms on) at the flat (row, w)
+    slot ``jac_slots[e]``."""
 
-    def __init__(self, row, kind, sign, n1, n2, d1, d2, mi, mexp, n_rows,
+    def __init__(self, row, kind, sign, ratio, jac_slots, jac_src, n_rows,
                  n_w):
-        self.row, self.sign = row, sign
-        self.n1, self.n2, self.d1, self.d2 = n1, n2, d1, d2
-        self.mi, self.mexp = mi, mexp
+        self.row, self.sign, self.ratio = row, sign, ratio
+        self.jac_slots, self.jac_src = jac_slots, jac_src
         self.n_rows, self.n_w = n_rows, n_w
         self.log1m = kind == 0
-        # d log R / d log w is +1 at n1 and n2 and -1 at d1 and d2, so a
-        # Jacobian term adds (g, g, -g, -g) at these flat (row, w) slots
-        width = n_w + 1
-        self.jac_slots = np.concatenate([row * width + c
-                                         for c in (n1, n2, d1, d2)])
 
 
 def _scatter(idx, vals, n_slots):
@@ -125,34 +120,29 @@ def _scatter(idx, vals, n_slots):
     return out.reshape(lead + (n_slots,))
 
 
-def _ratios_and_sums(w_ext, m_ext, t):
-    R = (w_ext.take(t.n1, -1) * w_ext.take(t.n2, -1)
-         / (w_ext.take(t.d1, -1) * w_ext.take(t.d2, -1)))
-    R = R * m_ext[t.mi] ** t.mexp
+def _terms_and_sums(R, t):
+    R = R.reshape(R.shape[:-2] + (R.shape[-2] * 5,)).take(t.ratio, -1)
     vals = _plog_vec(np.where(t.log1m, 1.0 - R, R))
     return R, _scatter(t.row, t.sign * vals, t.n_rows)
 
 
-def eval_terms(w_ext, m_ext, t):
-    """Per output slot of table t, the signed sum of its logarithmic terms.
-
-    ``w_ext`` is one extended weight vector, shape (n_w + 1,), or a stack
-    of them, shape (S, n_w + 1); the result has shape (..., n_rows).
-    """
-    return _ratios_and_sums(w_ext, m_ext, t)[1]
+def eval_terms(R, t):
+    """Per output slot of table t, the signed sum of its logarithmic terms
+    at one point's ratios R, shape (n_crossings, 5), or at each of a stack,
+    shape (S, n_crossings, 5); the result has shape (..., n_rows)."""
+    return _terms_and_sums(R, t)[1]
 
 
-def eval_terms_jac(w_ext, m_ext, t):
+def eval_terms_jac(R, t):
     """The sums of eval_terms, their Jacobian in log coordinates,
-    w_j dF/dw_j, and the ratio distance min(|R|, 1/|R|, |1 - R|) over the
-    table's terms: how close the point is to a collapsed tetrahedron.
+    w_j dF/dw_j, and the ratio distance min(|R|, 1/|R|, |1 - R|) over all
+    ratios: how close the point is to a collapsed tetrahedron.
     Shapes (..., n_rows), (..., n_rows, n_w) and (...)."""
-    R, F = _ratios_and_sums(w_ext, m_ext, t)
-    one_minus = 1.0 - R
-    g = np.where(t.log1m, -R / one_minus, 1.0) * t.sign
-    width = t.n_w + 1
-    J = _scatter(t.jac_slots, np.concatenate([g, g, -g, -g], axis=-1),
-                 t.n_rows * width)
+    Rt, F = _terms_and_sums(R, t)
+    g = np.where(t.log1m, -Rt / (1.0 - Rt), 1.0) * t.sign
+    J = _scatter(t.jac_slots,
+                 np.concatenate([g, -g], axis=-1).take(t.jac_src, -1),
+                 t.n_rows * t.n_w)
     mag = np.abs(R)
-    dist = np.minimum(np.minimum(mag, 1.0 / mag), np.abs(one_minus))
-    return F, J.reshape(F.shape + (width,))[..., :t.n_w], dist.min(axis=-1)
+    dist = np.minimum(np.minimum(mag, 1.0 / mag), np.abs(1.0 - R))
+    return F, J.reshape(F.shape + (t.n_w,)), dist.min(axis=(-2, -1))

@@ -259,16 +259,18 @@ def cmd_solve(args):
     filling_tol = args.tol or 1e-6
 
     sols = engine.multi_start(d, m, cfg)
+    # each point carries its own longitudes, l = exp(-(m dW/dm)/2)
+    l_all = [None] * len(sols) if slopes is None else potential.longitudes(
+        d, np.array([s.w for s in sols]).reshape(-1, d.n_regions),
+        np.array(m, dtype=complex))
     docs = []
-    for s, val, res in zip(sols, sols.values, sols.residuals):
+    for s, val, res, l in zip(sols, sols.values, sols.residuals, l_all):
         f = None
         if slopes is not None:
-            # each point carries its own longitudes, l = exp(-(m dW/dm)/2);
             # a point whose (m, l) miss the slope is not a filled solution
             try:
                 f = representation.FillingSpec.from_eigenvalues(
-                    slopes, s.m, np.exp(-0.5 * potential.mdW_all(s)),
-                    tol=filling_tol)
+                    slopes, s.m, l, tol=filling_tol)
             except representation.RepresentationError:
                 continue
         docs.append(engine.solution_report(

@@ -43,7 +43,8 @@ LONG_EXP = 1
 @dataclass
 class PDCode:
     crossings: list
-    meridian_overrides: object = None
+    # (component index, generator name) pairs from a JSON "meridians"
+    meridian_overrides: list = ()
 
 
 @dataclass
@@ -150,24 +151,29 @@ def parse_pd(text):
     """Parse PD text, either compact `X[a,b,c,d] ...` or the JSON form
     {"pd": [[a,b,c,d], ...], "meridians": ...}."""
     s = text.strip()
-    if not s:
-        raise DiagramError("empty diagram")
-    overrides = None
-    if s[0] == "{":
+    overrides = ()
+    if s[:1] == "{":
         try:
             doc = json.loads(s)
         except json.JSONDecodeError as exc:
             raise DiagramError(
                 f"syntax error at line {exc.lineno}, column {exc.colno}: "
                 f"{exc.msg}") from None
-        if "pd" not in doc:
-            raise DiagramError("JSON diagram must have a 'pd' key")
-        crossings = []
-        for row in doc["pd"]:
-            if len(row) != 4:
-                raise DiagramError("each pd entry must have 4 arc labels")
-            crossings.append(tuple(int(x) for x in row))
-        overrides = doc.get("meridians")
+        crossings = doc.get("pd")
+        if not (isinstance(crossings, list) and all(
+                isinstance(row, list) and len(row) == 4
+                and all(type(x) is int for x in row) for row in crossings)):
+            raise DiagramError("JSON diagram needs a 'pd' list of crossings, "
+                               "each a list of 4 integer arc labels")
+        crossings = [tuple(row) for row in crossings]
+        ov = doc.get("meridians")
+        if isinstance(ov, list):
+            overrides = list(enumerate(ov))
+        elif isinstance(ov, dict) and all(k.isdecimal() for k in ov):
+            overrides = [(int(k) - 1, v) for k, v in ov.items()]
+        elif ov is not None:
+            raise DiagramError("'meridians' must be a list, or an object "
+                               "keyed by component numbers")
     else:
         crossings = _parse_compact(text)
     if not crossings:
@@ -425,28 +431,22 @@ def build_diagram(pd):
         gens = sorted(gi for gi, arc in enumerate(over_arcs)
                       if comp_of[arc[0]] == i)
         meridian_gen.append(gens[0])
-    if pd.meridian_overrides is not None:
-        ov = pd.meridian_overrides
-        if isinstance(ov, dict):
-            items = [(int(k) - 1, v) for k, v in ov.items()]
-        else:
-            items = list(enumerate(ov))
-        for i, name in items:
-            if name is None:
-                continue
-            if not (0 <= i < h):
-                raise DiagramError(f"meridian override for component "
-                                   f"{i + 1}: no such component")
-            m = re.fullmatch(r"g(\d+)", str(name))
-            if not m:
-                raise DiagramError(f"bad generator name {name!r}")
-            gi = int(m.group(1)) - 1
-            if not (0 <= gi < len(over_arcs)):
-                raise DiagramError(f"no generator named {name}")
-            if comp_of[over_arcs[gi][0]] != i:
-                raise DiagramError(
-                    f"generator {name} is not on component {i + 1}")
-            meridian_gen[i] = gi
+    for i, name in pd.meridian_overrides:
+        if name is None:
+            continue
+        if not (0 <= i < h):
+            raise DiagramError(f"meridian override for component "
+                               f"{i + 1}: no such component")
+        m = re.fullmatch(r"g(\d+)", str(name))
+        if not m:
+            raise DiagramError(f"bad generator name {name!r}")
+        gi = int(m.group(1)) - 1
+        if not (0 <= gi < len(over_arcs)):
+            raise DiagramError(f"no generator named {name}")
+        if comp_of[over_arcs[gi][0]] != i:
+            raise DiagramError(
+                f"generator {name} is not on component {i + 1}")
+        meridian_gen[i] = gi
 
     writhes = [0] * h
     signs = {}

@@ -4,11 +4,14 @@ newton_solve runs damped Newton in log-weight coordinates on the critical
 equations at fixed meridian eigenvalues; the global weight-scaling gauge is
 removed by dropping one (redundant) equation and pinning the last weight.
 multi_start runs all its random seeds through the same Newton core as one
-(S, n) array and deduplicates the results up to gauge. It draws its
-candidate seeds in blocks and screens each block with one stacked call of
-the degeneracy predicate (potential.degeneracy_reports), which also
-verifies the converged seeds. The distinct solutions get their critical
-values and residuals from one stacked potential.critical_values call.
+(S, n) array, whose crossing ratios (potential._ratios) each kernel call
+reads, and deduplicates the results up to gauge; newton_solve runs it on
+one seed. multi_start draws its candidate seeds in blocks and screens each
+block with one stacked call of the degeneracy predicate
+(potential.degeneracy_reports), which also verifies the converged seeds
+and fails a degenerate newton_solve seed at once. The distinct solutions
+get their critical values and residuals from one stacked
+potential.critical_values call.
 
 A seed heading for a collapsed tetrahedron is cut early: when its ratio
 distance min(|R|, 1/|R|, |1 - R|), which the Jacobian kernel returns, is
@@ -97,10 +100,11 @@ def cross_ratios(s):
     (3, 4) are the side pairs meeting it along the two internal edges, so
     z0*z1*z2 and z3*z4*z2 are identically 1.
     """
-    ok, report = potential.is_nondegenerate(s)
-    if not ok:
+    R = potential.all_ratios(s)
+    report = potential._degeneracy_reports(R[None])[0]
+    if report:
         raise EngineError("degenerate ratio: " + "; ".join(report[:4]))
-    a, b, dd, e, cc = potential.all_ratios(s).T   # columns (A, B, D, E, C)
+    a, b, dd, e, cc = R.T   # columns (A, B, D, E, C)
     pos = potential._tables(s.diagram).sigma[:, None] == 1
     return np.where(pos, np.stack([a, 1.0 / dd, cc, b, 1.0 / e], axis=1),
                     np.stack([1.0 / b, e, 1.0 / cc, 1.0 / a, dd], axis=1))
@@ -127,11 +131,6 @@ def _usable_points(d, w, m):
     return np.array([not report
                      for report in potential.degeneracy_reports(d, w, m)],
                     dtype=bool)
-
-
-def _usable_point(d, w, m):
-    """_usable_points at the one point w (n,)."""
-    return _usable_points(d, w[None, :], m)[0]
 
 
 def _fold(vals):
@@ -176,11 +175,7 @@ def _newton_batch(d, m, seeds, cfg):
     n = d.n_regions
     k = n - 1
     t = potential._tables(d).wdw
-    m_ext = np.concatenate([m, [1.0 + 0j]])
-    # extended weights: column n holds the constant 1 the kernels expect,
-    # so its log-coordinate is 0 and exp(X) is again extended
-    W = np.ones((seeds.shape[0], n + 1), dtype=complex)
-    W[:, :n] = seeds
+    W = seeds.astype(complex)
     X = np.log(W)
     resid = np.full(seeds.shape[0], math.inf)
     # ratio distance at the last iteration and the falls of it in a row;
@@ -198,12 +193,11 @@ def _newton_batch(d, m, seeds, cfg):
         # the converged seeds pass the degeneracy predicate in one call
         if not ended.size:
             return
-        reports = potential.degeneracy_reports(d, W[ended, :n], m)
+        reports = potential.degeneracy_reports(d, W[ended], m)
         for i, report in zip(ended, reports):
             out[i] = NewtonFailure(
                 "converged to a degenerate point: " + "; ".join(report[:4])
-            ) if report else potential.Solution(d, W[i, :n].copy(),
-                                                m.copy())
+            ) if report else potential.Solution(d, W[i].copy(), m.copy())
 
     def settle(ended, failed):
         # accept a point that already meets the tolerance (the quadratic
@@ -218,7 +212,8 @@ def _newton_batch(d, m, seeds, cfg):
         for it in range(cfg.max_iterations):
             if not live.size:
                 break
-            F_raw, J, dist = _kernels.eval_terms_jac(W[live], m_ext, t)
+            F_raw, J, dist = _kernels.eval_terms_jac(
+                potential._ratios(d, W[live], m), t)
             r = np.abs(np.exp(F_raw) - 1.0).max(axis=1)
             resid[live] = r
             falls[live] = np.where(dist < dist_prev[live],
@@ -277,12 +272,12 @@ def _newton_batch(d, m, seeds, cfg):
                 steps = _STEPS[lo:lo + size]
                 lo += size
                 rows = live[pos]
-                # (seeds, block, n + 1): row b of a seed is X + steps[b] dx
+                # (seeds, block, n): row b of a seed is X + steps[b] dx
                 x_new = np.repeat(X[rows][:, None, :], steps.size, axis=1)
                 x_new[:, :, :k] += steps[:, None] * dx[pos][:, None, :]
                 w_new = np.exp(x_new)
-                F_try = _kernels.eval_terms(w_new.reshape(-1, n + 1),
-                                            m_ext, t)
+                F_try = _kernels.eval_terms(
+                    potential._ratios(d, w_new.reshape(-1, n), m), t)
                 f_new = (np.abs(_fold(F_try[:, :k])) ** 2).sum(axis=1)
                 acc = (np.isfinite(w_new).all(axis=2)
                        & np.isfinite(F_try).all(axis=1).reshape(
@@ -306,8 +301,8 @@ def _newton_batch(d, m, seeds, cfg):
     ok = np.array([i for i in live
                    if not isinstance(out[i], NewtonFailure)], dtype=int)
     if ok.size:
-        fresh = np.abs(np.exp(_kernels.eval_terms(W[ok], m_ext, t))
-                       - 1.0).max(axis=1)
+        fresh = np.abs(np.exp(_kernels.eval_terms(
+            potential._ratios(d, W[ok], m), t)) - 1.0).max(axis=1)
         for i in ok[fresh > cfg.residual_tol]:
             out[i] = NewtonFailure(f"stopped at residual {resid[i]:.3g}")
     return out
@@ -319,7 +314,8 @@ def newton_solve(d, m, seed, cfg=None):
     Works in log-weight coordinates with the last weight pinned to its seed
     value (the equations are invariant under global rescaling of w, and the
     row sum of the system vanishes identically, so one equation is dropped
-    and one coordinate frozen). Raises NewtonFailure with a diagnostic when
+    and one coordinate frozen). It is _newton_batch from the one seed.
+    Raises NewtonFailure with a diagnostic when the seed is degenerate or
     no verified solution is reached.
     """
     if cfg is None:
@@ -331,22 +327,10 @@ def newton_solve(d, m, seed, cfg=None):
         raise EngineError(
             f"expected {n} seed weights, got {seed.shape[0]}")
 
-    # A degenerate seed (a ratio at 0 or 1, e.g. w_j w_l = w_k w_m) is
-    # re-seeded by small deterministic perturbations before giving up.
-    rng = np.random.default_rng(cfg.rng_seed)
-    w = seed.copy()
-    scale = float(np.max(np.abs(seed))) or 1.0
-    attempts = 0
-    while not _usable_point(d, w, m):
-        attempts += 1
-        if attempts > 50:
-            raise NewtonFailure(
-                "seed is degenerate and re-seeding did not escape the "
-                "degenerate locus")
-        noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        w = seed + 1e-3 * scale * noise
-
-    res = _newton_batch(d, m, w[None, :], cfg)[0]
+    report = potential.degeneracy_reports(d, seed[None, :], m)[0]
+    if report:
+        raise NewtonFailure("seed is degenerate: " + "; ".join(report[:4]))
+    res = _newton_batch(d, m, seed[None, :], cfg)[0]
     if isinstance(res, NewtonFailure):
         raise res
     return res

@@ -15,7 +15,9 @@ W0 = i(vol + i cs) up to integer multiples of pi^2. The point carries its
 own longitude eigenvalues, l_i = exp(-(m_i dW/dm_i)/2), and W0 checks each
 filled slope against them (Neumann-Zagier, Topology 24, 1985).
 
-All logarithms are principal; no branch tracking happens anywhere.
+All of these read a point's (n_crossings, 5) crossing ratios, which
+_ratios alone forms; the _kernels term tables index that array. All
+logarithms are principal; no branch tracking happens anywhere.
 """
 
 import math
@@ -133,10 +135,10 @@ _MDW_PATTERN = (
 
 
 class _Tables:
-    """Flat term tables for one diagram, in the layout _kernels consumes.
+    """The ratio layout of one diagram and its term tables for _kernels.
 
-    Index sentinels n_regions / n_components point at an appended constant 1
-    in the extended weight/meridian vectors.
+    In r_nd, r_mi the index sentinels n_regions / n_components point at the
+    constant 1 that _ext appends to the weight / meridian vectors.
     """
 
     def __init__(self, d):
@@ -145,10 +147,11 @@ class _Tables:
         self.sigma = np.array([SIGMA_POS * c.sign for c in d.crossings],
                               dtype=np.int8)
 
-        r_rows = []   # (n1, n2, d1, d2, mi, mexp) per ratio, crossing-major
-        for c in d.crossings:
+        # r_rows: (n1, n2, d1, d2, mi, mexp) per ratio, crossing-major
+        r_rows, w_rows, m_rows = [], [], []
+        for ci, c in enumerate(d.crossings):
             j, k, l, m = c.regions
-            sig = SIGMA_POS * c.sign
+            sig = int(self.sigma[ci])
             r_rows.extend([
                 (m, nw, j, nw, c.beta, -sig),
                 (k, nw, j, nw, c.alpha, -sig),
@@ -156,31 +159,27 @@ class _Tables:
                 (l, nw, m, nw, c.alpha, -sig),
                 (j, l, m, k, nm, 0),
             ])
+            for role, ratio, kind, sgn in _WDW_PATTERN:
+                w_rows.append((c.regions[role], kind, sgn * sig,
+                               5 * ci + ratio))
+            for role, ratio, kind, sgn in _MDW_PATTERN:
+                m_rows.append(((c.beta, c.alpha)[role], kind, sgn,
+                               5 * ci + ratio))
         cols = np.array(r_rows, dtype=np.int64).T
         self.r_nd = np.ascontiguousarray(cols[0:4])   # n1, n2, d1, d2
-        self.r_mi = cols[4]
-        self.r_mexp = cols[5].astype(np.int8)
-
-        w_rows = []
-        m_rows = []
-        for ci, c in enumerate(d.crossings):
-            base = 5 * ci
-            sig = int(self.sigma[ci])
-            for role, ratio, kind, sgn in _WDW_PATTERN:
-                w_rows.append((c.regions[role], kind, sgn * sig, base + ratio))
-            comps = (c.beta, c.alpha)
-            for role, ratio, kind, sgn in _MDW_PATTERN:
-                m_rows.append((comps[role], kind, sgn, base + ratio))
+        self.r_mi, self.r_mexp = cols[4], cols[5]
 
         def pack(rows, n_rows):
-            out_row = np.array([r[0] for r in rows], dtype=np.int64)
-            kind = np.array([r[1] for r in rows], dtype=np.int8)
-            sign = np.array([r[2] for r in rows], dtype=np.int8)
-            t = np.array([r[3] for r in rows], dtype=np.int64)
+            out_row, kind, sign, t = np.array(rows, dtype=np.int64).T
+            # d log R / d log w is +1 at n1, n2 and -1 at d1, d2; the
+            # sentinel columns get no Jacobian entry
+            cols = self.r_nd[:, t]
+            src = np.arange(t.size)
+            src = np.stack([src, src, src + t.size, src + t.size])
+            keep = cols < nw
             return _kernels.TermTable(
-                out_row, kind, sign, *self.r_nd[:, t], self.r_mi[t],
-                self.r_mexp[t],
-                n_rows, nw)
+                out_row, kind, sign, t, (out_row * nw + cols)[keep],
+                src[keep], n_rows, nw)
 
         self.wdw = pack(w_rows, nw)
         self.mdw = pack(m_rows, nm)
@@ -206,11 +205,13 @@ def _ext(v):
 def _ratios(d, w, m):
     """The five ratios of every crossing at a weight vector w (n,), or at
     each row of a stack w (S, n): shape (n_crossings, 5) or
-    (S, n_crossings, 5)."""
+    (S, n_crossings, 5). A zero or non-finite weight gives non-finite
+    ratios without a warning; the degeneracy predicate reports them."""
     t = _tables(d)
-    g = _ext(w).take(t.r_nd, -1)
-    R = g[..., 0, :] * g[..., 1, :] / (g[..., 2, :] * g[..., 3, :])
-    R = R * _ext(m)[t.r_mi] ** t.r_mexp.astype(np.int64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g = _ext(w).take(t.r_nd, -1)
+        R = g[..., 0, :] * g[..., 1, :] / (g[..., 2, :] * g[..., 3, :])
+        R = R * _ext(m)[t.r_mi] ** t.r_mexp
     return R.reshape(w.shape[:-1] + (t.sigma.shape[0], 5))
 
 
@@ -236,25 +237,35 @@ def total_potential(s):
     return complex(_potentials(s.diagram, all_ratios(s)))
 
 
-def _check_ratios_regular(R):
+def _regular(R):
+    """R, once no ratio in it equals 1, where log(1 - R) is singular."""
     bad = R == 1.0
     if np.any(bad):
         ci = int(np.argwhere(bad)[0][-2])
         raise PotentialError(
             f"degenerate crossing {ci + 1}: a ratio equals 1, the "
             f"logarithmic derivative is singular")
+    return R
 
 
 def wdW_all(s):
     """Vector of w_j dW/dw_j over all regions."""
-    _check_ratios_regular(all_ratios(s))
-    return _kernels.eval_terms(_ext(s.w), _ext(s.m), _tables(s.diagram).wdw)
+    return _kernels.eval_terms(_regular(all_ratios(s)),
+                               _tables(s.diagram).wdw)
 
 
 def mdW_all(s):
     """Vector of m_i dW/dm_i over all components."""
-    _check_ratios_regular(all_ratios(s))
-    return _kernels.eval_terms(_ext(s.w), _ext(s.m), _tables(s.diagram).mdw)
+    return _kernels.eval_terms(_regular(all_ratios(s)),
+                               _tables(s.diagram).mdw)
+
+
+def longitudes(d, w, m):
+    """The longitude eigenvalues l_i = exp(-(m_i dW/dm_i)/2) at every row
+    of a weight stack w (S, n) with meridians m, from one stacked
+    evaluation: shape (S, n_components)."""
+    return np.exp(-0.5 * _kernels.eval_terms(_regular(_ratios(d, w, m)),
+                                             _tables(d).mdw))
 
 
 def degeneracy_reports(d, w, m):
@@ -268,9 +279,12 @@ def degeneracy_reports(d, w, m):
     Returns one report per row: the offending crossing/ratios,
     crossing-major, empty where the point is nondegenerate.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        R = _ratios(d, w, m)
-        mag = np.abs(R)
+    return _degeneracy_reports(_ratios(d, w, m))
+
+
+def _degeneracy_reports(R):
+    """degeneracy_reports at the ratios R (S, n_crossings, 5)."""
+    mag = np.abs(R)
     tol = _DEGENERACY_TOL
     kind = np.select([~np.isfinite(R), mag <= tol, mag >= 1.0 / tol,
                       np.abs(R - 1.0) <= tol], [1, 2, 3, 4])
@@ -295,16 +309,19 @@ def critical_residuals(s):
     return np.exp(wdW_all(s)) - 1.0
 
 
+def _critical_values(d, w, R):
+    """critical_values at w, whose ratios are R."""
+    wdw = _kernels.eval_terms(_regular(R), _tables(d).wdw)
+    val = _potentials(d, R) - np.sum(wdw * _kernels._plog_vec(w), axis=-1)
+    return val, np.exp(wdw) - 1.0
+
+
 def critical_values(d, w, m):
     """critical_value and critical_residuals at every row of a weight
     stack w (S, n) with meridians m, in one stacked evaluation: shapes (S,)
     and (S, n). Each row is bitwise what the one-point functions give.
     A 1-d w gives the one point's pair."""
-    R = _ratios(d, w, m)
-    _check_ratios_regular(R)
-    wdw = _kernels.eval_terms(_ext(w), _ext(m), _tables(d).wdw)
-    val = _potentials(d, R) - np.sum(wdw * _kernels._plog_vec(w), axis=-1)
-    return val, np.exp(wdw) - 1.0
+    return _critical_values(d, w, _ratios(d, w, m))
 
 
 def critical_value(s):
@@ -332,18 +349,20 @@ def W0(s, f, residual_tol=1e-3, filling_tol=1e-6):
         raise PotentialError(
             f"filling lists {f.n_components} components, diagram has "
             f"{d.n_components}")
-    ok, report = is_nondegenerate(s)
-    if not ok:
+    R = all_ratios(s)
+    report = _degeneracy_reports(R[None])[0]
+    if report:
         raise PotentialError("degenerate solution: " + "; ".join(report[:4]))
 
-    rmax = float(np.abs(critical_residuals(s)).max())
+    val, res = _critical_values(d, s.w, R)
+    rmax = float(np.abs(res).max())
     if rmax > residual_tol:
         raise PotentialError(
             f"critical residuals reach {rmax:.3g}, above {residual_tol:g}: "
             f"not a solution")
 
-    val = critical_value(s)
-    md = mdW_all(s)
+    val = complex(val)
+    md = _kernels.eval_terms(R, _tables(d).mdw)
     for i, sl in enumerate(f.slopes):
         if sl is None:
             if min(abs(s.m[i] - 1), abs(s.m[i] + 1)) > filling_tol:

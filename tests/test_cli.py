@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from linkvol import _examples, _kernels, cli, diagram, potential
+from linkvol import _examples, _kernels, cli, diagram, engine, potential
 from linkvol.numerics import cs_mod_pi2
 
 FIG8 = _examples.FIG8_PD
@@ -85,6 +85,26 @@ def test_analyze_bad_pd_is_input_error(tmp_path, capsys):
     p = tmp_path / "bad.pd"
     p.write_text("X[1,2,3] nope")
     assert cli.main(["analyze", str(p)]) == 2
+
+
+_FIG8_ROWS = [[4, 8, 5, 7], [8, 4, 1, 3], [2, 5, 3, 6], [6, 1, 7, 2]]
+
+
+@pytest.mark.parametrize("doc", [
+    {"pd": 5},
+    {"pd": None},
+    {"pd": [[1, 2, 3, "a"]]},
+    {"pd": [[4.5, 8, 5, 7]] + _FIG8_ROWS[1:]},
+    {"pd": _FIG8_ROWS, "meridians": 5},
+    {"pd": _FIG8_ROWS, "meridians": {"x": "g1"}},
+], ids=["pd-number", "pd-null", "label-string", "label-float",
+        "meridians-number", "meridians-key-x"])
+def test_malformed_json_diagram_is_input_error(tmp_path, capsys, doc):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["analyze", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_from_rep_golden_pinned(fig8_path, tmp_path, capsys):
@@ -274,6 +294,32 @@ def test_solve_filling_reads_longitude_from_point(fig8_path, tmp_path,
     assert "overall: PASS (8 solution(s)" in capsys.readouterr().out
 
 
+def test_solve_filling_reads_longitudes_in_one_call(fig8_path, monkeypatch,
+                                                    capsys):
+    # after Newton, one stacked m-table call gives all 19 solutions'
+    # longitudes, and W0 makes 2 one-point calls for each of the 8 kept
+    after = None
+    real_terms, real_multi = _kernels.eval_terms, engine.multi_start
+
+    def record(R, t):
+        if after is not None:
+            after.append(R.shape)
+        return real_terms(R, t)
+
+    def multi_start(*args):
+        nonlocal after
+        sols = real_multi(*args)
+        after = []
+        return sols
+
+    monkeypatch.setattr(_kernels, "eval_terms", record)
+    monkeypatch.setattr(engine, "multi_start", multi_start)
+    assert cli.main(["solve", fig8_path, "--m=-1.30664+0.04987i",
+                     "--filling", "2/3", "--tol", "1e-3"]) == 0
+    assert len(_solve_lines(capsys.readouterr().out)) == 8
+    assert after == [(19, 4, 5)] + [(4, 5)] * 16
+
+
 def test_solve_filling_whitehead(white_path, capsys):
     m = ",".join(f"{z.real}{z.imag:+}i" for z in _examples.WHITEHEAD_M)
     assert cli.main(["solve", white_path, f"--m={m}",
@@ -296,9 +342,9 @@ def test_solve_reports_read_one_stacked_evaluation(tmp_path, monkeypatch):
     shapes = []
     real = _kernels.eval_terms
 
-    def record(w_ext, m_ext, t):
-        shapes.append(w_ext.shape)
-        return real(w_ext, m_ext, t)
+    def record(R, t):
+        shapes.append(R.shape)
+        return real(R, t)
 
     path, out_json = tmp_path / "d.pd", tmp_path / "s.json"
     for pd, m in ((FIG8, "1"), (WHITEHEAD, "1,1"),
@@ -313,8 +359,8 @@ def test_solve_reports_read_one_stacked_evaluation(tmp_path, monkeypatch):
                                  str(rng_seed), "--json",
                                  str(out_json)]) == 0
             docs = json.loads(out_json.read_text())["solutions"]
-            assert docs and shapes[-1] == (len(docs), d.n_regions + 1)
-            assert all(len(shape) == 2 for shape in shapes)
+            assert docs and shapes[-1] == (len(docs), len(d.crossings), 5)
+            assert all(len(shape) == 3 for shape in shapes)
             for doc in docs:
                 s = potential.Solution.from_json(d, doc)
                 val = potential.critical_value(s)

@@ -268,51 +268,50 @@ def usable_seeds(d, m, count, rng):
     while len(seeds) < count:
         cand = rng.standard_normal(d.n_regions) \
             + 1j * rng.standard_normal(d.n_regions)
-        if engine._usable_point(d, cand, m):
+        if engine._usable_points(d, cand[None], m)[0]:
             seeds.append(cand)
     return np.array(seeds)
 
 
 def test_stacked_kernels_match_single_rows():
-    # one code path serves (n+1,) and (S, n+1) weights: every row of a
-    # stacked call equals the call on that row alone, and the Jacobian is
-    # the log-coordinate one, w_j dF/dw_j (checked by central differences)
+    # one code path serves (n_crossings, 5) and (S, n_crossings, 5) ratio
+    # arrays: every row of a stacked call equals the call on that row
+    # alone, and the Jacobian is the log-coordinate one, w_j dF/dw_j
+    # (checked by central differences)
     rng = np.random.default_rng(66)
     for pd in GOLDENS:
         d = diagram.load_diagram(pd)
         t = potential._tables(d).wdw
         n = d.n_regions
-        m_ext = np.append(rng.uniform(0.7, 1.4, d.n_components)
-                          + 0.3j, 1.0)
-        W = np.ones((5, n + 1), dtype=complex)
-        W[:, :n] = random_point(pd, rng).w * (1 + 0.1 * rng.standard_normal(
-            (5, n)))
-        F = _kernels.eval_terms(W, m_ext, t)
-        F2, J, dist = _kernels.eval_terms_jac(W, m_ext, t)
+        m = rng.uniform(0.7, 1.4, d.n_components) + 0.3j
+        W = random_point(pd, rng).w * (1 + 0.1 * rng.standard_normal((5, n)))
+        R = potential._ratios(d, W, m)
+        F = _kernels.eval_terms(R, t)
+        F2, J, dist = _kernels.eval_terms_jac(R, t)
         assert F.shape == (5, n) and J.shape == (5, n, n)
         assert dist.shape == (5,)
         for s in range(5):
-            f1 = _kernels.eval_terms(W[s], m_ext, t)
-            f2, j1, d1 = _kernels.eval_terms_jac(W[s], m_ext, t)
+            f1 = _kernels.eval_terms(R[s], t)
+            f2, j1, d1 = _kernels.eval_terms_jac(R[s], t)
             scale = np.max(np.abs(f1))
             assert np.max(np.abs(F[s] - f1)) <= 1e-13 * scale
             assert np.max(np.abs(F2[s] - f1)) <= 1e-13 * scale
             assert np.max(np.abs(f2 - f1)) <= 1e-13 * scale
             assert np.max(np.abs(J[s] - j1)) <= 1e-13 * np.max(np.abs(j1))
             # the ratio distance covers all five ratios of every crossing
-            R = potential.all_ratios(potential.Solution(d, W[s, :n],
-                                                        m_ext[:-1]))
-            mag = np.abs(R)
+            Rs = potential.all_ratios(potential.Solution(d, W[s], m))
+            mag = np.abs(Rs)
             want = np.min(np.minimum(np.minimum(mag, 1 / mag),
-                                     np.abs(1 - R)))
+                                     np.abs(1 - Rs)))
             assert dist[s] == d1 == want
         h = 1e-6
         for j in range(n):
             up, dn = W[0].copy(), W[0].copy()
             up[j] *= np.exp(h)
             dn[j] *= np.exp(-h)
-            fd = (_kernels.eval_terms(up, m_ext, t)
-                  - _kernels.eval_terms(dn, m_ext, t)) / (2 * h)
+            fd = (_kernels.eval_terms(potential._ratios(d, up, m), t)
+                  - _kernels.eval_terms(potential._ratios(d, dn, m), t)) \
+                / (2 * h)
             assert np.max(np.abs(fd - J[0][:, j])) < 1e-6
 
 
@@ -369,7 +368,8 @@ def reference_multi_start(d, m, cfg):
     found = []
     for cand in oracles.draw_seeds(np.random.default_rng(cfg.rng_seed), n,
                                    cfg.seeds,
-                                   lambda w: engine._usable_point(d, w, m)):
+                                   lambda w: engine._usable_points(
+                                       d, w[None], m)[0]):
         try:
             sol = engine.newton_solve(d, m, cand, cfg)
         except engine.NewtonFailure:
@@ -516,7 +516,8 @@ def test_seed_screen_matches_one_at_a_time_draws(pd, monkeypatch):
     for rng_seed in range(3):
         want = oracles.draw_seeds(np.random.default_rng(rng_seed),
                                   d.n_regions, 64,
-                                  lambda w: engine._usable_point(d, w, m))
+                                  lambda w: engine._usable_points(
+                                      d, w[None], m)[0])
         got = multi_start_seeds(d, m, rng_seed, monkeypatch)
         assert got.tobytes() == np.array(want).tobytes()
 

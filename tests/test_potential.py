@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from linkvol import _examples, coloring, diagram, potential, representation
+from linkvol import (_examples, _kernels, coloring, diagram, potential,
+                     representation)
 from linkvol.numerics import PI_SQUARED, mod_pi2_equal, principal_log
 
 import oracles
@@ -173,6 +174,23 @@ def test_stacked_predicate_and_values_match_one_point():
             assert np.complex128(potential.critical_value(s)).tobytes() \
                 == val.tobytes()
             assert potential.critical_residuals(s).tobytes() == r.tobytes()
+
+
+def test_w0_forms_its_ratios_once(monkeypatch):
+    # W0 reads the predicate, the residual, the critical value and
+    # m dW/dm off one ratio array: one _ratios call, two kernel calls
+    for ex in _examples.all_golden():
+        run = _examples.run_pipeline(ex)
+        calls = []
+        for mod, name in ((potential, "_ratios"), (_kernels, "eval_terms")):
+            def count(*args, real=getattr(mod, name), name=name):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(mod, name, count)
+        res = potential.W0(run.solution, run.filling, filling_tol=1e-3)
+        monkeypatch.undo()
+        assert sorted(calls) == ["_ratios", "eval_terms", "eval_terms"]
+        assert res == run.result
 
 
 def test_solution_json_round_trip():
