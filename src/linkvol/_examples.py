@@ -211,9 +211,7 @@ def run_pipeline(ex, coloring_seed=None):
     d = diagram.load_diagram(ex.pd)
     rep = representation.complete_representation(d, ex.seed_matrices)
     if coloring_seed is None:
-        col = coloring.propagate(rep, ex.seed_region,
-                                 np.array(ex.seedV, dtype=complex))
-        col.Wvec = np.array(ex.auxW, dtype=complex)
+        col = coloring.propagate(rep, ex.seed_region, ex.seedV, ex.auxW)
     else:
         col = coloring.random_generic_coloring(rep, coloring_seed)
     sol, f, result = engine.from_representation(rep, col, ex.slopes)

@@ -196,9 +196,7 @@ def _pinned_or_random_coloring(args, rep):
         if not (1 <= args.seed_region <= rep.diagram.n_regions):
             raise InputError(f"--seed-region must be in 1.."
                              f"{rep.diagram.n_regions}")
-        col = coloring.propagate(rep, args.seed_region - 1, seedV)
-        col.Wvec = Wvec
-        return col
+        return coloring.propagate(rep, args.seed_region - 1, seedV, Wvec)
     return coloring.random_generic_coloring(rep, args.rng_seed)
 
 
@@ -256,6 +254,12 @@ def cmd_solve(args):
         raise InputError(f"invalid --seeds: {exc}") from None
     slopes = (parse_filling(args.filling, d.n_components)
               if args.filling else None)
+    for i, (z, sl) in enumerate(zip(m, slopes or ())):
+        # at m = ±1 a point has l = ±1, where every slope holds trivially
+        if sl is not None and z in (1, -1):
+            raise InputError(f"--filling: component {i + 1} is filled, so "
+                             f"its --m must not be 1 or -1 (every slope "
+                             f"holds there)")
     filling_tol = args.tol or 1e-6
 
     sols = engine.multi_start(d, m, cfg)

@@ -14,11 +14,6 @@ import numpy as np
 
 from . import representation as R
 
-# Which matrix power carries a vector across an arc from the region on the
-# arc's left to the region on its right: V_right = rho(g)^TRANSPORT_SIGN
-# V_left. Pinned empirically against the bundled reference colorings.
-TRANSPORT_SIGN = 1
-
 # Relative tolerance of the transport and genericity checks, and the seed/W
 # draws random_generic_coloring makes before giving up.
 _TOL = 1e-9
@@ -34,23 +29,19 @@ class RegionColoring:
     rep: object
     V: list            # one 2-vector per region
     seed_region: int
-    Wvec: object = None
+    Wvec: object       # the auxiliary 2-vector W
 
 
-def _transport_matrices(rep):
-    d = rep.diagram
-    mats = {}
-    for e in sorted(d.left_region):
-        g = rep.matrices[d.overarc_of[e]]
-        mats[e] = g if TRANSPORT_SIGN == 1 else R.inv2(g)
-    return mats
+def propagate(rep, seed_region, seedV, Wvec):
+    """Breadth-first transport of the seed vector to every region, with
+    the auxiliary vector W; returns a generic RegionColoring.
 
-
-def propagate(rep, seed_region, seedV):
-    """Breadth-first transport of the seed vector to every region.
-
-    Every arc is re-checked after propagation; a residual bigger than _TOL
-    means the representation and the transport convention disagree.
+    Crossing an arc from its left region to its right one multiplies by
+    the arc's Wirtinger matrix: V_right = rho(g) V_left, pinned against the
+    bundled reference colorings. Every arc is re-checked after
+    propagation; a residual bigger than _TOL means the representation and
+    the transport convention disagree. A coloring that check_genericity
+    flags raises ColoringError.
     """
     d = rep.diagram
     n = d.n_regions
@@ -60,7 +51,7 @@ def propagate(rep, seed_region, seedV):
     if np.max(np.abs(seedV)) == 0:
         raise ColoringError("seed vector must be nonzero")
 
-    trans = _transport_matrices(rep)
+    trans = {e: rep.matrices[d.overarc_of[e]] for e in sorted(d.left_region)}
     V = [None] * n
     V[seed_region] = seedV
     frontier = [seed_region]
@@ -88,7 +79,14 @@ def propagate(rep, seed_region, seedV):
             raise ColoringError(
                 f"representation/transport convention mismatch: arc {e} "
                 f"closes with residual {resid:.3g}")
-    return RegionColoring(rep=rep, V=V, seed_region=seed_region)
+    col = RegionColoring(rep=rep, V=V, seed_region=seed_region,
+                         Wvec=np.asarray(Wvec, dtype=complex).reshape(2))
+    report = check_genericity(col)
+    if report:
+        raise ColoringError(
+            "degenerate coloring: " + "; ".join(report) +
+            "; retry with different W / seed vector")
+    return col
 
 
 def check_genericity(col):
@@ -101,9 +99,7 @@ def check_genericity(col):
     a list of human-readable violations, determinants first, then per
     generator W and V_1, V_2, ...; empty means generic.
     """
-    if col.Wvec is None:
-        raise ColoringError("coloring has no W vector")
-    W = np.asarray(col.Wvec, dtype=complex).reshape(2)
+    W = col.Wvec
     V = np.array(col.V, dtype=complex).reshape(-1, 2)
     det = np.abs(W[0] * V[:, 1] - W[1] * V[:, 0])
     det_scale = np.maximum(1.0, np.max(np.abs(W)) * np.abs(V).max(axis=1))
@@ -125,12 +121,7 @@ def assemble_solution(col):
     from .potential import Solution
 
     rep = col.rep
-    report = check_genericity(col)
-    if report:
-        raise ColoringError(
-            "degenerate coloring: " + "; ".join(report) +
-            "; retry with different W / seed vector")
-    W = np.asarray(col.Wvec, dtype=complex).reshape(2)
+    W = col.Wvec
     w = np.array([W[0] * v[1] - W[1] * v[0] for v in col.V], dtype=complex)
     m = np.array([R.meridian_eigenvalue(rep, i)
                   for i in range(rep.diagram.n_components)], dtype=complex)
@@ -149,19 +140,14 @@ def random_generic_coloring(rep, rng_seed=0):
             if a or b:
                 return complex(a, b)
 
-    last_report = None
     for _ in range(_MAX_ATTEMPTS):
         seed_region = int(rng.integers(0, n))
         seedV = np.array([grid_complex(), grid_complex()])
         Wvec = np.array([grid_complex(), grid_complex()])
         try:
-            col = propagate(rep, seed_region, seedV)
-        except ColoringError:
-            continue
-        col.Wvec = Wvec
-        last_report = check_genericity(col)
-        if not last_report:
-            return col
+            return propagate(rep, seed_region, seedV, Wvec)
+        except ColoringError as exc:
+            last = exc
     raise ColoringError(
         f"no generic coloring found in {_MAX_ATTEMPTS} attempts; "
-        f"last report: {last_report}")
+        f"last error: {last}")

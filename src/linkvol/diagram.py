@@ -61,12 +61,6 @@ class Word:
             parts.append(f"g{g + 1}" if e == 1 else f"g{g + 1}^{e}")
         return " ".join(parts)
 
-    def inverse(self):
-        return Word(tuple((g, -e) for g, e in reversed(self.letters)))
-
-    def __mul__(self, other):
-        return Word(self.letters + other.letters)
-
 
 @dataclass
 class Crossing:
@@ -76,8 +70,6 @@ class Crossing:
     b: int
     c: int
     d: int
-    over_in: int
-    over_out: int
     regions: tuple  # (j, k, l, m) region indices
     alpha: int      # under-strand component
     beta: int       # over-strand component
@@ -223,7 +215,8 @@ def build_diagram(pd):
     # there (it runs into the crossing), -1 for a tail. Under-strand slots
     # are fixed by the PD convention; over-strand slots follow by "each arc
     # has one head and one tail" propagation, which also determines the
-    # over-strand direction at almost every crossing.
+    # over-strand direction at every crossing whose over-strand passes
+    # under somewhere.
     pol = {}
     overdir = {}  # crossing -> "bd" (over runs b→d) or "db"
     work = deque()
@@ -258,25 +251,14 @@ def build_diagram(pd):
             if (cj, pq) != (ci, pos):
                 set_pol(cj, pq, -pol[(ci, pos)])
 
-    # Crossings that propagation could not reach (a strand that passes over
-    # everything) fall back to the label-consecutiveness rule.
-    heuristic = set()
-    for ci, (a, b, c, d) in enumerate(cr):
-        if ci in overdir:
-            continue
-        heuristic.add(ci)
-        if b == d:
+    # propagation leaves a crossing unoriented only when its over-strand
+    # belongs to a component that passes over everywhere
+    for ci in range(nc):
+        if ci not in overdir:
             raise DiagramError(
-                "invalid PD: over-strand enters and leaves on the same arc")
-        if d == b + 1:
-            overdir[ci] = "bd"
-        elif b == d + 1:
-            overdir[ci] = "db"
-        else:
-            # a jump in labels is the wrap from a component's highest
-            # label back to its lowest
-            overdir[ci] = "bd" if b > d else "db"
-        set_pol(ci, 1, 1 if overdir[ci] == "bd" else -1)
+                f"component without under-passing crossing (it passes over "
+                f"at crossing {ci + 1}); apply a Reidemeister move to the "
+                f"diagram")
 
     succ = {}
     for ci, (a, b, c, d) in enumerate(cr):
@@ -311,27 +293,14 @@ def build_diagram(pd):
         components.append(cyc)
     h = len(components)
 
-    for ci in heuristic:
-        b = cr[ci][1]
-        if len(components[comp_of[b]]) == 2:
-            raise DiagramError(
-                "ambiguous over-strand orientation: a two-arc component "
-                "passes over at every crossing; relabel the diagram so it "
-                "passes under somewhere")
-
+    # (a component that never passes under was rejected above)
     has_over = [False] * h
-    has_under = [False] * h
     for ci, (a, b, c, d) in enumerate(cr):
-        has_under[comp_of[a]] = True
         has_over[comp_of[b]] = True
     for i in range(h):
         if not has_over[i]:
             raise DiagramError(
                 f"component {i + 1} without over-passing crossing; apply a "
-                f"Reidemeister move to the diagram")
-        if not has_under[i]:
-            raise DiagramError(
-                f"component {i + 1} without under-passing crossing; apply a "
                 f"Reidemeister move to the diagram")
 
     adj = {ci: set() for ci in range(nc)}
@@ -459,17 +428,14 @@ def build_diagram(pd):
     crossings = []
     for ci, (a, b, c, d) in enumerate(cr):
         s = signs[ci]
-        over_in, over_out = (b, d) if overdir[ci] == "bd" else (d, b)
         placement = PLACEMENT_POS if s == 1 else PLACEMENT_NEG
         qreg = [region_of_node[4 * ci + q] for q in range(4)]
         regions = tuple(qreg[q] for q in placement)
         crossings.append(Crossing(
-            index=ci, sign=s, a=a, b=b, c=c, d=d,
-            over_in=over_in, over_out=over_out,
-            regions=regions,
+            index=ci, sign=s, a=a, b=b, c=c, d=d, regions=regions,
             alpha=comp_of[a], beta=comp_of[b],
             in_gen=overarc_of[a], out_gen=overarc_of[c],
-            over_gen=overarc_of[over_in]))
+            over_gen=overarc_of[b]))
 
     return LinkDiagram(
         pd=pd, crossings=crossings, n_regions=n_regions, n_components=h,

@@ -6,12 +6,11 @@ removed by dropping one (redundant) equation and pinning the last weight.
 multi_start runs all its random seeds through the same Newton core as one
 (S, n) array, whose crossing ratios (potential._ratios) each kernel call
 reads, and deduplicates the results up to gauge; newton_solve runs it on
-one seed. multi_start draws its candidate seeds in blocks and screens each
-block with one stacked call of the degeneracy predicate
-(potential.degeneracy_reports), which also verifies the converged seeds
-and fails a degenerate newton_solve seed at once. The distinct solutions
-get their critical values and residuals from one stacked
-potential.critical_values call.
+one seed. multi_start's seeds are one standard_normal draw. One stacked
+call of the degeneracy predicate (potential.degeneracy_reports) verifies
+the converged seeds, and a degenerate newton_solve seed fails at once. The
+distinct solutions get their critical values and residuals from one
+stacked potential.critical_values call.
 
 A seed heading for a collapsed tetrahedron is cut early: when its ratio
 distance min(|R|, 1/|R|, |1 - R|), which the Jacobian kernel returns, is
@@ -65,6 +64,9 @@ _LINE_SEARCH_BLOCKS = (1, 2, 4, 8, 16)
 _RUNOFF_DIST = 1e-7
 _RUNOFF_FALLS = 3
 
+# Newton iterations a seed gets before it fails.
+_MAX_ITERATIONS = 50
+
 
 class EngineError(ValueError):
     pass
@@ -76,14 +78,11 @@ class NewtonFailure(EngineError):
 
 @dataclass
 class SolveConfig:
-    max_iterations: int = 50
     residual_tol: float = 1e-10
     seeds: int = 64
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise EngineError("max_iterations must be positive")
         if not (self.residual_tol > 0):
             raise EngineError("residual_tol must be positive")
         if self.seeds < 1:
@@ -122,15 +121,6 @@ def _as_meridians(d, m):
     if np.any(m == 0) or not np.all(np.isfinite(m)):
         raise EngineError("meridian values must be finite and nonzero")
     return m
-
-
-def _usable_points(d, w, m):
-    """Per row of w (S, n): a point the solver can start from, one that
-    passes potential.degeneracy_reports (finite, nonzero, no ratio near 0,
-    1 or infinity)."""
-    return np.array([not report
-                     for report in potential.degeneracy_reports(d, w, m)],
-                    dtype=bool)
 
 
 def _fold(vals):
@@ -209,7 +199,7 @@ def _newton_batch(d, m, seeds, cfg):
 
     live = np.arange(seeds.shape[0])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for it in range(cfg.max_iterations):
+        for it in range(_MAX_ITERATIONS):
             if not live.size:
                 break
             F_raw, J, dist = _kernels.eval_terms_jac(
@@ -294,7 +284,7 @@ def _newton_batch(d, m, seeds, cfg):
             settle(live[stalled], f"line search stalled at iteration {it}")
             live = live[~stalled]
 
-    settle(live, f"no convergence within {cfg.max_iterations} iterations")
+    settle(live, f"no convergence within {_MAX_ITERATIONS} iterations")
     # the last line search moved these seeds after their residual was
     # taken, so a point accepted on it must meet the tolerance at its
     # final weights too
@@ -346,30 +336,13 @@ class SolutionSet(list):
         self.values, self.residuals = values, residuals
 
 
-def _draw_seeds(d, m, cfg):
-    """The seeds of multi_start, an (S, n) array.
-
-    Candidates are standard complex gaussians; seed k is the first usable
-    one drawn in turn, or none after 100 rejections. The candidates come
-    in blocks, one standard_normal((B, 2, n)) call (the stream of B
-    one-at-a-time draws) screened by one stacked predicate call.
-    """
-    n = d.n_regions
-    rng = np.random.default_rng(cfg.rng_seed)
-    seeds = []
-    k = tries = 0
-    while k < cfg.seeds:
-        z = rng.standard_normal((cfg.seeds - k, 2, n))
-        block = z[:, 0] + 1j * z[:, 1]
-        for cand, ok in zip(block, _usable_points(d, block, m)):
-            tries += 1
-            if ok:
-                seeds.append(cand)
-            if ok or tries == 100:
-                k, tries = k + 1, 0
-                if k == cfg.seeds:
-                    break
-    return np.array(seeds).reshape(-1, n)
+def _draw_seeds(d, cfg):
+    """The seeds of multi_start, an (S, n) array of standard complex
+    gaussians from one standard_normal((S, 2, n)) draw: row k's real parts,
+    then its imaginary parts. A degenerate seed fails in Newton."""
+    z = np.random.default_rng(cfg.rng_seed).standard_normal(
+        (cfg.seeds, 2, d.n_regions))
+    return z[:, 0] + 1j * z[:, 1]
 
 
 def multi_start(d, m, cfg=None):
@@ -386,7 +359,7 @@ def multi_start(d, m, cfg=None):
     m = _as_meridians(d, m)
     n = d.n_regions
     found = []   # (normalized w, solution), in seed order
-    for sol in _newton_batch(d, m, _draw_seeds(d, m, cfg), cfg):
+    for sol in _newton_batch(d, m, _draw_seeds(d, cfg), cfg):
         if isinstance(sol, NewtonFailure):
             continue
         norm_w = sol.w / sol.w[n - 1]
@@ -430,12 +403,11 @@ def solution_report(s, f=None, residual_tol=1e-3, filling_tol=1e-6,
 def from_representation(rep, col, slopes, tol=1e-3):
     """The invariants of a representation under a filling.
 
-    Assembles the region weights of the coloring ``col`` (which checks its
-    genericity), derives every component's longitude eigenvalue and, for
-    each filled slope (r, s), the correction integers (u, v); ``slopes``
-    holds one slope or None (unfilled) per component. potential.W0 then
-    checks the point at ``tol``. Returns (solution, FillingSpec,
-    VolumeResult).
+    Assembles the region weights of the generic coloring ``col``, derives
+    every component's longitude eigenvalue and, for each filled slope
+    (r, s), the correction integers (u, v); ``slopes`` holds one slope or
+    None (unfilled) per component. potential.W0 then checks the point at
+    ``tol``. Returns (solution, FillingSpec, VolumeResult).
     """
     sol = coloring.assemble_solution(col)
     l_vals = [representation.longitude_eigenvalue(rep, i)

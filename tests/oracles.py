@@ -305,17 +305,3 @@ def genericity_report(W, V, matrices, tol):
                 report.append(f"V_{j + 1} is an eigenvector of ρ(g{gi + 1})")
     return report
 
-
-def draw_seeds(rng, n, count, usable, tries=100):
-    """Random-start seeds drawn one candidate at a time from a numpy
-    Generator: seed k is the first standard complex gaussian candidate
-    (n real parts, then n imaginary parts) that ``usable`` accepts, and
-    there is no seed k after ``tries`` rejections. Returns the seeds."""
-    seeds = []
-    for _ in range(count):
-        for _ in range(tries):
-            cand = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            if usable(cand):
-                seeds.append(cand)
-                break
-    return seeds

@@ -107,6 +107,16 @@ def test_malformed_json_diagram_is_input_error(tmp_path, capsys, doc):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_component_that_never_passes_under_is_input_error(tmp_path,
+                                                          capsys):
+    p = tmp_path / "over.pd"
+    p.write_text("X[3,1,4,2] X[4,2,3,1]\n")
+    assert cli.main(["analyze", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "without under-passing crossing" in err
+
+
 def test_from_rep_golden_pinned(fig8_path, tmp_path, capsys):
     rep = write_rep(tmp_path, "rep.json",
                     _examples.fig8_matrices(_examples.FIG8_M))
@@ -389,6 +399,28 @@ def test_solve_bad_option_is_input_error(fig8_path, capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("pd, flags", [
+    ("fig8", ["--m", "1", "--filling", "2/3"]),
+    ("fig8", ["--m=-1", "--filling", "2/3"]),
+    ("fig8", ["--m", "1+0i", "--filling", "5"]),
+    ("white", ["--m=1.1,-1", "--filling", "inf,2/3"]),
+])
+def test_solve_filling_at_parabolic_meridian_is_input_error(
+        fig8_path, white_path, capsys, pd, flags):
+    # at m = ±1 each point has l = ±1, where every slope holds trivially,
+    # so the complete structure would be listed as a filled solution
+    path = fig8_path if pd == "fig8" else white_path
+    assert cli.main(["solve", path, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --filling: ") and err.count("\n") == 1
+
+
+def test_solve_unfilled_parabolic_component_beside_a_filled_one(
+        white_path, capsys):
+    assert cli.main(["solve", white_path, "--m=1,1.1", "--filling",
+                     "inf,2/3", "--seeds", "2"]) == 0
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-3"])

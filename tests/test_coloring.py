@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,7 @@ def fig8_rep():
 
 
 def _pinned(rep, ex):
-    col = coloring.propagate(rep, ex.seed_region,
-                             np.array(ex.seedV, dtype=complex))
-    col.Wvec = np.array(ex.auxW, dtype=complex)
-    return col
+    return coloring.propagate(rep, ex.seed_region, ex.seedV, ex.auxW)
 
 
 def test_propagate_reaches_every_region(fig8_rep):
@@ -33,7 +32,8 @@ def test_propagate_reaches_every_region(fig8_rep):
 
 def test_propagate_rejects_bad_seed_region(fig8_rep):
     with pytest.raises(coloring.ColoringError):
-        coloring.propagate(fig8_rep, 99, np.array([1.0, 1.0j]))
+        coloring.propagate(fig8_rep, 99, np.array([1.0, 1.0j]),
+                           np.array([2.0, 1.0]))
 
 
 def test_pinned_coloring_reproduces_frozen_weights(fig8_rep):
@@ -50,8 +50,8 @@ def test_weights_scale_linearly_with_seed(fig8_rep):
     lam = complex(0.7, -1.3)
     col1 = _pinned(fig8_rep, ex)
     col2 = coloring.propagate(fig8_rep, ex.seed_region,
-                              lam * np.array(ex.seedV, dtype=complex))
-    col2.Wvec = np.array(ex.auxW, dtype=complex)
+                              lam * np.array(ex.seedV, dtype=complex),
+                              ex.auxW)
     w1 = coloring.assemble_solution(col1).w
     w2 = coloring.assemble_solution(col2).w
     assert np.max(np.abs(w2 - lam * w1)) < 1e-12
@@ -64,23 +64,29 @@ def test_scaled_weights_are_still_critical(fig8_rep):
     assert np.abs(potential.critical_residuals(scaled)).max() < 1e-10
 
 
+DEGENERATE = "degenerate coloring: {}; retry with different W / seed vector"
+
+
 def test_genericity_violations_reported(fig8_rep):
     ex = _examples.figure_eight_golden()
-    col = _pinned(fig8_rep, ex)
     # W parallel to the seed vector zeroes the seed region's weight
-    col.Wvec = np.array(ex.seedV, dtype=complex)
-    report = coloring.check_genericity(col)
-    assert report
-    assert any("W" in line or "weight" in line for line in report)
-    with pytest.raises(coloring.ColoringError):
-        coloring.assemble_solution(col)
+    bad = dataclasses.replace(_pinned(fig8_rep, ex),
+                              Wvec=np.array(ex.seedV, dtype=complex))
+    report = coloring.check_genericity(bad)
+    assert f"det(W, V_{ex.seed_region + 1}) = 0" in report
+    # propagate runs the check and raises the report, in order
+    with pytest.raises(coloring.ColoringError) as exc:
+        coloring.propagate(fig8_rep, ex.seed_region, ex.seedV, ex.seedV)
+    assert str(exc.value) == DEGENERATE.format("; ".join(report))
 
 
-def test_genericity_matches_pairwise_reference():
+def test_genericity_matches_pairwise_reference(monkeypatch):
     # random small-integer colorings of the three goldens, many of them
     # with violations: the stacked test reports what the pair-by-pair
-    # reference reports, in the same order
+    # reference reports, in the same order, and propagate raises exactly
+    # that report
     rng = np.random.default_rng(70)
+    check = coloring.check_genericity
 
     def grid_vector():
         v = rng.integers(-2, 3, size=(2, 2))
@@ -92,12 +98,21 @@ def test_genericity_matches_pairwise_reference():
         d = diagram.load_diagram(ex.pd)
         rep = representation.complete_representation(d, ex.seed_matrices)
         for _ in range(60):
-            col = coloring.propagate(rep, int(rng.integers(d.n_regions)),
-                                     grid_vector())
-            col.Wvec = grid_vector()
-            report = coloring.check_genericity(col)
+            args = (rep, int(rng.integers(d.n_regions)), grid_vector(),
+                    grid_vector())
+            with monkeypatch.context() as mp:
+                # the transport alone, to reach the region vectors
+                mp.setattr(coloring, "check_genericity", lambda col: [])
+                col = coloring.propagate(*args)
+            report = check(col)
             assert report == oracles.genericity_report(
                 col.Wvec, col.V, rep.matrices, coloring._TOL)
+            if report:
+                with pytest.raises(coloring.ColoringError) as exc:
+                    coloring.propagate(*args)
+                assert str(exc.value) == DEGENERATE.format("; ".join(report))
+            else:
+                assert np.array_equal(coloring.propagate(*args).V, col.V)
             flagged += bool(report)
     assert 0 < flagged < 180     # both generic and flagged colorings
 

@@ -157,3 +157,14 @@ def test_meridian_override():
         diagram.build_diagram(diagram.parse_pd(
             '{"pd": [[4,8,5,7],[8,4,1,3],[2,5,3,6],[6,1,7,2]],'
             ' "meridians": [3]}'))
+
+
+# a circle lying over another (a 2-crossing unlink diagram): arcs 1 and 2
+# pass over at both crossings and never under
+OVER_EVERYWHERE = "X[3,1,4,2] X[4,2,3,1]"
+
+
+def test_component_that_never_passes_under_is_rejected():
+    with pytest.raises(diagram.DiagramError,
+                       match="component without under-passing crossing"):
+        diagram.load_diagram(OVER_EVERYWHERE)

@@ -27,15 +27,18 @@ def random_point(pd, rng, m=None):
 
 def test_solve_config_defaults_and_validation():
     cfg = engine.SolveConfig()
-    assert cfg.max_iterations == 50
     assert cfg.residual_tol == 1e-10
     assert cfg.seeds == 64
     assert cfg.rng_seed == 0
     with pytest.raises(engine.EngineError):
         engine.SolveConfig(seeds=0)
-    # the line search's ladder 1, 1/2, ..., 1/2^30 is fixed, not settable
+    # the line search's ladder 1, 1/2, ..., 1/2^30 and the iteration limit
+    # are fixed, not settable
+    assert engine._MAX_ITERATIONS == 50
     with pytest.raises(TypeError):
         engine.SolveConfig(damping=0.5)
+    with pytest.raises(TypeError):
+        engine.SolveConfig(max_iterations=50)
 
 
 def test_arc_products_telescope_everywhere():
@@ -198,10 +201,9 @@ def test_newton_perturbed_seed_reconverges(fig8_parabolic_solutions):
 
 def test_newton_fails_cleanly_on_degenerate_flat_seed():
     d = diagram.load_diagram(FIG8)
-    with pytest.raises(engine.NewtonFailure):
+    with pytest.raises(engine.NewtonFailure, match="seed is degenerate"):
         engine.newton_solve(d, [complex(1.0)],
-                            np.full(d.n_regions, 1.0 + 0j),
-                            engine.SolveConfig(max_iterations=60))
+                            np.full(d.n_regions, 1.0 + 0j))
 
 
 def test_vol_cs_end_to_end_golden():
@@ -268,7 +270,7 @@ def usable_seeds(d, m, count, rng):
     while len(seeds) < count:
         cand = rng.standard_normal(d.n_regions) \
             + 1j * rng.standard_normal(d.n_regions)
-        if engine._usable_points(d, cand[None], m)[0]:
+        if not potential.degeneracy_reports(d, cand[None], m)[0]:
             seeds.append(cand)
     return np.array(seeds)
 
@@ -363,13 +365,13 @@ def test_stacked_svd_failure_marks_only_that_seed(monkeypatch):
 
 
 def reference_multi_start(d, m, cfg):
-    """multi_start as a loop of single-seed newton_solve calls."""
+    """multi_start as a loop of single-seed newton_solve calls, on seeds
+    drawn one at a time."""
     n = d.n_regions
     found = []
-    for cand in oracles.draw_seeds(np.random.default_rng(cfg.rng_seed), n,
-                                   cfg.seeds,
-                                   lambda w: engine._usable_points(
-                                       d, w[None], m)[0]):
+    rng = np.random.default_rng(cfg.rng_seed)
+    for _ in range(cfg.seeds):
+        cand = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         try:
             sol = engine.newton_solve(d, m, cand, cfg)
         except engine.NewtonFailure:
@@ -456,7 +458,7 @@ def test_multi_start_residual_call_budget(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Run-off cut, block seed screen, stacked evaluation
+# Run-off cut, one seed draw, stacked evaluation
 # ---------------------------------------------------------------------------
 
 RUNOFF = "ran off toward a degenerate point at iteration "
@@ -508,45 +510,43 @@ def test_newton_solve_stops_a_runoff_seed(monkeypatch):
 
 @pytest.mark.parametrize("pd", GOLDENS, ids=["fig8", "whitehead",
                                              "trefoil"])
-def test_seed_screen_matches_one_at_a_time_draws(pd, monkeypatch):
-    # block draws screened in one stacked call hand Newton bitwise the
-    # seeds of drawing and screening one candidate at a time
+def test_seeds_are_one_standard_normal_draw(pd, monkeypatch):
+    # multi_start hands Newton the first standard_normal((S, 2, n)) block:
+    # row k's real parts, then its imaginary parts
     d = diagram.load_diagram(pd)
     m = np.ones(d.n_components, dtype=complex)
-    for rng_seed in range(3):
-        want = oracles.draw_seeds(np.random.default_rng(rng_seed),
-                                  d.n_regions, 64,
-                                  lambda w: engine._usable_points(
-                                      d, w[None], m)[0])
-        got = multi_start_seeds(d, m, rng_seed, monkeypatch)
-        assert got.tobytes() == np.array(want).tobytes()
+    for rng_seed, count in ((0, 64), (1, 64), (2, 5)):
+        cfg = engine.SolveConfig(seeds=count, rng_seed=rng_seed)
+        z = np.random.default_rng(rng_seed).standard_normal(
+            (count, 2, d.n_regions))
+        want = z[:, 0] + 1j * z[:, 1]
+        assert engine._draw_seeds(d, cfg).tobytes() == want.tobytes()
+    assert multi_start_seeds(d, m, 1, monkeypatch).tobytes() == \
+        engine._draw_seeds(d, engine.SolveConfig(rng_seed=1)).tobytes()
 
 
-def test_seed_screen_rejection_cap(monkeypatch):
-    # a predicate that rejects about 98% of the candidates: some seeds
-    # reach the 100-try cap and are skipped, exactly as in the one-at-a-
-    # time draws
+def test_degenerate_seed_fails_in_the_batch():
+    # multi_start does not screen its seeds: a degenerate one fails in
+    # Newton and leaves the other seeds' outcomes as they are
     d = diagram.load_diagram(FIG8)
     m = np.ones(1, dtype=complex)
-    monkeypatch.setattr(engine, "_usable_points",
-                        lambda d, w, m: w[:, 0].real > 2.0)
-    seen = []
-
-    def record(d, m, seeds, cfg):
-        seen.append(seeds)
-        return [engine.NewtonFailure("not run")] * seeds.shape[0]
-
-    monkeypatch.setattr(engine, "_newton_batch", record)
-    assert engine.multi_start(d, m, engine.SolveConfig(rng_seed=5)) == []
-    want = oracles.draw_seeds(np.random.default_rng(5), d.n_regions, 64,
-                              lambda w: w[0].real > 2.0)
-    assert 0 < len(want) < 64
-    assert seen[0].tobytes() == np.array(want).tobytes()
+    seeds = usable_seeds(d, m, 4, np.random.default_rng(69))
+    flat = np.full((1, d.n_regions), 1.0 + 0j)
+    cfg = engine.SolveConfig()
+    clean = engine._newton_batch(d, m, seeds, cfg)
+    out = engine._newton_batch(d, m, np.vstack([flat, seeds]), cfg)
+    assert isinstance(out[0], engine.NewtonFailure)
+    assert "degenerate" in str(out[0])
+    for a, b in zip(clean, out[1:]):
+        if isinstance(a, engine.NewtonFailure):
+            assert str(b) == str(a)
+        else:
+            assert np.array_equal(b.w, a.w)
 
 
-def test_multi_start_with_no_solution():
+def test_multi_start_with_no_solution(monkeypatch):
     d = diagram.load_diagram(FIG8)
-    sols = engine.multi_start(d, [1.0], engine.SolveConfig(
-        seeds=1, max_iterations=1))
+    monkeypatch.setattr(engine, "_MAX_ITERATIONS", 1)
+    sols = engine.multi_start(d, [1.0], engine.SolveConfig(seeds=1))
     assert sols == [] and sols.values.shape == (0,)
     assert sols.residuals.shape == (0, d.n_regions)

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -76,3 +77,35 @@ def test_every_private_name_is_used():
                        if d.startswith("_") and not d.startswith("__")
                        and d not in used]
     assert not unused, "private but never used: " + ", ".join(unused)
+
+
+def test_no_unreferenced_definitions():
+    # a function, method or class that nothing in the program, its tests
+    # or its benchmark refers to by name, and that the README's code does
+    # not name, is dead code. A string that is a (dotted) name counts, for
+    # getattr- and monkeypatch-style use.
+    root = SRC.parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    referenced = {word for code in re.findall(r"```.*?```|`[^`\n]+`",
+                                              readme, re.S)
+                  for word in re.findall(r"\w+", code)}
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    referenced.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    referenced.add(node.attr)
+                elif isinstance(node, ast.Constant) and \
+                        isinstance(node.value, str) and \
+                        re.fullmatch(r"[\w.]+", node.value):
+                    referenced.update(node.value.split("."))
+    unreferenced = [
+        f"{path.name}:{node.lineno}: {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in referenced]
+    assert not unreferenced, "defined but never referenced: " + \
+        ", ".join(unreferenced)

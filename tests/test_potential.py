@@ -230,9 +230,7 @@ def fig8_exact():
     rep = representation.complete_representation(
         d, _examples.fig8_matrices(mstar))
     l = representation.longitude_eigenvalue(rep, 0)
-    col = coloring.propagate(rep, ex.seed_region,
-                             np.array(ex.seedV, dtype=complex))
-    col.Wvec = np.array(ex.auxW, dtype=complex)
+    col = coloring.propagate(rep, ex.seed_region, ex.seedV, ex.auxW)
     sol = coloring.assemble_solution(col)
     f = representation.FillingSpec([(2, 3)], l=[l], uv=[(1, -2)])
     res = potential.W0(sol, f, residual_tol=1e-9, filling_tol=1e-9)
