@@ -12,6 +12,7 @@ Complex numbers on the command line use the form ``a+bi``; JSON files use
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -124,9 +125,9 @@ class RunManifest:
 
 def _write_report(args, doc):
     if getattr(args, "json", None):
+        # one write: json.dump with indent streams a write per token
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+            fh.write(json.dumps(doc, indent=1) + "\n")
 
 
 def _f9(x, sign=""):
@@ -485,7 +486,11 @@ def cmd_selftest(args):
 # argument wiring
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser():
+    """The one parser of the process, built on the first main() call (not
+    at import). It holds no state that parse_args changes: each call gets
+    a fresh Namespace from defaults that are immutable."""
     p = argparse.ArgumentParser(
         prog="linkvol",
         description="Volume and Chern-Simons invariants of link diagram "

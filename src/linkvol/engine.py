@@ -4,13 +4,13 @@ newton_solve runs damped Newton in log-weight coordinates on the critical
 equations at fixed meridian eigenvalues; the global weight-scaling gauge is
 removed by dropping one (redundant) equation and pinning the last weight.
 multi_start runs all its random seeds through the same Newton core as one
-(S, n) array, whose crossing ratios (potential._ratios) each kernel call
-reads, and deduplicates the results up to gauge; newton_solve runs it on
-one seed. multi_start's seeds are one standard_normal draw. One stacked
-call of the degeneracy predicate (potential.degeneracy_reports) verifies
-the converged seeds, and a degenerate newton_solve seed fails at once. The
-distinct solutions get their critical values and residuals from one
-stacked potential.critical_values call.
+(S, n) array, whose crossing ratios (one potential._RatioMap per run, so
+the meridian factor is formed once) each kernel call reads, and
+deduplicates the results up to gauge; newton_solve runs it on one seed.
+multi_start's seeds are one standard_normal draw. One stacked call of the
+degeneracy predicate verifies the converged seeds, and a degenerate
+newton_solve seed fails at once. The distinct solutions get their critical
+values and residuals from one stacked evaluation at the same ratio map.
 
 A seed heading for a collapsed tetrahedron is cut early: when its ratio
 distance min(|R|, 1/|R|, |1 - R|), which the Jacobian kernel returns, is
@@ -146,8 +146,10 @@ def _svd_stack(J):
         return U, sv, Vh
 
 
-def _newton_batch(d, m, seeds, cfg):
-    """Damped Newton from every row of ``seeds`` (S, n) at once.
+def _newton_batch(ratios, seeds, cfg):
+    """Damped Newton from every row of ``seeds`` (S, n) at once, at the
+    diagram and meridians of ``ratios`` (a potential._RatioMap, whose
+    meridian factor the whole run shares).
 
     Each seed takes exactly the decisions a lone run from it would take;
     the batch only shares the kernel calls, the stacked SVD and the line
@@ -162,9 +164,10 @@ def _newton_batch(d, m, seeds, cfg):
     Returns one outcome per seed: its verified Solution or the
     NewtonFailure that ends it.
     """
+    d, m = ratios.d, ratios.m
     n = d.n_regions
     k = n - 1
-    t = potential._tables(d).wdw
+    t = ratios.t.wdw
     W = seeds.astype(complex)
     X = np.log(W)
     resid = np.full(seeds.shape[0], math.inf)
@@ -183,7 +186,7 @@ def _newton_batch(d, m, seeds, cfg):
         # the converged seeds pass the degeneracy predicate in one call
         if not ended.size:
             return
-        reports = potential.degeneracy_reports(d, W[ended], m)
+        reports = potential._degeneracy_reports(ratios(W[ended]))
         for i, report in zip(ended, reports):
             out[i] = NewtonFailure(
                 "converged to a degenerate point: " + "; ".join(report[:4])
@@ -202,8 +205,7 @@ def _newton_batch(d, m, seeds, cfg):
         for it in range(_MAX_ITERATIONS):
             if not live.size:
                 break
-            F_raw, J, dist = _kernels.eval_terms_jac(
-                potential._ratios(d, W[live], m), t)
+            F_raw, J, dist = _kernels.eval_terms_jac(ratios(W[live]), t)
             r = np.abs(np.exp(F_raw) - 1.0).max(axis=1)
             resid[live] = r
             falls[live] = np.where(dist < dist_prev[live],
@@ -266,8 +268,7 @@ def _newton_batch(d, m, seeds, cfg):
                 x_new = np.repeat(X[rows][:, None, :], steps.size, axis=1)
                 x_new[:, :, :k] += steps[:, None] * dx[pos][:, None, :]
                 w_new = np.exp(x_new)
-                F_try = _kernels.eval_terms(
-                    potential._ratios(d, w_new.reshape(-1, n), m), t)
+                F_try = _kernels.eval_terms(ratios(w_new.reshape(-1, n)), t)
                 f_new = (np.abs(_fold(F_try[:, :k])) ** 2).sum(axis=1)
                 acc = (np.isfinite(w_new).all(axis=2)
                        & np.isfinite(F_try).all(axis=1).reshape(
@@ -292,7 +293,7 @@ def _newton_batch(d, m, seeds, cfg):
                    if not isinstance(out[i], NewtonFailure)], dtype=int)
     if ok.size:
         fresh = np.abs(np.exp(_kernels.eval_terms(
-            potential._ratios(d, W[ok], m), t)) - 1.0).max(axis=1)
+            ratios(W[ok]), t)) - 1.0).max(axis=1)
         for i in ok[fresh > cfg.residual_tol]:
             out[i] = NewtonFailure(f"stopped at residual {resid[i]:.3g}")
     return out
@@ -317,10 +318,11 @@ def newton_solve(d, m, seed, cfg=None):
         raise EngineError(
             f"expected {n} seed weights, got {seed.shape[0]}")
 
-    report = potential.degeneracy_reports(d, seed[None, :], m)[0]
+    ratios = potential._RatioMap(d, m)
+    report = potential._degeneracy_reports(ratios(seed[None, :]))[0]
     if report:
         raise NewtonFailure("seed is degenerate: " + "; ".join(report[:4]))
-    res = _newton_batch(d, m, seed[None, :], cfg)[0]
+    res = _newton_batch(ratios, seed[None, :], cfg)[0]
     if isinstance(res, NewtonFailure):
         raise res
     return res
@@ -358,8 +360,9 @@ def multi_start(d, m, cfg=None):
         cfg = SolveConfig()
     m = _as_meridians(d, m)
     n = d.n_regions
+    ratios = potential._RatioMap(d, m)
     found = []   # (normalized w, solution), in seed order
-    for sol in _newton_batch(d, m, _draw_seeds(d, cfg), cfg):
+    for sol in _newton_batch(ratios, _draw_seeds(d, cfg), cfg):
         if isinstance(sol, NewtonFailure):
             continue
         norm_w = sol.w / sol.w[n - 1]
@@ -367,8 +370,8 @@ def multi_start(d, m, cfg=None):
             continue
         found.append((norm_w, sol))
     sols = [sol for _, sol in found]
-    vals, res = potential.critical_values(
-        d, np.array([s.w for s in sols], complex).reshape(-1, n), m)
+    w = np.array([s.w for s in sols], complex).reshape(-1, n)
+    vals, res = potential._critical_values(d, w, ratios(w))
     order = sorted(range(len(sols)), key=lambda i: -vals[i].imag)
     return SolutionSet([sols[i] for i in order], vals[order], res[order])
 

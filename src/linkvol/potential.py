@@ -16,7 +16,7 @@ own longitude eigenvalues, l_i = exp(-(m_i dW/dm_i)/2), and W0 checks each
 filled slope against them (Neumann-Zagier, Topology 24, 1985).
 
 All of these read a point's (n_crossings, 5) crossing ratios, which
-_ratios alone forms; the _kernels term tables index that array. All
+_RatioMap alone forms; the _kernels term tables index that array. All
 logarithms are principal; no branch tracking happens anywhere.
 """
 
@@ -202,17 +202,32 @@ def _ext(v):
     return out
 
 
+class _RatioMap:
+    """w -> the five ratios of every crossing at a weight vector w (n,), or
+    at each row of a stack w (S, n), at the fixed meridians m: shape
+    (n_crossings, 5) or (S, n_crossings, 5). Each ratio's meridian factor
+    is formed once, here, so a Newton run at one m pays for it once. A
+    zero or non-finite weight gives non-finite ratios without a warning;
+    the degeneracy predicate reports them."""
+
+    def __init__(self, d, m):
+        self.d, self.m = d, m
+        self.t = _tables(d)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            self.mf = _ext(m)[self.t.r_mi] ** self.t.r_mexp
+
+    def __call__(self, w):
+        t = self.t
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            g = _ext(w).take(t.r_nd, -1)
+            R = g[..., 0, :] * g[..., 1, :] / (g[..., 2, :] * g[..., 3, :])
+            R = R * self.mf
+        return R.reshape(w.shape[:-1] + (t.sigma.shape[0], 5))
+
+
 def _ratios(d, w, m):
-    """The five ratios of every crossing at a weight vector w (n,), or at
-    each row of a stack w (S, n): shape (n_crossings, 5) or
-    (S, n_crossings, 5). A zero or non-finite weight gives non-finite
-    ratios without a warning; the degeneracy predicate reports them."""
-    t = _tables(d)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g = _ext(w).take(t.r_nd, -1)
-        R = g[..., 0, :] * g[..., 1, :] / (g[..., 2, :] * g[..., 3, :])
-        R = R * _ext(m)[t.r_mi] ** t.r_mexp
-    return R.reshape(w.shape[:-1] + (t.sigma.shape[0], 5))
+    """_RatioMap(d, m) at w."""
+    return _RatioMap(d, m)(w)
 
 
 def all_ratios(s):

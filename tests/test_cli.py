@@ -1,4 +1,9 @@
+import argparse
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -587,3 +592,81 @@ def test_selftest_passes_quickly(capsys):
     assert time.perf_counter() - t0 < 10.0
     out = capsys.readouterr().out
     assert "selftest: PASS" in out
+
+
+def fig8_pinned_argv(fig8_path, tmp_path):
+    rep = write_rep(tmp_path, "rep.json",
+                    _examples.fig8_matrices(_examples.FIG8_M))
+    return ["from-rep", fig8_path, rep, "--filling", "2/3",
+            "--seedV", "1+0i,0+1i", "--W", "2+0i,1+0i",
+            "--seed-region", "4"]
+
+
+def test_parser_is_built_once_and_calls_share_no_state(
+        fig8_path, tmp_path, capsys, monkeypatch):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    report = tmp_path / "report.json"
+    argv = fig8_pinned_argv(fig8_path, tmp_path) + ["--json", str(report)]
+    assert cli.main(argv + ["--rng-seed", "7"]) == 0
+    assert json.loads(report.read_text())["manifest"]["rng_seed"] == 7
+    first = capsys.readouterr().out
+    n_built = len(built)
+    assert cli.main(argv) == 0
+    assert built[n_built:] == []
+    assert json.loads(report.read_text())["manifest"]["rng_seed"] == 0
+    assert capsys.readouterr().out == first
+    # an argparse error leaves nothing behind for the next call
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["from-rep"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: diagram, rep" in \
+        capsys.readouterr().err
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == first
+    assert "vol = 1.737378076" in out and "(u,v) = (1, -2)" in out
+
+
+def run_module(args, tmp_path):
+    """``python -m linkvol.cli`` in a fresh process, from the source tree
+    this test imports, with help text wrapped at 80 columns."""
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "linkvol.cli", *args],
+                          capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=120)
+
+
+def test_module_entry_point_matches_in_process_main(
+        fig8_path, tmp_path, capsys, monkeypatch):
+    report = tmp_path / "report.json"
+    argv = fig8_pinned_argv(fig8_path, tmp_path) + ["--json", str(report)]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    in_process = report.read_bytes()
+    report.unlink()
+    proc = run_module(argv, tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == out
+    assert report.read_bytes() == in_process
+
+    monkeypatch.setenv("COLUMNS", "80")
+    for args, usage in (
+            (["--help"], "usage: linkvol [-h] "
+                         "{analyze,from-rep,solve,verify,selftest} ..."),
+            (["from-rep", "--help"], "usage: linkvol from-rep [-h] ")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert text.startswith(usage)
+        proc = run_module(args, tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == text

@@ -265,6 +265,11 @@ def test_solution_report_filled_matches_vol_cs():
 GOLDENS = (FIG8, WHITEHEAD, TREFOIL)
 
 
+def newton(d, m, seeds, cfg):
+    """The Newton core from the rows of seeds at meridians m."""
+    return engine._newton_batch(potential._RatioMap(d, m), seeds, cfg)
+
+
 def usable_seeds(d, m, count, rng):
     seeds = []
     while len(seeds) < count:
@@ -324,10 +329,10 @@ def test_batched_seed_does_not_depend_on_its_batch():
         d = diagram.load_diagram(pd)
         m = np.ones(d.n_components, dtype=complex)
         seeds = usable_seeds(d, m, 12, rng)
-        batch = engine._newton_batch(d, m, seeds, cfg)
+        batch = newton(d, m, seeds, cfg)
         for k in range(0, 12, 3):
-            alone = engine._newton_batch(d, m, seeds[k:k + 1], cfg)[0]
-            trio = engine._newton_batch(d, m, seeds[k:k + 3], cfg)[0]
+            alone = newton(d, m, seeds[k:k + 1], cfg)[0]
+            trio = newton(d, m, seeds[k:k + 3], cfg)[0]
             for other in (trio, batch[k]):
                 if isinstance(alone, engine.NewtonFailure):
                     assert str(other) == str(alone)
@@ -342,7 +347,7 @@ def test_stacked_svd_failure_marks_only_that_seed(monkeypatch):
     m = np.ones(1, dtype=complex)
     seeds = usable_seeds(d, m, 4, np.random.default_rng(68))
     cfg = engine.SolveConfig()
-    clean = engine._newton_batch(d, m, seeds, cfg)
+    clean = newton(d, m, seeds, cfg)
     real_svd = np.linalg.svd
     single = []
 
@@ -355,7 +360,7 @@ def test_stacked_svd_failure_marks_only_that_seed(monkeypatch):
         return real_svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", svd)
-    out = engine._newton_batch(d, m, seeds, cfg)
+    out = newton(d, m, seeds, cfg)
     assert str(out[0]).startswith("singular Jacobian at iteration 0 ")
     for a, b in zip(clean[1:], out[1:]):
         if isinstance(a, engine.NewtonFailure):
@@ -407,9 +412,9 @@ def multi_start_seeds(d, m, rng_seed, monkeypatch):
     seen = []
     real = engine._newton_batch
 
-    def record(d, m, seeds, cfg):
+    def record(ratios, seeds, cfg):
         seen.append(seeds)
-        return real(d, m, seeds, cfg)
+        return real(ratios, seeds, cfg)
 
     monkeypatch.setattr(engine, "_newton_batch", record)
     engine.multi_start(d, m, engine.SolveConfig(rng_seed=rng_seed))
@@ -428,9 +433,9 @@ def test_line_search_blocks_decide_as_single_steps(pd, monkeypatch):
     seeds = multi_start_seeds(d, m, 0, monkeypatch)
     assert seeds.shape[0] == 64
     cfg = engine.SolveConfig()
-    blocked = engine._newton_batch(d, m, seeds, cfg)
+    blocked = newton(d, m, seeds, cfg)
     monkeypatch.setattr(engine, "_LINE_SEARCH_BLOCKS", (1,) * 30)
-    single = engine._newton_batch(d, m, seeds, cfg)
+    single = newton(d, m, seeds, cfg)
     assert sum(not isinstance(a, engine.NewtonFailure) for a in single) > 0
     for a, b in zip(single, blocked):
         if isinstance(a, engine.NewtonFailure):
@@ -477,10 +482,10 @@ def test_runoff_cut_keeps_every_converging_seed(pd, monkeypatch):
     cut_total = 0
     for rng_seed in range(3):
         seeds = multi_start_seeds(d, m, rng_seed, monkeypatch)
-        cut = engine._newton_batch(d, m, seeds, cfg)
+        cut = newton(d, m, seeds, cfg)
         with monkeypatch.context() as mp:
             mp.setattr(engine, "_RUNOFF_DIST", 0.0)
-            free = engine._newton_batch(d, m, seeds, cfg)
+            free = newton(d, m, seeds, cfg)
         assert sum(not isinstance(a, engine.NewtonFailure)
                    for a in free) > 0
         for a, b in zip(free, cut):
@@ -500,7 +505,7 @@ def test_newton_solve_stops_a_runoff_seed(monkeypatch):
     d = diagram.load_diagram(FIG8)
     m = np.ones(1, dtype=complex)
     seeds = multi_start_seeds(d, m, 0, monkeypatch)
-    outcomes = engine._newton_batch(d, m, seeds, engine.SolveConfig())
+    outcomes = newton(d, m, seeds, engine.SolveConfig())
     k = next(k for k, out in enumerate(outcomes)
              if str(out).startswith(RUNOFF))
     with pytest.raises(engine.NewtonFailure, match=RUNOFF) as exc:
@@ -533,8 +538,8 @@ def test_degenerate_seed_fails_in_the_batch():
     seeds = usable_seeds(d, m, 4, np.random.default_rng(69))
     flat = np.full((1, d.n_regions), 1.0 + 0j)
     cfg = engine.SolveConfig()
-    clean = engine._newton_batch(d, m, seeds, cfg)
-    out = engine._newton_batch(d, m, np.vstack([flat, seeds]), cfg)
+    clean = newton(d, m, seeds, cfg)
+    out = newton(d, m, np.vstack([flat, seeds]), cfg)
     assert isinstance(out[0], engine.NewtonFailure)
     assert "degenerate" in str(out[0])
     for a, b in zip(clean, out[1:]):
@@ -550,3 +555,29 @@ def test_multi_start_with_no_solution(monkeypatch):
     sols = engine.multi_start(d, [1.0], engine.SolveConfig(seeds=1))
     assert sols == [] and sols.values.shape == (0,)
     assert sols.residuals.shape == (0, d.n_regions)
+
+
+def test_multi_start_forms_the_meridian_factor_once(monkeypatch):
+    # one ratio map serves the whole run: Newton's kernel calls, the
+    # degeneracy predicate on converged seeds and the final stacked
+    # evaluation; its ratios are bitwise those of _ratios
+    d = diagram.load_diagram(WHITEHEAD)
+    m = np.ones(d.n_components, dtype=complex)
+    real = potential._RatioMap
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(potential, "_RatioMap", counted)
+    sols = engine.multi_start(d, m)
+    assert len(made) == 1 and len(sols) > 0
+    monkeypatch.setattr(potential, "_RatioMap", real)
+    w = np.array([s.w for s in sols])
+    R = real(d, m)(w)
+    for s, row in zip(sols, R):
+        assert row.tobytes() == potential._ratios(d, s.w, m).tobytes()
+    vals, res = potential.critical_values(d, w, m)
+    assert vals.tobytes() == sols.values.tobytes()
+    assert res.tobytes() == sols.residuals.tobytes()
