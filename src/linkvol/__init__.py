@@ -5,12 +5,14 @@ The pipeline: parse a PD code (:func:`load_diagram`), complete a couple of
 generator matrices to a full representation
 (:func:`complete_representation`), transport a seed vector into a region
 coloring (:func:`propagate` / :func:`random_generic_coloring`), assemble the
-region weights (:func:`assemble_solution`), and evaluate the corrected
-potential (:func:`W0`, which first checks that the point is a
-non-degenerate critical point); :func:`from_representation` runs the steps
-from a coloring to the invariants of a filling.  Without a representation,
-:func:`multi_start` searches for critical weight vectors numerically at
-fixed meridian eigenvalues.
+region weights (:func:`assemble_solution`), evaluate the potential at them
+(:func:`evaluate`, one :class:`Evaluation` record for a whole stack of
+points), and read the corrected potential off a row of it (:func:`W0`,
+which first checks that the point is a non-degenerate critical point);
+:func:`from_representation` runs the steps from a coloring to the
+invariants of a filling.  Without a representation, :func:`multi_start`
+searches for critical weight vectors numerically at fixed meridian
+eigenvalues and returns their :class:`Evaluation`.
 """
 
 from .coloring import (ColoringError, RegionColoring, assemble_solution,
@@ -20,9 +22,8 @@ from .diagram import (DiagramError, LinkDiagram, load_diagram, longitude_word,
 from .engine import (EngineError, NewtonFailure, SolveConfig, cross_ratios,
                      from_representation, multi_start, newton_solve,
                      solution_report)
-from .potential import (PotentialError, Solution, VolumeResult, W0,
-                        critical_residuals, critical_value, is_nondegenerate,
-                        total_potential, wdW_all)
+from .potential import (Evaluation, PotentialError, Solution, VolumeResult,
+                        W0, evaluate)
 from .representation import (FillingSpec, Representation,
                              RepresentationError, complete_representation,
                              longitude_eigenvalue, meridian_eigenvalue,
@@ -31,15 +32,14 @@ from .representation import (FillingSpec, Representation,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ColoringError", "DiagramError", "EngineError", "FillingSpec",
-    "LinkDiagram", "NewtonFailure", "PotentialError", "RegionColoring",
-    "Representation", "RepresentationError", "Solution", "SolveConfig",
-    "VolumeResult", "W0", "assemble_solution", "complete_representation",
-    "critical_residuals", "critical_value", "cross_ratios",
-    "from_representation", "is_nondegenerate", "load_diagram",
-    "longitude_eigenvalue", "longitude_word", "meridian_eigenvalue",
-    "multi_start", "newton_solve", "parse_pd", "propagate",
-    "random_generic_coloring", "representation_from_json",
-    "solution_report", "solve_uv", "total_potential", "wdW_all",
-    "wirtinger", "writhe",
+    "ColoringError", "DiagramError", "EngineError", "Evaluation",
+    "FillingSpec", "LinkDiagram", "NewtonFailure", "PotentialError",
+    "RegionColoring", "Representation", "RepresentationError", "Solution",
+    "SolveConfig", "VolumeResult", "W0", "assemble_solution",
+    "complete_representation", "cross_ratios", "evaluate",
+    "from_representation", "load_diagram", "longitude_eigenvalue",
+    "longitude_word", "meridian_eigenvalue", "multi_start", "newton_solve",
+    "parse_pd", "propagate", "random_generic_coloring",
+    "representation_from_json", "solution_report", "solve_uv", "wirtinger",
+    "writhe",
 ]

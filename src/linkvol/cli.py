@@ -263,27 +263,25 @@ def cmd_solve(args):
                              f"holds there)")
     filling_tol = args.tol or 1e-6
 
-    sols = engine.multi_start(d, m, cfg)
+    p = engine.multi_start(d, m, cfg)
     # each point carries its own longitudes, l = exp(-(m dW/dm)/2)
-    l_all = [None] * len(sols) if slopes is None else potential.longitudes(
-        d, np.array([s.w for s in sols]).reshape(-1, d.n_regions),
-        np.array(m, dtype=complex))
     docs = []
-    for s, val, res, l in zip(sols, sols.values, sols.residuals, l_all):
+    for k, l in enumerate(np.exp(-0.5 * p.mdW)):
         f = None
         if slopes is not None:
             # a point whose (m, l) miss the slope is not a filled solution
             try:
                 f = representation.FillingSpec.from_eigenvalues(
-                    slopes, s.m, l, tol=filling_tol)
+                    slopes, p.m[k], l, tol=filling_tol)
             except representation.RepresentationError:
                 continue
         docs.append(engine.solution_report(
-            s, f, residual_tol=max(cfg.residual_tol, 1e-9),
-            filling_tol=filling_tol, critical=(val, res)))
+            p, k, f, residual_tol=max(cfg.residual_tol, 1e-9),
+            filling_tol=filling_tol))
+    n_sols = len(p.w)
     print(f"meridians: " + ", ".join(_c2s(z) for z in m))
-    print(f"found {len(sols)} distinct solution(s) from {cfg.seeds} seeds"
-          + (f"; {len(sols) - len(docs)} of them do not satisfy the filling "
+    print(f"found {n_sols} distinct solution(s) from {cfg.seeds} seeds"
+          + (f"; {n_sols - len(docs)} of them do not satisfy the filling "
              f"and are left out" if slopes is not None else ""))
     for k, doc in enumerate(docs):
         print(f"  #{k + 1}: vol = {_f9(doc['vol'], '+')}  "
@@ -304,26 +302,21 @@ def cmd_solve(args):
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_one(d, doc, f, tol):
-    """Returns (passed, human lines, json record) for one solution doc."""
+def _verify_one(p, k, f, tol):
+    """Returns (passed, human lines, json record) for row k of the
+    evaluation p, checked against the filling f when it is not None."""
     lines = []
-    record = {}
-    try:
-        sol = potential.Solution.from_json(d, doc)
-    except (IndexError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad solution record: {exc}") from None
-    ok = True
-    nondeg, report = potential.is_nondegenerate(sol)
-    record["nondegenerate"] = bool(nondeg)
-    if not nondeg:
-        ok = False
+    report = p.reports[k]
+    record = {"nondegenerate": not report}
+    if report:
         lines.append("  degenerate point:")
         lines.extend(f"    {r}" for r in report[:6])
         record["degeneracy_report"] = report
         record["passed"] = False
         return False, lines, record
 
-    res = np.abs(potential.critical_residuals(sol))
+    ok = True
+    res = np.abs(p.residuals[k])
     rmax = record["residual_max"] = float(res.max())
     if rmax > tol:
         ok = False
@@ -334,7 +327,7 @@ def _verify_one(d, doc, f, tol):
 
     if f is not None and ok:
         try:
-            vr = potential.W0(sol, f, residual_tol=tol, filling_tol=tol)
+            vr = potential.W0(p, k, f, residual_tol=tol, filling_tol=tol)
             record["W0"] = [vr.W0.real, vr.W0.imag]
             record["vol"] = vr.vol
             record["cs"] = vr.cs
@@ -361,22 +354,38 @@ def cmd_verify(args):
                          f"or a report with a 'solutions' list")
     if not isinstance(docs, list):
         raise InputError(f"{args.solutions}: 'solutions' must be a list")
+
+    def filling(doc):
+        f = representation.FillingSpec.from_json(doc)
+        if f.n_components != d.n_components:
+            raise InputError(f"filling lists {f.n_components} components, "
+                             f"diagram has {d.n_components}")
+        return f
+
     shared = None
     if args.filling_file:
-        shared = representation.FillingSpec.from_json(_read_json(
-            args.filling_file))
+        shared = filling(_read_json(args.filling_file))
     elif isinstance(payload, dict) and payload.get("filling"):
-        shared = representation.FillingSpec.from_json(payload["filling"])
+        shared = filling(payload["filling"])
+    # every record and filling is read before any point is evaluated
+    sols, fills = [], []
+    for doc in docs:
+        # a filling file applies to all; else a solution's own comes first
+        own = not args.filling_file and isinstance(doc, dict) \
+            and doc.get("filling")
+        fills.append(filling(doc["filling"]) if own else shared)
+        try:
+            sols.append(potential.Solution.from_json(d, doc))
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"bad solution record: {exc}") from None
+    p = potential.evaluate(
+        d, np.array([s.w for s in sols]).reshape(-1, d.n_regions),
+        np.array([s.m for s in sols]).reshape(-1, d.n_components))
     tol = args.tol
     all_ok = True
     records = []
-    for k, doc in enumerate(docs):
-        # a filling file applies to all; else a solution's own comes first
-        f = shared
-        if (not args.filling_file and isinstance(doc, dict)
-                and doc.get("filling")):
-            f = representation.FillingSpec.from_json(doc["filling"])
-        ok, lines, record = _verify_one(d, doc, f, tol)
+    for k, f in enumerate(fills):
+        ok, lines, record = _verify_one(p, k, f, tol)
         record["index"] = k
         records.append(record)
         all_ok = all_ok and ok
@@ -419,26 +428,20 @@ def _selftest_checks():
 
     def derivative_checks():
         d = diagram.load_diagram(_examples.FIG8_PD)
+        n = d.n_regions
+        m = [complex(1.1, 0.3)]
         # random non-degenerate point, not a solution
         while True:
-            w = rng.standard_normal(d.n_regions) \
-                + 1j * rng.standard_normal(d.n_regions)
-            m = [complex(1.1, 0.3)]
-            cand = potential.Solution(d, w, m)
-            if potential.is_nondegenerate(cand)[0]:
+            w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            p = potential.evaluate(d, w[None], m)
+            if not p.reports[0]:
                 break
         h = 1e-7
-        worst = 0.0
-        grad = potential.wdW_all(cand)
-        for j in range(d.n_regions):
-            wp = cand.w.copy()
-            wp[j] *= (1 + h)
-            wm = cand.w.copy()
-            wm[j] *= (1 - h)
-            fd = ((potential.total_potential(potential.Solution(d, wp, m))
-                   - potential.total_potential(potential.Solution(d, wm, m)))
-                  / (2 * h))
-            worst = max(worst, abs(fd - grad[j]))
+        # row j scales w_j by 1 + h, row n + j by 1 - h
+        q = potential.evaluate(
+            d, w * np.concatenate([1 + h * np.eye(n), 1 - h * np.eye(n)]), m)
+        worst = max(abs((q.W[j] - q.W[n + j]) / (2 * h) - p.wdW[0, j])
+                    for j in range(n))
         return worst <= 1e-6, f"finite differences {worst:.2e}"
 
     def golden(ex):
@@ -571,6 +574,9 @@ def main(argv=None):
         if tol is not None and not 0 < tol < math.inf:
             raise InputError(f"--tol must be finite and positive, got "
                              f"{tol:g}")
+        if getattr(args, "rng_seed", 0) < 0:
+            raise InputError(f"--rng-seed must not be negative, got "
+                             f"{args.rng_seed}")
         return args.fn(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

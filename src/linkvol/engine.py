@@ -9,8 +9,8 @@ the meridian factor is formed once) each kernel call reads, and
 deduplicates the results up to gauge; newton_solve runs it on one seed.
 multi_start's seeds are one standard_normal draw. One stacked call of the
 degeneracy predicate verifies the converged seeds, and a degenerate
-newton_solve seed fails at once. The distinct solutions get their critical
-values and residuals from one stacked evaluation at the same ratio map.
+newton_solve seed fails at once. multi_start returns the distinct
+solutions as one potential.Evaluation at the same ratio map.
 
 A seed heading for a collapsed tetrahedron is cut early: when its ratio
 distance min(|R|, 1/|R|, |1 - R|), which the Jacobian kernel returns, is
@@ -20,11 +20,12 @@ below 1e-7 and has fallen on 3 consecutive iterations, the seed fails with
 cross_ratios exposes the five tetrahedron shapes each crossing carries.
 A point is critical when every exp(w_j dW/dw_j) - 1 is within tolerance:
 Newton reads this off the residual it already holds at the point, and
-solution_report off potential.critical_residuals.
+solution_report off the evaluation's residuals.
 
-from_representation is the one path from a representation and a region
-coloring to the invariants of a filling; potential.W0 checks the point and
-evaluates them.
+Every checked point is a row of one potential.Evaluation: solution_report
+and cross_ratios read a row, and from_representation, the one path from a
+representation and a region coloring to the invariants of a filling,
+evaluates its point once for potential.W0 to check and evaluate.
 """
 
 import math
@@ -34,7 +35,6 @@ import numpy as np
 
 from . import _kernels, coloring, potential, representation
 from .numerics import cs_mod_pi2
-from .potential import critical_value
 
 _TWO_PI = 2.0 * math.pi
 
@@ -89,9 +89,9 @@ class SolveConfig:
             raise EngineError("seeds must be positive")
 
 
-def cross_ratios(s):
-    """Shape parameters of the five tetrahedra at every crossing, as an
-    (n_crossings, 5) array.
+def cross_ratios(p, k):
+    """Shape parameters of the five tetrahedra at every crossing of row k
+    of the potential.Evaluation p, as an (n_crossings, 5) array.
 
     Built from the same five ratios as the crossing potential; positive and
     negative crossings distribute them to the slots differently. Slot 2 is
@@ -99,12 +99,11 @@ def cross_ratios(s):
     (3, 4) are the side pairs meeting it along the two internal edges, so
     z0*z1*z2 and z3*z4*z2 are identically 1.
     """
-    R = potential.all_ratios(s)
-    report = potential._degeneracy_reports(R[None])[0]
+    report = p.reports[k]
     if report:
         raise EngineError("degenerate ratio: " + "; ".join(report[:4]))
-    a, b, dd, e, cc = R.T   # columns (A, B, D, E, C)
-    pos = potential._tables(s.diagram).sigma[:, None] == 1
+    a, b, dd, e, cc = p.R[k].T   # columns (A, B, D, E, C)
+    pos = potential._tables(p.d).sigma[:, None] == 1
     return np.where(pos, np.stack([a, 1.0 / dd, cc, b, 1.0 / e], axis=1),
                     np.stack([1.0 / b, e, 1.0 / cc, 1.0 / a, dd], axis=1))
 
@@ -328,16 +327,6 @@ def newton_solve(d, m, seed, cfg=None):
     return res
 
 
-class SolutionSet(list):
-    """multi_start's distinct solutions, best volume first. ``values`` and
-    ``residuals`` hold critical_value and critical_residuals of each, in
-    list order, from one stacked evaluation."""
-
-    def __init__(self, sols, values, residuals):
-        super().__init__(sols)
-        self.values, self.residuals = values, residuals
-
-
 def _draw_seeds(d, cfg):
     """The seeds of multi_start, an (S, n) array of standard complex
     gaussians from one standard_normal((S, 2, n)) draw: row k's real parts,
@@ -353,51 +342,46 @@ def multi_start(d, m, cfg=None):
     The seeds (see _draw_seeds) all run through Newton together; failures
     are skipped. Solutions are deduplicated in seed order on
     gauge-normalized weights (scaled so the last weight is 1) within 1e-6
-    and sorted by the imaginary part of critical_value descending,
-    earliest seed first on ties. Returns a SolutionSet.
+    and sorted by the imaginary part of their critical value descending,
+    earliest seed first on ties. Returns the potential.Evaluation of the
+    solutions, row k for the k-th.
     """
     if cfg is None:
         cfg = SolveConfig()
     m = _as_meridians(d, m)
     n = d.n_regions
     ratios = potential._RatioMap(d, m)
-    found = []   # (normalized w, solution), in seed order
+    found = []   # (normalized w, w), in seed order
     for sol in _newton_batch(ratios, _draw_seeds(d, cfg), cfg):
         if isinstance(sol, NewtonFailure):
             continue
         norm_w = sol.w / sol.w[n - 1]
         if any(np.max(np.abs(norm_w - prev)) < 1e-6 for prev, _ in found):
             continue
-        found.append((norm_w, sol))
-    sols = [sol for _, sol in found]
-    w = np.array([s.w for s in sols], complex).reshape(-1, n)
-    vals, res = potential._critical_values(d, w, ratios(w))
-    order = sorted(range(len(sols)), key=lambda i: -vals[i].imag)
-    return SolutionSet([sols[i] for i in order], vals[order], res[order])
+        found.append((norm_w, sol.w))
+    p = ratios.evaluate(np.array([w for _, w in found], complex).reshape(
+        -1, n))
+    return p.take(sorted(range(len(found)), key=lambda i: -p.values[i].imag))
 
 
 # ---------------------------------------------------------------------------
 # End-to-end extraction
 # ---------------------------------------------------------------------------
 
-def solution_report(s, f=None, residual_tol=1e-3, filling_tol=1e-6,
-                    critical=None):
-    """Machine-readable record of one solution.
+def solution_report(p, k, f=None, residual_tol=1e-3, filling_tol=1e-6):
+    """Machine-readable record of row k of the potential.Evaluation p.
 
-    Without a filling the reported W0 is critical_value(s) (no meridian
-    corrections); with one it is the corrected value from potential.W0,
-    and the record carries the filling under "filling". ``critical`` is
-    (critical_value(s), critical_residuals(s)) when the caller holds them.
+    Without a filling the reported W0 is the row's critical value (no
+    meridian corrections); with one it is the corrected value from
+    potential.W0, and the record carries the filling under "filling".
     """
-    doc = s.to_json()
+    doc = potential.Solution(p.d, p.w[k], p.m[k]).to_json()
     if f is not None and any(sl is not None for sl in f.slopes):
-        doc.update(potential.W0(s, f, residual_tol=residual_tol,
+        doc.update(potential.W0(p, k, f, residual_tol=residual_tol,
                                 filling_tol=filling_tol).to_json())
         doc["filling"] = f.to_json()
         return doc
-    val, res = critical if critical is not None else \
-        (critical_value(s), potential.critical_residuals(s))
-    val, res = complex(val), np.abs(res).max()
+    val, res = complex(p.values[k]), np.abs(p.residuals[k]).max()
     doc.update({"W0": [val.real, val.imag], "vol": float(val.imag),
                 "cs": cs_mod_pi2(val), "residual_max": float(res)})
     return doc
@@ -417,4 +401,5 @@ def from_representation(rep, col, slopes, tol=1e-3):
               for i in range(rep.diagram.n_components)]
     f = representation.FillingSpec.from_eigenvalues(slopes, sol.m, l_vals,
                                                     tol)
-    return sol, f, potential.W0(sol, f, residual_tol=tol, filling_tol=tol)
+    p = potential.evaluate(sol.diagram, sol.w[None], sol.m)
+    return sol, f, potential.W0(p, 0, f, residual_tol=tol, filling_tol=tol)

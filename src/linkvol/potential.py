@@ -15,9 +15,13 @@ W0 = i(vol + i cs) up to integer multiples of pi^2. The point carries its
 own longitude eigenvalues, l_i = exp(-(m_i dW/dm_i)/2), and W0 checks each
 filled slope against them (Neumann-Zagier, Topology 24, 1985).
 
-All of these read a point's (n_crossings, 5) crossing ratios, which
-_RatioMap alone forms; the _kernels term tables index that array. All
-logarithms are principal; no branch tracking happens anywhere.
+One evaluation serves every checked point: evaluate forms the (n_crossings,
+5) crossing ratios of a stack of points once (_RatioMap is the one ratio
+formula) and reads off them the potential, both logarithmic derivatives,
+the critical values and residuals and the degeneracy reports, into one
+Evaluation record; W0 reads a row of it. The _kernels term tables index
+the ratio array. All logarithms are principal; no branch tracking happens
+anywhere.
 """
 
 import math
@@ -42,7 +46,7 @@ _PI2_6 = math.pi * math.pi / 6.0
 # magnitude, counts as a collapsed tetrahedron.
 _DEGENERACY_TOL = 1e-8
 
-# is_nondegenerate's report per offence, indexed by the kind it assigns.
+# _degeneracy_reports' text per offence, indexed by the kind it assigns.
 _DEGENERACY_REPORTS = (
     None,
     "is not finite",
@@ -203,18 +207,19 @@ def _ext(v):
 
 
 class _RatioMap:
-    """w -> the five ratios of every crossing at a weight vector w (n,), or
-    at each row of a stack w (S, n), at the fixed meridians m: shape
-    (n_crossings, 5) or (S, n_crossings, 5). Each ratio's meridian factor
-    is formed once, here, so a Newton run at one m pays for it once. A
-    zero or non-finite weight gives non-finite ratios without a warning;
-    the degeneracy predicate reports them."""
+    """w -> the five ratios of every crossing at each row of a weight
+    stack w (S, n), at meridians m: one vector (n_components,) for every
+    row, or one row per weight row (S, n_components). The result has shape
+    (S, n_crossings, 5). Each ratio's meridian factor is formed once, here,
+    so a Newton run at one m pays for it once. A zero or non-finite weight
+    gives non-finite ratios without a warning; the degeneracy predicate
+    reports them."""
 
     def __init__(self, d, m):
         self.d, self.m = d, m
         self.t = _tables(d)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            self.mf = _ext(m)[self.t.r_mi] ** self.t.r_mexp
+            self.mf = _ext(m)[..., self.t.r_mi] ** self.t.r_mexp
 
     def __call__(self, w):
         t = self.t
@@ -224,16 +229,20 @@ class _RatioMap:
             R = R * self.mf
         return R.reshape(w.shape[:-1] + (t.sigma.shape[0], 5))
 
-
-def _ratios(d, w, m):
-    """_RatioMap(d, m) at w."""
-    return _RatioMap(d, m)(w)
-
-
-def all_ratios(s):
-    """All five ratios of every crossing, shape (n_crossings, 5), in the
-    fixed order documented at the top of this module."""
-    return _ratios(s.diagram, s.w, s.m)
+    def evaluate(self, w):
+        """evaluate(d, w, m) at this map's diagram and meridians."""
+        R = self(w)
+        t = self.t
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            W = _potentials(self.d, R)
+            wdW = _kernels.eval_terms(R, t.wdw)
+            return Evaluation(
+                self.d, w,
+                np.broadcast_to(self.m, w.shape[:-1] + self.m.shape[-1:]),
+                R, _degeneracy_reports(R), W, wdW,
+                _kernels.eval_terms(R, t.mdw),
+                W - np.sum(wdW * _kernels._plog_vec(w), axis=-1),
+                np.exp(wdW) - 1.0)
 
 
 def _potentials(d, R):
@@ -247,62 +256,24 @@ def _potentials(d, R):
     return np.cumsum(vals, axis=-1)[..., -1]
 
 
-def total_potential(s):
-    """Sum of the crossing terms."""
-    return complex(_potentials(s.diagram, all_ratios(s)))
+def _degeneracy_reports(R):
+    """The degeneracy predicate at every point of a ratio stack R (S,
+    n_crossings, 5): every crossing's five ratios must stay away from 0, 1
+    and infinity (a ratio at any of those collapses a tetrahedron; near-0
+    or huge ratios are the numerical signature of a family escaping to
+    such a collapse), by _DEGENERACY_TOL. A zero or non-finite weight
+    always fails it.
 
-
-def _regular(R):
-    """R, once no ratio in it equals 1, where log(1 - R) is singular."""
-    bad = R == 1.0
-    if np.any(bad):
-        ci = int(np.argwhere(bad)[0][-2])
-        raise PotentialError(
-            f"degenerate crossing {ci + 1}: a ratio equals 1, the "
-            f"logarithmic derivative is singular")
-    return R
-
-
-def wdW_all(s):
-    """Vector of w_j dW/dw_j over all regions."""
-    return _kernels.eval_terms(_regular(all_ratios(s)),
-                               _tables(s.diagram).wdw)
-
-
-def mdW_all(s):
-    """Vector of m_i dW/dm_i over all components."""
-    return _kernels.eval_terms(_regular(all_ratios(s)),
-                               _tables(s.diagram).mdw)
-
-
-def longitudes(d, w, m):
-    """The longitude eigenvalues l_i = exp(-(m_i dW/dm_i)/2) at every row
-    of a weight stack w (S, n) with meridians m, from one stacked
-    evaluation: shape (S, n_components)."""
-    return np.exp(-0.5 * _kernels.eval_terms(_regular(_ratios(d, w, m)),
-                                             _tables(d).mdw))
-
-
-def degeneracy_reports(d, w, m):
-    """The degeneracy predicate at every row of a weight stack w (S, n)
-    with meridians m: every crossing's five ratios must stay away from 0,
-    1 and infinity (a ratio at any of those collapses a tetrahedron;
-    near-0 or huge ratios are the numerical signature of a family
-    escaping to such a collapse), by _DEGENERACY_TOL. A zero or non-finite
-    weight always fails it.
-
-    Returns one report per row: the offending crossing/ratios,
+    Returns one report per point: the offending crossing/ratios,
     crossing-major, empty where the point is nondegenerate.
     """
-    return _degeneracy_reports(_ratios(d, w, m))
-
-
-def _degeneracy_reports(R):
-    """degeneracy_reports at the ratios R (S, n_crossings, 5)."""
     mag = np.abs(R)
     tol = _DEGENERACY_TOL
-    kind = np.select([~np.isfinite(R), mag <= tol, mag >= 1.0 / tol,
-                      np.abs(R - 1.0) <= tol], [1, 2, 3, 4])
+    # a ratio's kind is the first test it fails; nested np.where does this
+    # at half np.select's cost on a few points
+    kind = np.where(~np.isfinite(R), 1, np.where(
+        mag <= tol, 2, np.where(mag >= 1.0 / tol, 3,
+                                np.where(np.abs(R - 1.0) <= tol, 4, 0))))
     reports = [[] for _ in range(R.shape[0])]
     for si, ci, ri in np.argwhere(kind):
         reports[si].append(
@@ -312,78 +283,87 @@ def _degeneracy_reports(R):
     return reports
 
 
-def is_nondegenerate(s):
-    """degeneracy_reports at the one point s. Returns (ok, report)."""
-    report = degeneracy_reports(s.diagram, s.w[None, :], s.m)[0]
-    return (not report, report)
+@dataclass
+class Evaluation:
+    """The potential and its logarithmic derivatives at every row k of a
+    weight stack w (S, n) with meridians m (S, n_components), all read off
+    one array R (S, n_crossings, 5) of crossing ratios:
 
+        W[k]               the sum of the crossing terms
+        wdW[k, j]          w_j dW/dw_j
+        mdW[k, i]          m_i dW/dm_i; the longitude is exp(-mdW/2)
+        values[k]          W - sum_j wdW[k, j] log w[k, j], the critical
+                           value (no meridian corrections)
+        residuals[k, j]    exp(wdW[k, j]) - 1, the critical equations
 
-def critical_residuals(s):
-    """Per region, exp(w_j dW/dw_j) - 1: the deviation of the critical-
-    point equations from 0."""
-    return np.exp(wdW_all(s)) - 1.0
-
-
-def _critical_values(d, w, R):
-    """critical_values at w, whose ratios are R."""
-    wdw = _kernels.eval_terms(_regular(R), _tables(d).wdw)
-    val = _potentials(d, R) - np.sum(wdw * _kernels._plog_vec(w), axis=-1)
-    return val, np.exp(wdw) - 1.0
-
-
-def critical_values(d, w, m):
-    """critical_value and critical_residuals at every row of a weight
-    stack w (S, n) with meridians m, in one stacked evaluation: shapes (S,)
-    and (S, n). Each row is bitwise what the one-point functions give.
-    A 1-d w gives the one point's pair."""
-    return _critical_values(d, w, _ratios(d, w, m))
-
-
-def critical_value(s):
-    """The potential minus its weight-gradient correction.
-
-    No meridian corrections are applied here; for eigenvalue-1 solutions
-    this already equals i(vol + i cs) up to integer multiples of pi^2, and
-    it serves as the ranking value for solver output in general.
+    reports[k] lists row k's degenerate ratios (see _degeneracy_reports)
+    and is empty at a nondegenerate point. A degenerate row may hold
+    non-finite numbers, so a reader checks reports[k] first.
     """
-    return complex(critical_values(s.diagram, s.w, s.m)[0])
+
+    d: object
+    w: np.ndarray
+    m: np.ndarray
+    R: np.ndarray
+    reports: list
+    W: np.ndarray
+    wdW: np.ndarray
+    mdW: np.ndarray
+    values: np.ndarray
+    residuals: np.ndarray
+
+    def take(self, rows):
+        """The evaluation of the given rows, in that order."""
+        return Evaluation(self.d, self.w[rows], self.m[rows], self.R[rows],
+                          [self.reports[k] for k in rows], self.W[rows],
+                          self.wdW[rows], self.mdW[rows], self.values[rows],
+                          self.residuals[rows])
 
 
-def W0(s, f, residual_tol=1e-3, filling_tol=1e-6):
-    """Corrected potential value and the volume / Chern-Simons split.
+def evaluate(d, w, m):
+    """The Evaluation at every row of a weight stack w (S, n), with
+    meridians m of shape (n_components,) for every row or (S,
+    n_components) per row. The crossing ratios are formed once, and the
+    terms take one dilogarithm call and one eval_terms call per table; each
+    row is bitwise what a one-row stack of it gives."""
+    return _RatioMap(d, np.asarray(m, dtype=complex)).evaluate(
+        np.asarray(w, dtype=complex))
+
+
+def W0(p, k, f, residual_tol=1e-3, filling_tol=1e-6):
+    """Corrected potential value and the volume / Chern-Simons split at
+    row k of the Evaluation p.
 
     ``f`` lists one slope per component (None = unfilled) and the (u, v)
-    of every filled one. The solution must satisfy the critical equations
+    of every filled one. The point must satisfy the critical equations
     to residual_tol; then, to filling_tol, every unfilled component must
     have m = ±1 and every filled slope must hold with u and the point's
     own longitude. vol is the imaginary part, cs the negated real part
     normalized into [0, pi^2).
     """
-    d = s.diagram
+    d = p.d
     if f.n_components != d.n_components:
         raise PotentialError(
             f"filling lists {f.n_components} components, diagram has "
             f"{d.n_components}")
-    R = all_ratios(s)
-    report = _degeneracy_reports(R[None])[0]
+    report = p.reports[k]
     if report:
         raise PotentialError("degenerate solution: " + "; ".join(report[:4]))
 
-    val, res = _critical_values(d, s.w, R)
-    rmax = float(np.abs(res).max())
+    rmax = float(np.abs(p.residuals[k]).max())
     if rmax > residual_tol:
         raise PotentialError(
             f"critical residuals reach {rmax:.3g}, above {residual_tol:g}: "
             f"not a solution")
 
-    val = complex(val)
-    md = _kernels.eval_terms(R, _tables(d).mdw)
+    val = complex(p.values[k])
+    m, md = p.m[k], p.mdW[k]
     for i, sl in enumerate(f.slopes):
         if sl is None:
-            if min(abs(s.m[i] - 1), abs(s.m[i] + 1)) > filling_tol:
+            if min(abs(m[i] - 1), abs(m[i] + 1)) > filling_tol:
                 raise PotentialError(
                     f"component {i + 1} is marked unfilled but its "
-                    f"meridian eigenvalue {s.m[i]:.6g} is not ±1 "
+                    f"meridian eigenvalue {m[i]:.6g} is not ±1 "
                     f"(not boundary-parabolic)")
             continue
         if f.uv[i] is None:
@@ -391,7 +371,7 @@ def W0(s, f, residual_tol=1e-3, filling_tol=1e-6):
                 f"filled component {i + 1} needs correction integers (u,v)")
         r, si = int(sl[0]), int(sl[1])
         u = f.uv[i][0]
-        lm = principal_log(s.m[i]) + u * 1j * math.pi
+        lm = principal_log(m[i]) + u * 1j * math.pi
         # s log l = -s md/2 mod 2 pi i s, so t is an integer (v up to the
         # sign of l); resid is |r log m + s log l + pi i (r u + s v)|
         t = (r * lm - si * md[i] / 2) / (si * 1j * math.pi)

@@ -37,6 +37,11 @@ def _report(num, clauses):
     assert not failed, f"criterion {num} failed clauses: {failed}"
 
 
+def evaluate(s):
+    """The one-row Evaluation of the Solution s."""
+    return potential.evaluate(s.diagram, s.w[None], s.m)
+
+
 def _mod_pi2_dist(a, b):
     d = (a - b) % PI_SQUARED
     return min(d, PI_SQUARED - d)
@@ -118,12 +123,11 @@ def test_criterion_4_parabolic_multi_start():
     t0 = time.perf_counter()
     sols = engine.multi_start(d, [complex(1.0)])   # default 64 seeds
     elapsed = time.perf_counter() - t0
-    best = max((engine.critical_value(s).imag for s in sols),
-               default=float("nan"))
+    best = max(sols.values.imag, default=float("nan"))
     dev = abs(best - oracles.FIG8_VOLUME)
     _report(4, [
         ("vol = 2.029883 +- 1e-5 vs frozen oracle", dev <= 1e-5,
-         f"dev {dev:.3e} over {len(sols)} solutions"),
+         f"dev {dev:.3e} over {len(sols.w)} solutions"),
         ("runtime < 5 s for 64 seeds", elapsed < 5.0, f"{elapsed:.2f} s"),
     ])
 
@@ -139,43 +143,40 @@ def test_criterion_5_identity_suite():
             m = [complex(rng.uniform(0.7, 1.4), rng.uniform(-0.5, 0.5))
                  for _ in range(d.n_components)]
             s = potential.Solution(d, w, m)
-            if potential.is_nondegenerate(s)[0]:
+            if not evaluate(s).reports[0]:
                 return s
 
     for pd in (TREFOIL, FIG8, WHITEHEAD):
         d = diagram.load_diagram(pd)
         for k in range(100):
             s = random_point(d)
+            p = evaluate(s)
             tau_worst = max(tau_worst, float(np.max(np.abs(
                 np.array(oracles.tau_products(d, s.w, s.m))
-                - np.exp(potential.wdW_all(s))))))
+                - np.exp(p.wdW[0])))))
             over, under = oracles.arc_products(d, s.w, s.m)
             tele_worst = max([tele_worst]
                              + [abs(p - 1.0) for p in over + under])
             oct_worst = max([oct_worst] + [
-                abs(p - 1.0) for pair in oracles.octahedron_products(
-                    engine.cross_ratios(s)) for p in pair])
+                abs(z - 1.0) for pair in oracles.octahedron_products(
+                    engine.cross_ratios(p, 0)) for z in pair])
             if k < 10:   # finite differences on a subsample
                 h = 1e-7
-                grad = potential.wdW_all(s)
+                grad = p.wdW[0]
                 for j in range(d.n_regions):
                     wp, wm = s.w.copy(), s.w.copy()
                     wp[j] *= 1 + h
                     wm[j] *= 1 - h
-                    fd = (potential.total_potential(
-                              potential.Solution(d, wp, s.m))
-                          - potential.total_potential(
-                              potential.Solution(d, wm, s.m))) / (2 * h)
+                    q = potential.evaluate(d, np.array([wp, wm]), s.m)
+                    fd = (q.W[0] - q.W[1]) / (2 * h)
                     fd_worst = max(fd_worst, abs(fd - grad[j]))
-                gm = potential.mdW_all(s)
+                gm = p.mdW[0]
                 for i in range(d.n_components):
                     mp, mn = list(s.m), list(s.m)
                     mp[i] = s.m[i] * (1 + h)
                     mn[i] = s.m[i] * (1 - h)
-                    fd = (potential.total_potential(
-                              potential.Solution(d, s.w, mp))
-                          - potential.total_potential(
-                              potential.Solution(d, s.w, mn))) / (2 * h)
+                    q = potential.evaluate(d, np.array([s.w, s.w]), [mp, mn])
+                    fd = (q.W[0] - q.W[1]) / (2 * h)
                     fd_worst = max(fd_worst, abs(fd - gm[i]))
 
     _report(5, [
@@ -217,9 +218,9 @@ def test_criterion_6_dilogarithm_suite():
 def test_criterion_7_invariance_suite(fig8_run):
     # m -> 1/m leaves the residual predicate unchanged
     s = fig8_run.solution
-    base = np.abs(potential.critical_residuals(s)).max()
-    inv = np.abs(potential.critical_residuals(
-        potential.Solution(s.diagram, s.w, [1 / s.m[0]]))).max()
+    base = np.abs(evaluate(s).residuals[0]).max()
+    inv = np.abs(evaluate(potential.Solution(
+        s.diagram, s.w, [1 / s.m[0]])).residuals[0]).max()
     inv_dev = abs(inv - base)
 
     # lattice / gauge invariance is exact only when the filling identity
@@ -234,21 +235,23 @@ def test_criterion_7_invariance_suite(fig8_run):
     col = coloring.propagate(rep, ex.seed_region, ex.seedV, ex.auxW)
     sol = coloring.assemble_solution(col)
     f = representation.FillingSpec([(2, 3)], l=[l], uv=[(1, -2)])
-    res = potential.W0(sol, f, residual_tol=1e-9, filling_tol=1e-9)
+    p = evaluate(sol)
+    res = potential.W0(p, 0, f, residual_tol=1e-9, filling_tol=1e-9)
 
     lat_worst = 0.0
     for t in (1, -1, 2):
         shifted = representation.FillingSpec(
             [(2, 3)], l=[l], uv=[(1 + 3 * t, -2 - 2 * t)])
-        got = potential.W0(sol, shifted, residual_tol=1e-9,
+        got = potential.W0(p, 0, shifted, residual_tol=1e-9,
                            filling_tol=1e-9)
         lat_worst = max(lat_worst, _mod_pi2_dist(got.W0.real, res.W0.real),
                         abs(got.W0.imag - res.W0.imag))
 
     gauge_worst = 0.0
-    for lam in (complex(2.0), complex(0.3, 1.1), complex(-0.8, 0.2)):
-        got = potential.W0(potential.Solution(d, sol.w * lam, sol.m), f,
-                           residual_tol=1e-9, filling_tol=1e-9)
+    lams = np.array([complex(2.0), complex(0.3, 1.1), complex(-0.8, 0.2)])
+    scaled = potential.evaluate(d, sol.w * lams[:, None], sol.m)
+    for k in range(len(lams)):
+        got = potential.W0(scaled, k, f, residual_tol=1e-9, filling_tol=1e-9)
         gauge_worst = max(gauge_worst,
                           _mod_pi2_dist(got.W0.real, res.W0.real),
                           abs(got.W0.imag - res.W0.imag))
@@ -271,7 +274,8 @@ def test_criterion_8_conjugation_symmetry(fig8_run):
     fc = representation.FillingSpec(
         list(f.slopes), l=[np.conj(f.l[0])],
         uv=[(-f.uv[0][0], -f.uv[0][1])])
-    res = potential.W0(conj, fc, residual_tol=1e-9, filling_tol=1e-3)
+    res = potential.W0(evaluate(conj), 0, fc, residual_tol=1e-9,
+                       filling_tol=1e-3)
 
     # Off the branch cuts every Li2 and Log term of W0 conjugates, so W0
     # does: vol = Im W0 changes sign and cs = -Re W0 mod pi^2 is fixed.

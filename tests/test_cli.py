@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -185,6 +186,16 @@ def test_from_rep_partial_pins_rejected(fig8_path, tmp_path, capsys):
                      "--seedV", "1+0i,0+1i"]) == 2
 
 
+def test_from_rep_negative_rng_seed_is_input_error(fig8_path, tmp_path,
+                                                   capsys):
+    rep = write_rep(tmp_path, "rep.json",
+                    _examples.fig8_matrices(_examples.FIG8_M))
+    assert cli.main(["from-rep", fig8_path, rep, "--filling", "2/3",
+                     "--rng-seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --rng-seed ") and err.count("\n") == 1
+
+
 _IDENTITY = [[1, 0], [0, 0], [0, 0], [1, 0]]
 
 
@@ -311,8 +322,8 @@ def test_solve_filling_reads_longitude_from_point(fig8_path, tmp_path,
 
 def test_solve_filling_reads_longitudes_in_one_call(fig8_path, monkeypatch,
                                                     capsys):
-    # after Newton, one stacked m-table call gives all 19 solutions'
-    # longitudes, and W0 makes 2 one-point calls for each of the 8 kept
+    # multi_start's evaluation holds every solution's m dW/dm, so the
+    # longitudes and the W0 of the 8 kept solutions take no kernel call
     after = None
     real_terms, real_multi = _kernels.eval_terms, engine.multi_start
 
@@ -332,7 +343,7 @@ def test_solve_filling_reads_longitudes_in_one_call(fig8_path, monkeypatch,
     assert cli.main(["solve", fig8_path, "--m=-1.30664+0.04987i",
                      "--filling", "2/3", "--tol", "1e-3"]) == 0
     assert len(_solve_lines(capsys.readouterr().out)) == 8
-    assert after == [(19, 4, 5)] + [(4, 5)] * 16
+    assert after == []
 
 
 def test_solve_filling_whitehead(white_path, capsys):
@@ -351,9 +362,10 @@ def test_solve_filling_whitehead(white_path, capsys):
 
 
 def test_solve_reports_read_one_stacked_evaluation(tmp_path, monkeypatch):
-    # each unfilled report's W0, vol, cs and residual_max are bitwise
-    # critical_value and critical_residuals at its weights; they come from
-    # one stacked call after Newton, and no call evaluates one point alone
+    # each unfilled report's W0, vol, cs and residual_max are bitwise the
+    # critical value and residuals of a one-row evaluation at its weights;
+    # they come from one stacked evaluation after Newton, and no call
+    # evaluates one point alone
     shapes = []
     real = _kernels.eval_terms
 
@@ -378,12 +390,13 @@ def test_solve_reports_read_one_stacked_evaluation(tmp_path, monkeypatch):
             assert all(len(shape) == 3 for shape in shapes)
             for doc in docs:
                 s = potential.Solution.from_json(d, doc)
-                val = potential.critical_value(s)
+                p = potential.evaluate(d, s.w[None], s.m)
+                val = complex(p.values[0])
                 assert doc["W0"] == [val.real, val.imag]
                 assert doc["vol"] == val.imag
                 assert doc["cs"] == cs_mod_pi2(val)
                 assert doc["residual_max"] == float(
-                    np.abs(potential.critical_residuals(s)).max())
+                    np.abs(p.residuals[0]).max())
 
 
 def test_solve_missing_m(fig8_path):
@@ -398,6 +411,7 @@ def test_solve_missing_m(fig8_path):
     ["--m", "1", "--tol", "0"],
     ["--m", "1", "--tol", "nan"],
     ["--m", "1", "--tol", "inf"],
+    ["--m", "1", "--rng-seed", "-1"],
 ])
 def test_solve_bad_option_is_input_error(fig8_path, capsys, flags):
     assert cli.main(["solve", fig8_path, *flags]) == 2
@@ -531,9 +545,11 @@ def test_solution_json_keys(fig8_path, fig8_report, tmp_path):
     {"slopes": [[2, 4]]},
     {"slopes": [[1, 0]]},
     [],
+    {"slopes": [[2, 3], [1, 1]]},
+    {"slopes": []},
 ], ids=["no-slopes", "short-slope", "slopes-string", "slope-string",
         "short-l", "long-uv", "l-count", "slope-not-coprime",
-        "slope-meridional", "list"])
+        "slope-meridional", "list", "two-components", "no-components"])
 def test_verify_malformed_filling_file_is_input_error(
         fig8_path, fig8_report, tmp_path, capsys, filling):
     report = tmp_path / "solution.json"
@@ -545,14 +561,23 @@ def test_verify_malformed_filling_file_is_input_error(
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_verify_unfilled_solutions_against_a_filling(
-        fig8_path, fig8_report, tmp_path, capsys):
-    # the from-rep filling (u = 1) passes exactly the points whose own
-    # longitude satisfies 2/3; its stored l is not read
+@pytest.fixture()
+def fig8_m_report(fig8_path, tmp_path, capsys):
+    """The unfilled solve report at the figure-eight's published meridian:
+    19 solutions."""
     out_json = tmp_path / "unfilled.json"
     assert cli.main(["solve", fig8_path, "--m=-1.30664+0.04987i",
                      "--tol", "1e-3", "--seeds", "64",
                      "--json", str(out_json)]) == 0
+    capsys.readouterr()
+    return out_json
+
+
+def test_verify_unfilled_solutions_against_a_filling(
+        fig8_path, fig8_report, fig8_m_report, tmp_path, capsys):
+    # the from-rep filling (u = 1) passes exactly the points whose own
+    # longitude satisfies 2/3; its stored l is not read
+    out_json = fig8_m_report
     filling_path = tmp_path / "filling.json"
     filling_path.write_text(json.dumps(fig8_report["filling"]))
     report = tmp_path / "verify.json"
@@ -574,8 +599,9 @@ def test_verify_unfilled_solutions_against_a_filling(
     {"filling": "x"},
     {"solutions": 5},
     {"solution": {"w": [[1.0]], "m": [[1.0, 0.0]]}},
+    {"filling": {"slopes": [[2, 3], [1, 1]]}},
 ], ids=["inline-filling", "inline-uv", "filling-string",
-        "solutions-not-list", "short-weight"])
+        "solutions-not-list", "short-weight", "filling-component-count"])
 def test_verify_malformed_report_is_input_error(
         fig8_path, fig8_report, tmp_path, capsys, change):
     doc = dict(fig8_report, **change)
@@ -584,6 +610,66 @@ def test_verify_malformed_report_is_input_error(
     assert cli.main(["verify", fig8_path, str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_reads_every_record_before_it_prints(
+        fig8_path, fig8_m_report, tmp_path, capsys):
+    doc = json.loads(fig8_m_report.read_text())
+    doc["solutions"][1] = {"w": [[1.0, 0.0]], "m": [[1.0, 0.0]]}
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["verify", fig8_path, str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: bad solution record") \
+        and err.count("\n") == 1
+
+
+def test_verify_evaluates_all_records_at_once(fig8_path, fig8_m_report,
+                                               monkeypatch, capsys):
+    # the 19 points' ratios are formed in one call, and each term table
+    # takes one kernel call
+    calls = []
+    for obj, name in ((potential._RatioMap, "__call__"),
+                      (_kernels, "eval_terms")):
+        def count(*args, real=getattr(obj, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(obj, name, count)
+    assert cli.main(["verify", fig8_path, str(fig8_m_report)]) == 0
+    assert sorted(calls) == ["__call__", "eval_terms", "eval_terms"]
+    assert "overall: PASS (19 solution(s)" in capsys.readouterr().out
+
+
+def test_verify_judges_each_record_at_its_own_meridian(
+        fig8_path, fig8_m_report, tmp_path, capsys):
+    # records at m = 1 and at the published meridian, interleaved in one
+    # file, each get the lines and the result they get verified alone
+    parabolic = tmp_path / "parabolic.json"
+    assert cli.main(["solve", fig8_path, "--m", "1", "--seeds", "16",
+                     "--json", str(parabolic)]) == 0
+    docs = [doc for pair in zip(
+        json.loads(fig8_m_report.read_text())["solutions"],
+        json.loads(parabolic.read_text())["solutions"]) for doc in pair]
+    assert len({str(doc["m"]) for doc in docs}) == 2
+    report, one = tmp_path / "verify.json", tmp_path / "one.json"
+    capsys.readouterr()
+    expected, results = [], []
+    for k, doc in enumerate(docs):
+        one.write_text(json.dumps(doc))
+        assert cli.main(["verify", fig8_path, str(one),
+                         "--json", str(report)]) == 0
+        head, *lines, _ = capsys.readouterr().out.splitlines()
+        expected += [re.sub("^solution 1:", f"solution {k + 1}:", head),
+                     *lines]
+        results.append(dict(json.loads(report.read_text())["results"][0],
+                            index=k))
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps({"solutions": docs}))
+    assert cli.main(["verify", fig8_path, str(mixed),
+                     "--json", str(report)]) == 0
+    assert capsys.readouterr().out.splitlines()[:-1] == expected
+    assert json.loads(report.read_text())["results"] == results
 
 
 def test_selftest_passes_quickly(capsys):

@@ -61,7 +61,8 @@ def test_scaled_weights_are_still_critical(fig8_rep):
     ex = _examples.figure_eight_golden()
     sol = coloring.assemble_solution(_pinned(fig8_rep, ex))
     scaled = potential.Solution(sol.diagram, sol.w * complex(2.0, 0.5), sol.m)
-    assert np.abs(potential.critical_residuals(scaled)).max() < 1e-10
+    p = potential.evaluate(sol.diagram, scaled.w[None], scaled.m)
+    assert np.abs(p.residuals).max() < 1e-10
 
 
 DEGENERATE = "degenerate coloring: {}; retry with different W / seed vector"
@@ -136,8 +137,9 @@ def test_random_colorings_are_critical_and_agree_mod_pi2(fig8_rep):
     base = _examples.run_pipeline(ex).result.W0
     for seed in (0, 1, 2):
         run = _examples.run_pipeline(ex, coloring_seed=seed)
-        assert np.abs(potential.critical_residuals(run.solution)).max() \
-            < 1e-10
+        s = run.solution
+        assert np.abs(potential.evaluate(s.diagram, s.w[None], s.m)
+                      .residuals).max() < 1e-10
         assert mod_pi2_equal(run.result.W0, base, 1e-8)
         assert abs(run.result.vol - ex.regression_vol) < 1e-9
 

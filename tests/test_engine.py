@@ -12,6 +12,11 @@ TREFOIL = _examples.TREFOIL_PD
 KINKED = "X[5,1,6,2] X[6,3,7,2] X[3,4,4,1] X[7,5,8,8]"
 
 
+def evaluate(s):
+    """The one-row Evaluation of the Solution s."""
+    return potential.evaluate(s.diagram, s.w[None], s.m)
+
+
 def random_point(pd, rng, m=None):
     d = diagram.load_diagram(pd)
     while True:
@@ -21,7 +26,7 @@ def random_point(pd, rng, m=None):
             [complex(rng.uniform(0.7, 1.4), rng.uniform(-0.5, 0.5))
              for _ in range(d.n_components)]
         s = potential.Solution(d, w, mm)
-        if potential.is_nondegenerate(s)[0]:
+        if not evaluate(s).reports[0]:
             return s
 
 
@@ -65,7 +70,7 @@ def test_regional_products_detect_non_solutions():
     tau = np.array(oracles.tau_products(s.diagram, s.w, s.m))
     # a random point is not critical
     assert np.max(np.abs(tau - 1.0)) > 1e-3
-    assert np.max(np.abs(potential.critical_residuals(s))) > 1e-6
+    assert np.max(np.abs(evaluate(s).residuals[0])) > 1e-6
 
 
 def test_cross_ratio_octahedron_identities():
@@ -73,11 +78,12 @@ def test_cross_ratio_octahedron_identities():
     for pd in (FIG8, WHITEHEAD, KINKED):
         for _ in range(5):
             s = random_point(pd, rng)
-            shapes = engine.cross_ratios(s)
+            p = evaluate(s)
+            shapes = engine.cross_ratios(p, 0)
             assert shapes.shape == (s.diagram.n_crossings, 5)
             # the per-crossing loop the vectorised form replaced
             for c, z, (a, b, dd, e, cc) in zip(s.diagram.crossings, shapes,
-                                                potential.all_ratios(s)):
+                                                p.R[0]):
                 ref = ((a, 1.0 / dd, cc, b, 1.0 / e)
                        if potential.SIGMA_POS * c.sign == 1
                        else (1.0 / b, e, 1.0 / cc, 1.0 / a, dd))
@@ -91,7 +97,7 @@ def test_cross_ratios_reject_degenerate_point():
     s = potential.Solution(d, np.ones(d.n_regions, dtype=complex),
                            [complex(1.0)])
     with pytest.raises(engine.EngineError, match="degenerate"):
-        engine.cross_ratios(s)
+        engine.cross_ratios(evaluate(s), 0)
 
 
 @pytest.fixture(scope="module")
@@ -101,17 +107,16 @@ def fig8_parabolic_solutions():
 
 
 def test_multi_start_finds_geometric_solution(fig8_parabolic_solutions):
-    d, sols = fig8_parabolic_solutions
-    assert sols
-    best = max(engine.critical_value(s).imag for s in sols)
+    d, p = fig8_parabolic_solutions
+    assert len(p.w)
+    best = max(p.values.imag)
     assert abs(best - oracles.FIG8_VOLUME) < 1e-9
-    for s in sols:
-        assert np.abs(potential.critical_residuals(s)).max() < 1e-10
+    assert np.abs(p.residuals).max() < 1e-10
 
 
 def test_multi_start_sorted_by_volume(fig8_parabolic_solutions):
-    _, sols = fig8_parabolic_solutions
-    vols = [engine.critical_value(s).imag for s in sols]
+    _, p = fig8_parabolic_solutions
+    vols = list(p.values.imag)
     assert vols == sorted(vols, reverse=True)
 
 
@@ -120,20 +125,19 @@ def test_multi_start_deterministic():
     cfg = engine.SolveConfig(seeds=16, rng_seed=7)
     a = engine.multi_start(d, [complex(1.0)], cfg)
     b = engine.multi_start(d, [complex(1.0)], cfg)
-    assert len(a) == len(b)
-    for s, t in zip(a, b):
-        assert np.array_equal(s.w, t.w)
+    assert len(a.w) == len(b.w)
+    for s, t in zip(a.w, b.w):
+        assert np.array_equal(s, t)
 
 
 def test_multi_start_trefoil_has_no_hyperbolic_volume():
     # the trefoil is not hyperbolic: every parabolic critical point the
     # sweep finds carries zero volume
     d = diagram.load_diagram(TREFOIL)
-    sols = engine.multi_start(d, [complex(1.0)],
-                              engine.SolveConfig(seeds=32))
-    assert sols
-    for s in sols:
-        assert abs(engine.critical_value(s).imag) < 1e-8
+    p = engine.multi_start(d, [complex(1.0)], engine.SolveConfig(seeds=32))
+    assert len(p.w)
+    for val in p.values:
+        assert abs(val.imag) < 1e-8
 
 
 def test_multi_start_returns_only_verified_solutions():
@@ -141,11 +145,11 @@ def test_multi_start_returns_only_verified_solutions():
     # residual and non-degeneracy requirements (failed seeds are dropped
     # silently, never returned)
     d = diagram.load_diagram(FIG8)
-    sols = engine.multi_start(d, [complex(37.0, 0.1)],
-                              engine.SolveConfig(seeds=8))
-    for s in sols:
-        assert np.abs(potential.critical_residuals(s)).max() < 1e-10
-        assert potential.is_nondegenerate(s)[0]
+    p = engine.multi_start(d, [complex(37.0, 0.1)],
+                           engine.SolveConfig(seeds=8))
+    for k in range(len(p.w)):
+        assert np.abs(p.residuals[k]).max() < 1e-10
+        assert not p.reports[k]
 
 
 def test_newton_rejects_wrong_seed_length():
@@ -183,19 +187,17 @@ def test_newton_perturbed_seed_reconverges(fig8_parabolic_solutions):
     # restarting from a slightly perturbed solution lands back on the same
     # solution family: the critical value matches to near machine precision
     # even though the weights may drift along the family
-    d, sols = fig8_parabolic_solutions
-    base = sols[0]
+    d, p = fig8_parabolic_solutions
     rng = np.random.default_rng(65)
     noise = rng.standard_normal(d.n_regions) \
         + 1j * rng.standard_normal(d.n_regions)
-    seed = base.w * (1 + 1e-3 * noise)
-    back = engine.newton_solve(d, base.m, seed)
-    assert np.abs(potential.critical_residuals(back)).max() < 1e-10
-    assert mod_pi2_equal(engine.critical_value(back),
-                         engine.critical_value(base), 1e-9)
+    seed = p.w[0] * (1 + 1e-3 * noise)
+    back = evaluate(engine.newton_solve(d, p.m[0], seed))
+    assert np.abs(back.residuals[0]).max() < 1e-10
+    assert mod_pi2_equal(complex(back.values[0]), complex(p.values[0]), 1e-9)
     # normalized weight distance stays small (family drift, not a jump)
-    a = back.w / back.w[-1]
-    b = base.w / base.w[-1]
+    a = back.w[0] / back.w[0, -1]
+    b = p.w[0] / p.w[0, -1]
     assert np.max(np.abs(a - b)) < 5e-2
 
 
@@ -209,8 +211,8 @@ def test_newton_fails_cleanly_on_degenerate_flat_seed():
 def test_vol_cs_end_to_end_golden():
     run = _examples.run_pipeline(_examples.figure_eight_golden())
     ex = run.example
-    res = potential.W0(run.solution, run.filling, residual_tol=1e-9,
-                       filling_tol=1e-3)
+    res = potential.W0(evaluate(run.solution), 0, run.filling,
+                       residual_tol=1e-9, filling_tol=1e-3)
     assert abs(res.vol - ex.regression_vol) < 1e-12
     assert abs(res.cs - ex.regression_cs) < 1e-12
     assert res.residual_max < 1e-12
@@ -224,7 +226,8 @@ def test_vol_cs_rejects_broken_gluing():
     w[2] *= 1.01
     bad = potential.Solution(run.solution.diagram, w, run.solution.m)
     with pytest.raises(potential.PotentialError, match="not a solution"):
-        potential.W0(bad, run.filling, residual_tol=1e-6, filling_tol=1e-3)
+        potential.W0(evaluate(bad), 0, run.filling, residual_tol=1e-6,
+                     filling_tol=1e-3)
 
 
 def test_conjugate_solution_negates_volume():
@@ -236,22 +239,23 @@ def test_conjugate_solution_negates_volume():
     f = run.filling
     fc = type(f)(list(f.slopes), l=[np.conj(f.l[0])],
                  uv=[(-f.uv[0][0], -f.uv[0][1])])
-    res = potential.W0(conj, fc, residual_tol=1e-9, filling_tol=1e-3)
+    res = potential.W0(evaluate(conj), 0, fc, residual_tol=1e-9,
+                       filling_tol=1e-3)
     assert abs(res.W0 - np.conj(run.result.W0)) < 1e-9
     assert abs(res.vol + run.result.vol) < 1e-9
 
 
 def test_solution_report_unfilled_keys(fig8_parabolic_solutions):
-    _, sols = fig8_parabolic_solutions
-    doc = engine.solution_report(sols[0])
+    d, p = fig8_parabolic_solutions
+    doc = engine.solution_report(p, 0)
     assert set(doc) == {"w", "m", "W0", "vol", "cs", "residual_max"}
-    assert len(doc["w"]) == sols[0].diagram.n_regions
+    assert len(doc["w"]) == d.n_regions
     assert doc["residual_max"] < 1e-10
 
 
 def test_solution_report_filled_matches_vol_cs():
     run = _examples.run_pipeline(_examples.figure_eight_golden())
-    doc = engine.solution_report(run.solution, run.filling,
+    doc = engine.solution_report(evaluate(run.solution), 0, run.filling,
                                  residual_tol=1e-9, filling_tol=1e-3)
     assert doc["vol"] == pytest.approx(run.example.regression_vol, abs=1e-12)
     assert doc["cs"] == pytest.approx(run.example.regression_cs, abs=1e-12)
@@ -275,7 +279,7 @@ def usable_seeds(d, m, count, rng):
     while len(seeds) < count:
         cand = rng.standard_normal(d.n_regions) \
             + 1j * rng.standard_normal(d.n_regions)
-        if not potential.degeneracy_reports(d, cand[None], m)[0]:
+        if not potential.evaluate(d, cand[None], m).reports[0]:
             seeds.append(cand)
     return np.array(seeds)
 
@@ -292,7 +296,8 @@ def test_stacked_kernels_match_single_rows():
         n = d.n_regions
         m = rng.uniform(0.7, 1.4, d.n_components) + 0.3j
         W = random_point(pd, rng).w * (1 + 0.1 * rng.standard_normal((5, n)))
-        R = potential._ratios(d, W, m)
+        ratios = potential._RatioMap(d, m)
+        R = ratios(W)
         F = _kernels.eval_terms(R, t)
         F2, J, dist = _kernels.eval_terms_jac(R, t)
         assert F.shape == (5, n) and J.shape == (5, n, n)
@@ -306,7 +311,7 @@ def test_stacked_kernels_match_single_rows():
             assert np.max(np.abs(f2 - f1)) <= 1e-13 * scale
             assert np.max(np.abs(J[s] - j1)) <= 1e-13 * np.max(np.abs(j1))
             # the ratio distance covers all five ratios of every crossing
-            Rs = potential.all_ratios(potential.Solution(d, W[s], m))
+            Rs = ratios(W[s:s + 1])[0]
             mag = np.abs(Rs)
             want = np.min(np.minimum(np.minimum(mag, 1 / mag),
                                      np.abs(1 - Rs)))
@@ -316,9 +321,8 @@ def test_stacked_kernels_match_single_rows():
             up, dn = W[0].copy(), W[0].copy()
             up[j] *= np.exp(h)
             dn[j] *= np.exp(-h)
-            fd = (_kernels.eval_terms(potential._ratios(d, up, m), t)
-                  - _kernels.eval_terms(potential._ratios(d, dn, m), t)) \
-                / (2 * h)
+            F = _kernels.eval_terms(ratios(np.array([up, dn])), t)
+            fd = (F[0] - F[1]) / (2 * h)
             assert np.max(np.abs(fd - J[0][:, j])) < 1e-6
 
 
@@ -395,10 +399,11 @@ def test_multi_start_matches_loop_of_newton_solve(pd):
     m = np.ones(d.n_components, dtype=complex)
     for rng_seed in range(3):
         cfg = engine.SolveConfig(rng_seed=rng_seed)
-        got = [engine.critical_value(s) for s in engine.multi_start(d, m,
-                                                                   cfg)]
-        want = [engine.critical_value(s)
-                for s in reference_multi_start(d, m, cfg)]
+        got = list(engine.multi_start(d, m, cfg).values)
+        ref = reference_multi_start(d, m, cfg)
+        want = potential.evaluate(
+            d, np.array([s.w for s in ref]).reshape(-1, d.n_regions),
+            m).values
         assert len(got) == len(want)
         for z in want:
             match = [k for k, y in enumerate(got)
@@ -448,18 +453,21 @@ def test_line_search_blocks_decide_as_single_steps(pd, monkeypatch):
 def test_multi_start_residual_call_budget(monkeypatch):
     # the blocked line search makes at most six residual calls per Newton
     # iteration, run-off seeds leave the batch early, and the distinct
-    # solutions are evaluated in one stacked call; this run makes 157
-    calls = []
+    # solutions are evaluated in one stacked call: this run makes 157
+    # weight-table calls and one meridian-table call
+    d = diagram.load_diagram(FIG8)
+    tables = []
     real = _kernels.eval_terms
 
-    def count(*args):
-        calls.append(1)
-        return real(*args)
+    def count(R, t):
+        tables.append(t)
+        return real(R, t)
 
     monkeypatch.setattr(_kernels, "eval_terms", count)
-    engine.multi_start(diagram.load_diagram(FIG8), [1.0],
-                       engine.SolveConfig(seeds=64, rng_seed=0))
-    assert len(calls) <= 157
+    engine.multi_start(d, [1.0], engine.SolveConfig(seeds=64, rng_seed=0))
+    mdw = potential._tables(d).mdw
+    assert len(tables) - tables.count(mdw) <= 157
+    assert tables.count(mdw) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -552,15 +560,15 @@ def test_degenerate_seed_fails_in_the_batch():
 def test_multi_start_with_no_solution(monkeypatch):
     d = diagram.load_diagram(FIG8)
     monkeypatch.setattr(engine, "_MAX_ITERATIONS", 1)
-    sols = engine.multi_start(d, [1.0], engine.SolveConfig(seeds=1))
-    assert sols == [] and sols.values.shape == (0,)
-    assert sols.residuals.shape == (0, d.n_regions)
+    p = engine.multi_start(d, [1.0], engine.SolveConfig(seeds=1))
+    assert p.reports == [] and p.w.shape == (0, d.n_regions)
+    assert p.values.shape == (0,) and p.residuals.shape == (0, d.n_regions)
 
 
 def test_multi_start_forms_the_meridian_factor_once(monkeypatch):
     # one ratio map serves the whole run: Newton's kernel calls, the
     # degeneracy predicate on converged seeds and the final stacked
-    # evaluation; its ratios are bitwise those of _ratios
+    # evaluation, which is bitwise evaluate's at the solutions
     d = diagram.load_diagram(WHITEHEAD)
     m = np.ones(d.n_components, dtype=complex)
     real = potential._RatioMap
@@ -571,13 +579,9 @@ def test_multi_start_forms_the_meridian_factor_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(potential, "_RatioMap", counted)
-    sols = engine.multi_start(d, m)
-    assert len(made) == 1 and len(sols) > 0
+    p = engine.multi_start(d, m)
+    assert len(made) == 1 and len(p.w) > 0
     monkeypatch.setattr(potential, "_RatioMap", real)
-    w = np.array([s.w for s in sols])
-    R = real(d, m)(w)
-    for s, row in zip(sols, R):
-        assert row.tobytes() == potential._ratios(d, s.w, m).tobytes()
-    vals, res = potential.critical_values(d, w, m)
-    assert vals.tobytes() == sols.values.tobytes()
-    assert res.tobytes() == sols.residuals.tobytes()
+    q = potential.evaluate(d, p.w, m)
+    for name in ("R", "W", "wdW", "mdW", "values", "residuals"):
+        assert getattr(q, name).tobytes() == getattr(p, name).tobytes()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,11 @@ WHITEHEAD = _examples.WHITEHEAD_PD
 TREFOIL = _examples.TREFOIL_PD
 
 
+def evaluate(s):
+    """The one-row Evaluation of the Solution s."""
+    return potential.evaluate(s.diagram, s.w[None], s.m)
+
+
 def random_point(d, rng, m=None):
     """Random non-degenerate (usually non-critical) weight assignment."""
     while True:
@@ -21,7 +28,7 @@ def random_point(d, rng, m=None):
             [complex(rng.uniform(0.7, 1.4), rng.uniform(-0.5, 0.5))
              for _ in range(d.n_components)]
         s = potential.Solution(d, w, mm)
-        if potential.is_nondegenerate(s)[0]:
+        if not evaluate(s).reports[0]:
             return s
 
 
@@ -52,7 +59,7 @@ def test_all_ratios_match_direct_formula():
         d = diagram.load_diagram(pd)
         for _ in range(5):
             s = random_point(d, rng)
-            R = potential.all_ratios(s)
+            R = evaluate(s).R[0]
             for ci, c in enumerate(d.crossings):
                 assert np.max(np.abs(R[ci] - ratio_oracle(c, s))) < 1e-12
 
@@ -61,7 +68,7 @@ def test_all_ratios_meridian_free_at_one():
     rng = np.random.default_rng(43)
     d = diagram.load_diagram(FIG8)
     s = random_point(d, rng, m=[complex(1.0)])
-    R = potential.all_ratios(s)
+    R = evaluate(s).R[0]
     w = s.w
     for ci, c in enumerate(d.crossings):
         j, k, l, m = c.regions
@@ -78,7 +85,7 @@ def test_total_potential_matches_dilog_formula():
         for _ in range(5):
             s = random_point(d, rng)
             direct = sum(crossing_oracle(c, s) for c in d.crossings)
-            assert abs(potential.total_potential(s) - direct) < 1e-11
+            assert abs(evaluate(s).W[0] - direct) < 1e-11
 
 
 def test_weight_derivatives_match_finite_differences():
@@ -87,14 +94,13 @@ def test_weight_derivatives_match_finite_differences():
     for pd in (FIG8, WHITEHEAD, TREFOIL):
         d = diagram.load_diagram(pd)
         s = random_point(d, rng)
-        grad = potential.wdW_all(s)
+        grad = evaluate(s).wdW[0]
         for j in range(d.n_regions):
             wp, wm_ = s.w.copy(), s.w.copy()
             wp[j] *= 1 + h
             wm_[j] *= 1 - h
-            fd = (potential.total_potential(potential.Solution(d, wp, s.m))
-                  - potential.total_potential(potential.Solution(d, wm_, s.m))
-                  ) / (2 * h)
+            q = potential.evaluate(d, np.array([wp, wm_]), s.m)
+            fd = (q.W[0] - q.W[1]) / (2 * h)
             assert abs(fd - grad[j]) < 1e-6
 
 
@@ -104,15 +110,15 @@ def test_meridian_derivatives_match_finite_differences():
     for pd in (FIG8, WHITEHEAD):
         d = diagram.load_diagram(pd)
         s = random_point(d, rng)
-        grad = potential.mdW_all(s)
+        grad = evaluate(s).mdW[0]
         for i in range(d.n_components):
             mp = list(s.m)
             mn = list(s.m)
             mp[i] = s.m[i] * (1 + h)
             mn[i] = s.m[i] * (1 - h)
-            fd = (potential.total_potential(potential.Solution(d, s.w, mp))
-                  - potential.total_potential(potential.Solution(d, s.w, mn))
-                  ) / (2 * h)
+            # one stack, one meridian row per weight row
+            q = potential.evaluate(d, np.array([s.w, s.w]), [mp, mn])
+            fd = (q.W[0] - q.W[1]) / (2 * h)
             assert abs(fd - grad[i]) < 1e-6
 
 
@@ -123,7 +129,7 @@ def test_tau_closed_form_equals_exp_gradient():
         for _ in range(20):
             s = random_point(d, rng)
             dev = np.max(np.abs(oracles.tau_products(d, s.w, s.m)
-                                - np.exp(potential.wdW_all(s))))
+                                - np.exp(evaluate(s).wdW[0])))
             assert dev < 1e-9
 
 
@@ -135,9 +141,8 @@ def test_is_nondegenerate_flags_collapsed_ratio():
     j, k, l, m = d.crossings[0].regions
     w = s.w.copy()
     w[j] = w[m] * w[k] / w[l]
-    bad = potential.Solution(d, w, s.m)
-    ok, report = potential.is_nondegenerate(bad)
-    assert not ok
+    report = evaluate(potential.Solution(d, w, s.m)).reports[0]
+    assert report
     assert any("within" in line and "of 1" in line for line in report)
 
 
@@ -147,14 +152,22 @@ def test_is_nondegenerate_flags_zero_and_huge():
     s = random_point(d, rng)
     w = s.w.copy()
     w[0] = 1e-12
-    ok, report = potential.is_nondegenerate(potential.Solution(d, w, s.m))
-    assert not ok
+    assert evaluate(potential.Solution(d, w, s.m)).reports[0]
+
+
+def bits(x):
+    """The bytes of the complex array x, every NaN made the same NaN: a
+    degenerate row's NaNs may differ in a sign that means nothing."""
+    x = np.array(x, dtype=complex, ndmin=1).view(float)
+    x[np.isnan(x)] = np.nan
+    return x.tobytes()
 
 
 def test_stacked_predicate_and_values_match_one_point():
-    # degeneracy_reports and critical_values on a stack of points give, row
-    # by row, bitwise what is_nondegenerate, critical_value and
-    # critical_residuals give at each point alone
+    # every field of a stack's evaluation is, row for row, bitwise the
+    # one-row evaluation of that row, degenerate rows (a 1e-12 and a zero
+    # weight) included, whether the rows share their meridians or each
+    # row has its own
     rng = np.random.default_rng(51)
     for pd in (FIG8, WHITEHEAD, TREFOIL):
         d = diagram.load_diagram(pd)
@@ -162,34 +175,39 @@ def test_stacked_predicate_and_values_match_one_point():
         W = np.array([random_point(d, rng, m=m).w for _ in range(5)])
         W[1, 0] = 1e-12
         W[3, 2] = 0.0
-        reports = potential.degeneracy_reports(d, W, m)
-        assert reports[1] and reports[3] and not reports[0]
-        for k in (0, 1, 2, 4):
-            s = potential.Solution(d, W[k], m)
-            assert potential.is_nondegenerate(s) == (not reports[k],
-                                                     reports[k])
-        vals, res = potential.critical_values(d, W[[0, 2, 4]], m)
-        for w, val, r in zip(W[[0, 2, 4]], vals, res):
-            s = potential.Solution(d, w, m)
-            assert np.complex128(potential.critical_value(s)).tobytes() \
-                == val.tobytes()
-            assert potential.critical_residuals(s).tobytes() == r.tobytes()
+        M = np.array([random_point(d, rng).m for _ in range(5)])
+        for ms in (m, M):
+            p = potential.evaluate(d, W, ms)
+            assert p.reports[1] and p.reports[3] and not p.reports[0]
+            for k in range(5):
+                q = potential.evaluate(d, W[k:k + 1],
+                                       ms if ms.ndim == 1 else ms[k])
+                assert p.reports[k] == q.reports[0]
+                for f in dataclasses.fields(p):
+                    if f.name not in ("d", "reports"):
+                        assert bits(getattr(p, f.name)[k]) \
+                            == bits(getattr(q, f.name)[0])
 
 
 def test_w0_forms_its_ratios_once(monkeypatch):
-    # W0 reads the predicate, the residual, the critical value and
-    # m dW/dm off one ratio array: one _ratios call, two kernel calls
+    # one evaluation forms the ratios once and makes one dilogarithm call
+    # and two kernel calls; W0 reads the predicate, the residual, the
+    # critical value and m dW/dm off it
     for ex in _examples.all_golden():
         run = _examples.run_pipeline(ex)
         calls = []
-        for mod, name in ((potential, "_ratios"), (_kernels, "eval_terms")):
-            def count(*args, real=getattr(mod, name), name=name):
+        for obj, name in ((potential._RatioMap, "__call__"),
+                          (_kernels, "dilog_many"),
+                          (_kernels, "eval_terms")):
+            def count(*args, real=getattr(obj, name), name=name):
                 calls.append(name)
                 return real(*args)
-            monkeypatch.setattr(mod, name, count)
-        res = potential.W0(run.solution, run.filling, filling_tol=1e-3)
+            monkeypatch.setattr(obj, name, count)
+        res = potential.W0(evaluate(run.solution), 0, run.filling,
+                           filling_tol=1e-3)
         monkeypatch.undo()
-        assert sorted(calls) == ["_ratios", "eval_terms", "eval_terms"]
+        assert sorted(calls) == ["__call__", "dilog_many", "eval_terms",
+                                 "eval_terms"]
         assert res == run.result
 
 
@@ -233,7 +251,8 @@ def fig8_exact():
     col = coloring.propagate(rep, ex.seed_region, ex.seedV, ex.auxW)
     sol = coloring.assemble_solution(col)
     f = representation.FillingSpec([(2, 3)], l=[l], uv=[(1, -2)])
-    res = potential.W0(sol, f, residual_tol=1e-9, filling_tol=1e-9)
+    res = potential.W0(evaluate(sol), 0, f, residual_tol=1e-9,
+                       filling_tol=1e-9)
     return sol, f, res
 
 
@@ -268,7 +287,7 @@ def test_w0_invariant_under_uv_lattice_shift(fig8_exact):
     for t in (1, -1, 3):
         shifted = representation.FillingSpec(
             list(f.slopes), l=list(f.l), uv=[(u + t * s, v - t * r)])
-        got = potential.W0(sol, shifted, residual_tol=1e-9,
+        got = potential.W0(evaluate(sol), 0, shifted, residual_tol=1e-9,
                            filling_tol=1e-9)
         assert mod_pi2_equal(got.W0, res.W0, 1e-6)
         assert abs(got.vol - res.vol) < 1e-9
@@ -280,8 +299,8 @@ def test_w0_invariant_under_gauge_rescaling(fig8_solved):
     for lam in (complex(2.0, 0.0), complex(0.3, 1.1)):
         scaled = potential.Solution(run.solution.diagram,
                                     run.solution.w * lam, run.solution.m)
-        res = potential.W0(scaled, run.filling, residual_tol=1e-9,
-                           filling_tol=1e-3)
+        res = potential.W0(evaluate(scaled), 0, run.filling,
+                           residual_tol=1e-9, filling_tol=1e-3)
         assert mod_pi2_equal(res.W0, run.result.W0, 1e-6)
         assert abs(res.vol - run.result.vol) < 1e-9
         assert abs(res.cs - run.result.cs) < 1e-9
@@ -292,7 +311,7 @@ def test_meridian_inversion_preserves_criticality(fig8_solved):
     # weights; the inverted point is critical to machine precision
     s = fig8_solved.solution
     inverted = potential.Solution(s.diagram, s.w, [1 / s.m[0]])
-    assert np.abs(potential.critical_residuals(inverted)).max() < 1e-10
+    assert np.abs(evaluate(inverted).residuals[0]).max() < 1e-10
 
 
 @pytest.mark.parametrize("ex", _examples.all_golden(),
@@ -302,7 +321,7 @@ def test_point_longitude_is_representation_longitude(ex):
     # longitude eigenvalue up to sign, for any coloring
     for seed in (None, *range(10)):
         run = _examples.run_pipeline(ex, seed)
-        l_point = np.exp(-0.5 * potential.mdW_all(run.solution))
+        l_point = np.exp(-0.5 * evaluate(run.solution).mdW[0])
         for i, lp in enumerate(l_point):
             l_rep = representation.longitude_eigenvalue(run.rep, i)
             assert min(abs(lp - l_rep), abs(lp + l_rep)) < 1e-9, (seed, i)
@@ -314,25 +333,28 @@ def test_w0_checks_slope_against_point_longitude(fig8_solved):
     # W0 never reads the stored l: a wrong one changes nothing
     wrong_l = representation.FillingSpec(
         list(run.filling.slopes), l=[complex(5.0, 5.0)], uv=[(u, v)])
-    res = potential.W0(run.solution, wrong_l, residual_tol=1e-9,
-                       filling_tol=1e-3)
+    res = potential.W0(evaluate(run.solution), 0, wrong_l,
+                       residual_tol=1e-9, filling_tol=1e-3)
     assert res.W0 == run.result.W0
     # u + 1 with any v is off the filling line for 2/3
     off = representation.FillingSpec(
         list(run.filling.slopes), l=list(run.filling.l), uv=[(u + 1, v)])
     with pytest.raises(potential.PotentialError,
                        match="does not satisfy the filling 2/3"):
-        potential.W0(run.solution, off, residual_tol=1e-9, filling_tol=1e-3)
+        potential.W0(evaluate(run.solution), 0, off, residual_tol=1e-9,
+                     filling_tol=1e-3)
 
 
 def test_w0_unfilled_needs_parabolic_meridian(fig8_solved):
     run = fig8_solved
     with pytest.raises(potential.PotentialError,
                        match="not boundary-parabolic"):
-        potential.W0(run.solution, representation.FillingSpec([None]),
+        potential.W0(evaluate(run.solution), 0,
+                     representation.FillingSpec([None]),
                      residual_tol=1e-9, filling_tol=1e-6)
     parabolic = _examples.run_pipeline(_examples.figure_eight_parabolic())
-    res = potential.W0(parabolic.solution, representation.FillingSpec([None]),
+    res = potential.W0(evaluate(parabolic.solution), 0,
+                       representation.FillingSpec([None]),
                        residual_tol=1e-9, filling_tol=1e-6)
     assert res.W0 == parabolic.result.W0
 
@@ -343,14 +365,15 @@ def test_w0_rejects_non_solution(fig8_solved):
     w[0] *= 1.05
     bad = potential.Solution(run.solution.diagram, w, run.solution.m)
     with pytest.raises(potential.PotentialError, match="not a solution"):
-        potential.W0(bad, run.filling, residual_tol=1e-6, filling_tol=1e-3)
+        potential.W0(evaluate(bad), 0, run.filling, residual_tol=1e-6,
+                     filling_tol=1e-3)
 
 
 def test_w0_rejects_component_mismatch(fig8_solved):
     run = fig8_solved
     f = representation.FillingSpec([None, None])
     with pytest.raises(potential.PotentialError, match="components"):
-        potential.W0(run.solution, f)
+        potential.W0(evaluate(run.solution), 0, f)
 
 
 def test_w0_requires_uv_for_filled_components(fig8_solved):
@@ -358,7 +381,8 @@ def test_w0_requires_uv_for_filled_components(fig8_solved):
     f = representation.FillingSpec(list(run.filling.slopes),
                                    l=list(run.filling.l), uv=[None])
     with pytest.raises(representation.RepresentationError, match="needs"):
-        potential.W0(run.solution, f, residual_tol=1e-9, filling_tol=1e-3)
+        potential.W0(evaluate(run.solution), 0, f, residual_tol=1e-9,
+                     filling_tol=1e-3)
 
 
 def test_parabolic_w0_is_pure_volume():
