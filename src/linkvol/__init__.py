@@ -19,9 +19,8 @@ from .coloring import (ColoringError, RegionColoring, assemble_solution,
                        propagate, random_generic_coloring)
 from .diagram import (DiagramError, LinkDiagram, load_diagram, longitude_word,
                       parse_pd, wirtinger, writhe)
-from .engine import (EngineError, NewtonFailure, SolveConfig, cross_ratios,
-                     from_representation, multi_start, newton_solve,
-                     solution_report)
+from .engine import (EngineError, SolveConfig, cross_ratios,
+                     from_representation, multi_start, solution_report)
 from .potential import (Evaluation, PotentialError, Solution, VolumeResult,
                         W0, evaluate)
 from .representation import (FillingSpec, Representation,
@@ -33,13 +32,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ColoringError", "DiagramError", "EngineError", "Evaluation",
-    "FillingSpec", "LinkDiagram", "NewtonFailure", "PotentialError",
-    "RegionColoring", "Representation", "RepresentationError", "Solution",
-    "SolveConfig", "VolumeResult", "W0", "assemble_solution",
-    "complete_representation", "cross_ratios", "evaluate",
-    "from_representation", "load_diagram", "longitude_eigenvalue",
-    "longitude_word", "meridian_eigenvalue", "multi_start", "newton_solve",
-    "parse_pd", "propagate", "random_generic_coloring",
+    "FillingSpec", "LinkDiagram", "PotentialError", "RegionColoring",
+    "Representation", "RepresentationError", "Solution", "SolveConfig",
+    "VolumeResult", "W0", "assemble_solution", "complete_representation",
+    "cross_ratios", "evaluate", "from_representation", "load_diagram",
+    "longitude_eigenvalue", "longitude_word", "meridian_eigenvalue",
+    "multi_start", "parse_pd", "propagate", "random_generic_coloring",
     "representation_from_json", "solution_report", "solve_uv", "wirtinger",
     "writhe",
 ]

@@ -50,7 +50,10 @@ def parse_vec2(text, flag):
     if len(vals) != 2:
         raise InputError(f"{flag} needs two comma-separated complex "
                          f"numbers, e.g. \"1+0i,0+1i\"")
-    return np.array([parse_complex(v) for v in vals], dtype=complex)
+    vec = [parse_complex(v) for v in vals]
+    if not all(cmath.isfinite(z) for z in vec):
+        raise InputError(f"{flag} entries must be finite")
+    return np.array(vec, dtype=complex)
 
 
 def parse_filling(text, n_components):

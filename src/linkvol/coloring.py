@@ -55,37 +55,40 @@ def propagate(rep, seed_region, seedV, Wvec):
     V = [None] * n
     V[seed_region] = seedV
     frontier = [seed_region]
-    while frontier:
-        nxt = []
+    # huge finite pins overflow here to non-finite vectors, which the
+    # closure test (NaN fails it) or check_genericity rejects: no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        while frontier:
+            nxt = []
+            for e in sorted(trans):
+                lr, rr = d.left_region[e], d.right_region[e]
+                if V[lr] is not None and V[rr] is None:
+                    V[rr] = trans[e] @ V[lr]
+                    nxt.append(rr)
+                elif V[rr] is not None and V[lr] is None:
+                    V[lr] = R.inv2(trans[e]) @ V[rr]
+                    nxt.append(lr)
+            if not nxt:
+                break
+        if any(v is None for v in V):
+            # cannot happen for a connected diagram, kept as a guard
+            raise ColoringError("disconnected region graph")
+
+        scale = max(float(np.max(np.abs(v))) for v in V)
         for e in sorted(trans):
             lr, rr = d.left_region[e], d.right_region[e]
-            if V[lr] is not None and V[rr] is None:
-                V[rr] = trans[e] @ V[lr]
-                nxt.append(rr)
-            elif V[rr] is not None and V[lr] is None:
-                V[lr] = R.inv2(trans[e]) @ V[rr]
-                nxt.append(lr)
-        if not nxt:
-            break
-    if any(v is None for v in V):
-        raise ColoringError("disconnected region graph")  # cannot happen for
-        # a connected diagram, kept as a guard
-
-    scale = max(float(np.max(np.abs(v))) for v in V)
-    for e in sorted(trans):
-        lr, rr = d.left_region[e], d.right_region[e]
-        resid = float(np.max(np.abs(V[rr] - trans[e] @ V[lr])))
-        if resid > _TOL * max(1.0, scale):
+            resid = float(np.max(np.abs(V[rr] - trans[e] @ V[lr])))
+            if not resid <= _TOL * max(1.0, scale):
+                raise ColoringError(
+                    f"representation/transport convention mismatch: arc {e} "
+                    f"closes with residual {resid:.3g}")
+        col = RegionColoring(rep=rep, V=V, seed_region=seed_region,
+                             Wvec=np.asarray(Wvec, dtype=complex).reshape(2))
+        report = check_genericity(col)
+        if report:
             raise ColoringError(
-                f"representation/transport convention mismatch: arc {e} "
-                f"closes with residual {resid:.3g}")
-    col = RegionColoring(rep=rep, V=V, seed_region=seed_region,
-                         Wvec=np.asarray(Wvec, dtype=complex).reshape(2))
-    report = check_genericity(col)
-    if report:
-        raise ColoringError(
-            "degenerate coloring: " + "; ".join(report) +
-            "; retry with different W / seed vector")
+                "degenerate coloring: " + "; ".join(report) +
+                "; retry with different W / seed vector")
     return col
 
 

@@ -1,16 +1,14 @@
 """Critical-point solving and verification on top of the potential.
 
-newton_solve runs damped Newton in log-weight coordinates on the critical
+multi_start runs damped Newton in log-weight coordinates on the critical
 equations at fixed meridian eigenvalues; the global weight-scaling gauge is
 removed by dropping one (redundant) equation and pinning the last weight.
-multi_start runs all its random seeds through the same Newton core as one
-(S, n) array, whose crossing ratios (one potential._RatioMap per run, so
-the meridian factor is formed once) each kernel call reads, and
-deduplicates the results up to gauge; newton_solve runs it on one seed.
-multi_start's seeds are one standard_normal draw. One stacked call of the
-degeneracy predicate verifies the converged seeds, and a degenerate
-newton_solve seed fails at once. multi_start returns the distinct
-solutions as one potential.Evaluation at the same ratio map.
+Its random seeds, one standard_normal draw, run through the Newton core
+together as one (S, n) array, whose crossing ratios (one
+potential._RatioMap per run, so the meridian factor is formed once) each
+kernel call reads. The core returns candidates, not verified points: one
+potential.Evaluation at the same ratio map verifies them, and multi_start
+returns the rows that pass it.
 
 A seed heading for a collapsed tetrahedron is cut early: when its ratio
 distance min(|R|, 1/|R|, |1 - R|), which the Jacobian kernel returns, is
@@ -19,8 +17,8 @@ below 1e-7 and has fallen on 3 consecutive iterations, the seed fails with
 
 cross_ratios exposes the five tetrahedron shapes each crossing carries.
 A point is critical when every exp(w_j dW/dw_j) - 1 is within tolerance:
-Newton reads this off the residual it already holds at the point, and
-solution_report off the evaluation's residuals.
+Newton stops on the residual it already holds at the point, and
+multi_start and solution_report read the evaluation's residuals.
 
 Every checked point is a row of one potential.Evaluation: solution_report
 and cross_ratios read a row, and from_representation, the one path from a
@@ -70,10 +68,6 @@ _MAX_ITERATIONS = 50
 
 class EngineError(ValueError):
     pass
-
-
-class NewtonFailure(EngineError):
-    """Solver did not produce a verified solution; str() says why."""
 
 
 @dataclass
@@ -160,11 +154,17 @@ def _newton_batch(ratios, seeds, cfg):
     computes bitwise as the same lengths tried one at a time would; it
     only evaluates some rows past the accepted length. A seed that runs
     off toward a degenerate point (the rule at _RUNOFF_DIST) fails at once.
-    Returns one outcome per seed: its verified Solution or the
-    NewtonFailure that ends it.
+
+    Works in log-weight coordinates with the last weight pinned to its seed
+    value (the equations are invariant under global rescaling of w, and the
+    row sum of the system vanishes identically, so one equation is dropped
+    and one coordinate frozen).
+
+    Returns (W, out): the final weights (S, n) and, per seed, None when its
+    last residual met cfg.residual_tol, else the text saying why it failed.
+    A candidate is not verified here: the caller evaluates it at W.
     """
-    d, m = ratios.d, ratios.m
-    n = d.n_regions
+    n = ratios.d.n_regions
     k = n - 1
     t = ratios.t.wdw
     W = seeds.astype(complex)
@@ -181,23 +181,11 @@ def _newton_batch(ratios, seeds, cfg):
     # below the verification tolerance
     floor = min(cfg.residual_tol, 1e-13)
 
-    def accept(ended):
-        # the converged seeds pass the degeneracy predicate in one call
-        if not ended.size:
-            return
-        reports = potential._degeneracy_reports(ratios(W[ended]))
-        for i, report in zip(ended, reports):
-            out[i] = NewtonFailure(
-                "converged to a degenerate point: " + "; ".join(report[:4])
-            ) if report else potential.Solution(d, W[i].copy(), m.copy())
-
     def settle(ended, failed):
-        # accept a point that already meets the tolerance (the quadratic
-        # tail bottoms out at machine precision), else fail
-        met = resid[ended] <= cfg.residual_tol
-        accept(ended[met])
-        for i in ended[~met]:
-            out[i] = NewtonFailure(f"{failed} (residual {resid[i]:.3g})")
+        # a point that already meets the tolerance is a candidate (the
+        # quadratic tail bottoms out at machine precision), else it fails
+        for i in ended[~(resid[ended] <= cfg.residual_tol)]:
+            out[i] = f"{failed} (residual {resid[i]:.3g})"
 
     live = np.arange(seeds.shape[0])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -212,22 +200,18 @@ def _newton_batch(ratios, seeds, cfg):
             dist_prev[live] = dist
             bad = ~np.isfinite(F_raw).all(axis=1)
             for i in live[bad]:
-                out[i] = NewtonFailure(
-                    f"hit a degenerate point at iteration {it}")
+                out[i] = f"hit a degenerate point at iteration {it}"
             done = ~bad & (r <= floor)
-            accept(live[done])
             # never accepted on the residual: near-collapsed points can
             # meet a loose residual_tol
             runoff = ~(bad | done) & (dist < _RUNOFF_DIST) \
                 & (falls[live] >= _RUNOFF_FALLS)
             for i in live[runoff]:
-                out[i] = NewtonFailure(
-                    f"ran off toward a degenerate point at iteration {it}")
+                out[i] = f"ran off toward a degenerate point at iteration {it}"
             go = ~(bad | done | runoff)
             jbad = go & ~np.isfinite(J).all(axis=(1, 2))
             for i in live[jbad]:
-                out[i] = NewtonFailure(
-                    f"Jacobian not finite at iteration {it}")
+                out[i] = f"Jacobian not finite at iteration {it}"
             go &= ~jbad
             live, F, J = live[go], _fold(F_raw[go, :k]), J[go, :k, :k]
             if not live.size:
@@ -249,8 +233,7 @@ def _newton_batch(ratios, seeds, cfg):
                    @ (s_inv[:, :, None] * UhF))[:, :, 0]
             nonfinite = ~singular & ~np.isfinite(dx).all(axis=1)
             for i in live[nonfinite]:
-                out[i] = NewtonFailure(
-                    f"non-finite Newton step at iteration {it}")
+                out[i] = f"non-finite Newton step at iteration {it}"
             go = ~(singular | nonfinite)
             live, F, dx = live[go], F[go], dx[go]
 
@@ -285,46 +268,7 @@ def _newton_batch(ratios, seeds, cfg):
             live = live[~stalled]
 
     settle(live, f"no convergence within {_MAX_ITERATIONS} iterations")
-    # the last line search moved these seeds after their residual was
-    # taken, so a point accepted on it must meet the tolerance at its
-    # final weights too
-    ok = np.array([i for i in live
-                   if not isinstance(out[i], NewtonFailure)], dtype=int)
-    if ok.size:
-        fresh = np.abs(np.exp(_kernels.eval_terms(
-            ratios(W[ok]), t)) - 1.0).max(axis=1)
-        for i in ok[fresh > cfg.residual_tol]:
-            out[i] = NewtonFailure(f"stopped at residual {resid[i]:.3g}")
-    return out
-
-
-def newton_solve(d, m, seed, cfg=None):
-    """Damped Newton iteration for the critical equations at fixed m.
-
-    Works in log-weight coordinates with the last weight pinned to its seed
-    value (the equations are invariant under global rescaling of w, and the
-    row sum of the system vanishes identically, so one equation is dropped
-    and one coordinate frozen). It is _newton_batch from the one seed.
-    Raises NewtonFailure with a diagnostic when the seed is degenerate or
-    no verified solution is reached.
-    """
-    if cfg is None:
-        cfg = SolveConfig()
-    m = _as_meridians(d, m)
-    n = d.n_regions
-    seed = np.asarray(seed, dtype=complex).reshape(-1)
-    if seed.shape[0] != n:
-        raise EngineError(
-            f"expected {n} seed weights, got {seed.shape[0]}")
-
-    ratios = potential._RatioMap(d, m)
-    report = potential._degeneracy_reports(ratios(seed[None, :]))[0]
-    if report:
-        raise NewtonFailure("seed is degenerate: " + "; ".join(report[:4]))
-    res = _newton_batch(ratios, seed[None, :], cfg)[0]
-    if isinstance(res, NewtonFailure):
-        raise res
-    return res
+    return W, out
 
 
 def _draw_seeds(d, cfg):
@@ -337,31 +281,25 @@ def _draw_seeds(d, cfg):
 
 
 def multi_start(d, m, cfg=None):
-    """Random-seed sweep: distinct verified solutions, best volume first.
+    """Random-seed sweep: verified solutions, best volume first.
 
-    The seeds (see _draw_seeds) all run through Newton together; failures
-    are skipped. Solutions are deduplicated in seed order on
-    gauge-normalized weights (scaled so the last weight is 1) within 1e-6
-    and sorted by the imaginary part of their critical value descending,
-    earliest seed first on ties. Returns the potential.Evaluation of the
-    solutions, row k for the k-th.
+    The seeds (see _draw_seeds) all run through Newton together. One
+    evaluation at the candidates' final weights verifies them: a row is
+    kept when it is nondegenerate and its critical residuals are within
+    cfg.residual_tol there (a seed stopped by the iteration limit has moved
+    since its last residual was taken). Failures are skipped, and every
+    converged seed is its own row, sorted by the imaginary part of its
+    critical value descending, earliest seed first on ties. Returns the
+    potential.Evaluation of the solutions, row k for the k-th.
     """
     if cfg is None:
         cfg = SolveConfig()
-    m = _as_meridians(d, m)
-    n = d.n_regions
-    ratios = potential._RatioMap(d, m)
-    found = []   # (normalized w, w), in seed order
-    for sol in _newton_batch(ratios, _draw_seeds(d, cfg), cfg):
-        if isinstance(sol, NewtonFailure):
-            continue
-        norm_w = sol.w / sol.w[n - 1]
-        if any(np.max(np.abs(norm_w - prev)) < 1e-6 for prev, _ in found):
-            continue
-        found.append((norm_w, sol.w))
-    p = ratios.evaluate(np.array([w for _, w in found], complex).reshape(
-        -1, n))
-    return p.take(sorted(range(len(found)), key=lambda i: -p.values[i].imag))
+    ratios = potential._RatioMap(d, _as_meridians(d, m))
+    W, out = _newton_batch(ratios, _draw_seeds(d, cfg), cfg)
+    p = ratios.evaluate(W[[i for i, why in enumerate(out) if why is None]])
+    keep = [k for k, report in enumerate(p.reports) if not report
+            and np.abs(p.residuals[k]).max() <= cfg.residual_tol]
+    return p.take(sorted(keep, key=lambda k: -p.values[k].imag))
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,26 @@ def test_from_rep_partial_pins_rejected(fig8_path, tmp_path, capsys):
                      "--seedV", "1+0i,0+1i"]) == 2
 
 
+@pytest.mark.parametrize("seedV, W, code", [
+    ("nan+0i,1", "2,1", 2),
+    ("1e309,1", "2,1", 2),
+    ("1,0", "nan,1", 2),
+    ("1e308,1e308", "2,1", 1),
+    ("1,0", "1e200,1e200", 1),
+], ids=["nan-seed", "inf-seed", "nan-W", "huge-seed", "huge-W"])
+def test_from_rep_pins_beyond_floats(fig8_path, tmp_path, capsys, seedV, W,
+                                     code):
+    # a non-finite pin is an input error; a huge finite one overflows in
+    # the transport and is a degenerate coloring, without a numpy warning
+    rep = write_rep(tmp_path, "rep.json",
+                    _examples.fig8_matrices(_examples.FIG8_M))
+    assert cli.main(["from-rep", fig8_path, rep, "--seedV", seedV,
+                     "--W", W, "--seed-region", "3"]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: " if code == 2 else "verification failure")
+
+
 def test_from_rep_negative_rng_seed_is_input_error(fig8_path, tmp_path,
                                                    capsys):
     rep = write_rep(tmp_path, "rep.json",

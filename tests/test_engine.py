@@ -152,12 +152,6 @@ def test_multi_start_returns_only_verified_solutions():
         assert not p.reports[k]
 
 
-def test_newton_rejects_wrong_seed_length():
-    d = diagram.load_diagram(FIG8)
-    with pytest.raises(engine.EngineError, match="seed weights"):
-        engine.newton_solve(d, [complex(1.0)], np.ones(3, dtype=complex))
-
-
 def test_newton_scaled_seeds_agree_up_to_gauge(fig8_parabolic_solutions):
     # seeds differing by a global factor must give the same solution up to
     # that factor: the minimum-norm step never moves along the gauge ray.
@@ -166,20 +160,16 @@ def test_newton_scaled_seeds_agree_up_to_gauge(fig8_parabolic_solutions):
     d, sols = fig8_parabolic_solutions
     rng = np.random.default_rng(64)
     lam = complex(1.9, -0.6)
+    seeds = np.array([rng.standard_normal(d.n_regions)
+                      + 1j * rng.standard_normal(d.n_regions)
+                      for _ in range(12)])
+    W, out = newton(d, [complex(1.0)], np.vstack([seeds, lam * seeds]))
     checked = 0
-    for _ in range(12):
-        seed = rng.standard_normal(d.n_regions) \
-            + 1j * rng.standard_normal(d.n_regions)
-        try:
-            s1 = engine.newton_solve(d, [complex(1.0)], seed)
-            s2 = engine.newton_solve(d, [complex(1.0)], lam * seed)
-        except engine.NewtonFailure:
-            continue
-        assert np.max(np.abs(s2.w - lam * s1.w)) \
-            / np.max(np.abs(s1.w)) < 1e-8
-        checked += 1
-        if checked >= 2:
-            break
+    for k in range(12):
+        if out[k] is None and out[12 + k] is None:
+            assert np.max(np.abs(W[12 + k] - lam * W[k])) \
+                / np.max(np.abs(W[k])) < 1e-8
+            checked += 1
     assert checked >= 2
 
 
@@ -192,20 +182,16 @@ def test_newton_perturbed_seed_reconverges(fig8_parabolic_solutions):
     noise = rng.standard_normal(d.n_regions) \
         + 1j * rng.standard_normal(d.n_regions)
     seed = p.w[0] * (1 + 1e-3 * noise)
-    back = evaluate(engine.newton_solve(d, p.m[0], seed))
+    W, out = newton(d, p.m[0], seed[None])
+    assert out == [None]
+    back = potential.evaluate(d, W, p.m[0])
+    assert not back.reports[0]
     assert np.abs(back.residuals[0]).max() < 1e-10
     assert mod_pi2_equal(complex(back.values[0]), complex(p.values[0]), 1e-9)
     # normalized weight distance stays small (family drift, not a jump)
     a = back.w[0] / back.w[0, -1]
     b = p.w[0] / p.w[0, -1]
     assert np.max(np.abs(a - b)) < 5e-2
-
-
-def test_newton_fails_cleanly_on_degenerate_flat_seed():
-    d = diagram.load_diagram(FIG8)
-    with pytest.raises(engine.NewtonFailure, match="seed is degenerate"):
-        engine.newton_solve(d, [complex(1.0)],
-                            np.full(d.n_regions, 1.0 + 0j))
 
 
 def test_vol_cs_end_to_end_golden():
@@ -269,9 +255,18 @@ def test_solution_report_filled_matches_vol_cs():
 GOLDENS = (FIG8, WHITEHEAD, TREFOIL)
 
 
-def newton(d, m, seeds, cfg):
-    """The Newton core from the rows of seeds at meridians m."""
-    return engine._newton_batch(potential._RatioMap(d, m), seeds, cfg)
+def newton(d, m, seeds, cfg=None):
+    """The Newton core from the rows of seeds at meridians m: the final
+    weights and, per seed, None for a candidate or its failure text."""
+    return engine._newton_batch(potential._RatioMap(d, np.asarray(m, complex)),
+                                seeds, cfg or engine.SolveConfig())
+
+
+def outcomes(result):
+    """Per seed of a Newton result, its failure text or, for a candidate,
+    the bytes of its final weights."""
+    W, out = result
+    return [w.tobytes() if why is None else why for w, why in zip(W, out)]
 
 
 def usable_seeds(d, m, count, rng):
@@ -333,15 +328,11 @@ def test_batched_seed_does_not_depend_on_its_batch():
         d = diagram.load_diagram(pd)
         m = np.ones(d.n_components, dtype=complex)
         seeds = usable_seeds(d, m, 12, rng)
-        batch = newton(d, m, seeds, cfg)
+        batch = outcomes(newton(d, m, seeds, cfg))
         for k in range(0, 12, 3):
-            alone = newton(d, m, seeds[k:k + 1], cfg)[0]
-            trio = newton(d, m, seeds[k:k + 3], cfg)[0]
-            for other in (trio, batch[k]):
-                if isinstance(alone, engine.NewtonFailure):
-                    assert str(other) == str(alone)
-                else:
-                    assert np.array_equal(other.w, alone.w)
+            alone = outcomes(newton(d, m, seeds[k:k + 1], cfg))[0]
+            trio = outcomes(newton(d, m, seeds[k:k + 3], cfg))[0]
+            assert trio == batch[k] == alone
 
 
 def test_stacked_svd_failure_marks_only_that_seed(monkeypatch):
@@ -351,7 +342,7 @@ def test_stacked_svd_failure_marks_only_that_seed(monkeypatch):
     m = np.ones(1, dtype=complex)
     seeds = usable_seeds(d, m, 4, np.random.default_rng(68))
     cfg = engine.SolveConfig()
-    clean = newton(d, m, seeds, cfg)
+    clean = outcomes(newton(d, m, seeds, cfg))
     real_svd = np.linalg.svd
     single = []
 
@@ -364,31 +355,25 @@ def test_stacked_svd_failure_marks_only_that_seed(monkeypatch):
         return real_svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", svd)
-    out = newton(d, m, seeds, cfg)
-    assert str(out[0]).startswith("singular Jacobian at iteration 0 ")
-    for a, b in zip(clean[1:], out[1:]):
-        if isinstance(a, engine.NewtonFailure):
-            assert str(b) == str(a)
-        else:
-            assert np.array_equal(b.w, a.w)
+    out = outcomes(newton(d, m, seeds, cfg))
+    assert out[0].startswith("singular Jacobian at iteration 0 ")
+    assert out[1:] == clean[1:]
 
 
 def reference_multi_start(d, m, cfg):
-    """multi_start as a loop of single-seed newton_solve calls, on seeds
-    drawn one at a time."""
+    """multi_start as a loop of one-seed Newton runs, on seeds drawn one
+    at a time, each candidate verified by its own one-row evaluation."""
     n = d.n_regions
     found = []
     rng = np.random.default_rng(cfg.rng_seed)
     for _ in range(cfg.seeds):
         cand = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        try:
-            sol = engine.newton_solve(d, m, cand, cfg)
-        except engine.NewtonFailure:
-            continue
-        norm_w = sol.w / sol.w[n - 1]
-        if all(np.max(np.abs(norm_w - prev.w / prev.w[n - 1])) >= 1e-6
-               for prev in found):
-            found.append(sol)
+        W, out = newton(d, m, cand[None], cfg)
+        if out[0] is None:
+            p = potential.evaluate(d, W, m)
+            if not p.reports[0] \
+                    and np.abs(p.residuals[0]).max() <= cfg.residual_tol:
+                found.append(W[0])
     return found
 
 
@@ -402,8 +387,7 @@ def test_multi_start_matches_loop_of_newton_solve(pd):
         got = list(engine.multi_start(d, m, cfg).values)
         ref = reference_multi_start(d, m, cfg)
         want = potential.evaluate(
-            d, np.array([s.w for s in ref]).reshape(-1, d.n_regions),
-            m).values
+            d, np.array(ref).reshape(-1, d.n_regions), m).values
         assert len(got) == len(want)
         for z in want:
             match = [k for k, y in enumerate(got)
@@ -438,16 +422,11 @@ def test_line_search_blocks_decide_as_single_steps(pd, monkeypatch):
     seeds = multi_start_seeds(d, m, 0, monkeypatch)
     assert seeds.shape[0] == 64
     cfg = engine.SolveConfig()
-    blocked = newton(d, m, seeds, cfg)
+    blocked = outcomes(newton(d, m, seeds, cfg))
     monkeypatch.setattr(engine, "_LINE_SEARCH_BLOCKS", (1,) * 30)
-    single = newton(d, m, seeds, cfg)
-    assert sum(not isinstance(a, engine.NewtonFailure) for a in single) > 0
-    for a, b in zip(single, blocked):
-        if isinstance(a, engine.NewtonFailure):
-            assert isinstance(b, engine.NewtonFailure)
-            assert str(b) == str(a)
-        else:
-            assert b.w.tobytes() == a.w.tobytes()
+    single = outcomes(newton(d, m, seeds, cfg))
+    assert sum(isinstance(a, bytes) for a in single) > 0
+    assert blocked == single
 
 
 def test_multi_start_residual_call_budget(monkeypatch):
@@ -490,35 +469,30 @@ def test_runoff_cut_keeps_every_converging_seed(pd, monkeypatch):
     cut_total = 0
     for rng_seed in range(3):
         seeds = multi_start_seeds(d, m, rng_seed, monkeypatch)
-        cut = newton(d, m, seeds, cfg)
+        cut = outcomes(newton(d, m, seeds, cfg))
         with monkeypatch.context() as mp:
             mp.setattr(engine, "_RUNOFF_DIST", 0.0)
-            free = newton(d, m, seeds, cfg)
-        assert sum(not isinstance(a, engine.NewtonFailure)
-                   for a in free) > 0
+            free = outcomes(newton(d, m, seeds, cfg))
+        assert sum(isinstance(a, bytes) for a in free) > 0
         for a, b in zip(free, cut):
-            if isinstance(b, engine.NewtonFailure) and \
-                    str(b).startswith(RUNOFF):
-                assert isinstance(a, engine.NewtonFailure)
-                assert not str(a).startswith(RUNOFF)
+            if isinstance(b, str) and b.startswith(RUNOFF):
+                assert isinstance(a, str) and not a.startswith(RUNOFF)
                 cut_total += 1
-            elif isinstance(a, engine.NewtonFailure):
-                assert str(b) == str(a)
             else:
-                assert b.w.tobytes() == a.w.tobytes()
+                assert b == a
     assert cut_total > 0
 
 
-def test_newton_solve_stops_a_runoff_seed(monkeypatch):
+def test_lone_seed_stops_at_runoff(monkeypatch):
     d = diagram.load_diagram(FIG8)
     m = np.ones(1, dtype=complex)
     seeds = multi_start_seeds(d, m, 0, monkeypatch)
-    outcomes = newton(d, m, seeds, engine.SolveConfig())
-    k = next(k for k, out in enumerate(outcomes)
-             if str(out).startswith(RUNOFF))
-    with pytest.raises(engine.NewtonFailure, match=RUNOFF) as exc:
-        engine.newton_solve(d, m, seeds[k])
-    assert int(str(exc.value).rsplit(" ", 1)[1]) < 49
+    _, out = newton(d, m, seeds)
+    k = next(k for k, why in enumerate(out)
+             if why is not None and why.startswith(RUNOFF))
+    _, alone = newton(d, m, seeds[k:k + 1])
+    assert alone[0].startswith(RUNOFF)
+    assert int(alone[0].rsplit(" ", 1)[1]) < 49
 
 
 @pytest.mark.parametrize("pd", GOLDENS, ids=["fig8", "whitehead",
@@ -546,15 +520,10 @@ def test_degenerate_seed_fails_in_the_batch():
     seeds = usable_seeds(d, m, 4, np.random.default_rng(69))
     flat = np.full((1, d.n_regions), 1.0 + 0j)
     cfg = engine.SolveConfig()
-    clean = newton(d, m, seeds, cfg)
-    out = newton(d, m, np.vstack([flat, seeds]), cfg)
-    assert isinstance(out[0], engine.NewtonFailure)
-    assert "degenerate" in str(out[0])
-    for a, b in zip(clean, out[1:]):
-        if isinstance(a, engine.NewtonFailure):
-            assert str(b) == str(a)
-        else:
-            assert np.array_equal(b.w, a.w)
+    clean = outcomes(newton(d, m, seeds, cfg))
+    out = outcomes(newton(d, m, np.vstack([flat, seeds]), cfg))
+    assert isinstance(out[0], str) and "degenerate" in out[0]
+    assert out[1:] == clean
 
 
 def test_multi_start_with_no_solution(monkeypatch):
@@ -566,9 +535,9 @@ def test_multi_start_with_no_solution(monkeypatch):
 
 
 def test_multi_start_forms_the_meridian_factor_once(monkeypatch):
-    # one ratio map serves the whole run: Newton's kernel calls, the
-    # degeneracy predicate on converged seeds and the final stacked
-    # evaluation, which is bitwise evaluate's at the solutions
+    # one ratio map serves the whole run: Newton's kernel calls and the
+    # stacked evaluation that verifies the candidates, which is bitwise
+    # evaluate's at the solutions
     d = diagram.load_diagram(WHITEHEAD)
     m = np.ones(d.n_components, dtype=complex)
     real = potential._RatioMap
@@ -585,3 +554,35 @@ def test_multi_start_forms_the_meridian_factor_once(monkeypatch):
     q = potential.evaluate(d, p.w, m)
     for name in ("R", "W", "wdW", "mdW", "values", "residuals"):
         assert getattr(q, name).tobytes() == getattr(p, name).tobytes()
+
+
+def test_multi_start_runs_the_degeneracy_predicate_once(monkeypatch):
+    # the evaluation of the candidates is the only degeneracy check
+    real = potential._degeneracy_reports
+    calls = []
+
+    def counted(R):
+        calls.append(R.shape)
+        return real(R)
+
+    monkeypatch.setattr(potential, "_degeneracy_reports", counted)
+    for pd in GOLDENS:
+        d = diagram.load_diagram(pd)
+        calls.clear()
+        p = engine.multi_start(d, np.ones(d.n_components))
+        assert len(calls) == 1 and len(p.w) > 0
+
+
+def test_multi_start_keeps_only_verified_candidates(fig8_parabolic_solutions,
+                                                    monkeypatch):
+    # Newton's candidates are verified by the evaluation alone: a flat
+    # (degenerate) row and a perturbed solution (residuals far above the
+    # tolerance) are dropped, the real solution kept
+    d, p = fig8_parabolic_solutions
+    bent = p.w[0].copy()
+    bent[2] *= 1.01
+    W = np.array([np.ones(d.n_regions, complex), bent, p.w[0]])
+    monkeypatch.setattr(engine, "_newton_batch",
+                        lambda ratios, seeds, cfg: (W, [None] * 3))
+    q = engine.multi_start(d, [1.0])
+    assert q.w.tobytes() == p.w[:1].tobytes()
