@@ -15,6 +15,7 @@ import cmath
 import functools
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -34,12 +35,14 @@ class InputError(ValueError):
 # ---------------------------------------------------------------------------
 
 def parse_complex(text):
-    """Parse 'a+bi' (optional signs, either part omittable)."""
+    """Parse 'a+bi' (optional signs, either part omittable). Only the
+    imaginary unit, an i or I that ends a term, becomes Python's j, so
+    the spellings inf, infinity and nan keep their meaning."""
     cleaned = text.strip().replace(" ", "")
     if not cleaned:
         raise InputError("empty complex number")
     try:
-        return complex(cleaned.replace("i", "j").replace("I", "j"))
+        return complex(re.sub(r"[iI](?=[+-]|$)", "j", cleaned))
     except ValueError:
         raise InputError(f"cannot parse complex number {text!r}; "
                          f"expected the form a+bi") from None

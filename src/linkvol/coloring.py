@@ -6,8 +6,13 @@ region vector; the diagram's cycles must close up, which is a nontrivial
 check of the representation and of the transport convention. Together with
 an auxiliary vector W this induces the region weights w_j = det(W, V_j)
 that feed the potential function.
+
+The transport and the checks run on 2-tuples of Python complex and the
+representation's 4-tuples (see ``representation``); ``RegionColoring.V``
+and ``Wvec`` stay numpy.
 """
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +36,14 @@ class RegionColoring:
     seed_region: int
     Wvec: object       # the auxiliary 2-vector W
 
+    def __post_init__(self):
+        V = np.array(self.V, dtype=complex).reshape(-1, 2)
+        self.V = list(V)
+        self.Wvec = np.array(self.Wvec, dtype=complex).reshape(2)
+        # the same vectors as 2-tuples of Python complex
+        self.V_pairs = [tuple(v) for v in V.tolist()]
+        self.W_pair = tuple(self.Wvec.tolist())
+
 
 def propagate(rep, seed_region, seedV, Wvec):
     """Breadth-first transport of the seed vector to every region, with
@@ -38,7 +51,8 @@ def propagate(rep, seed_region, seedV, Wvec):
 
     Crossing an arc from its left region to its right one multiplies by
     the arc's Wirtinger matrix: V_right = rho(g) V_left, pinned against the
-    bundled reference colorings. Every arc is re-checked after
+    bundled reference colorings. A transport that overflows to a
+    non-finite vector raises ColoringError. Every arc is re-checked after
     propagation; a residual bigger than _TOL means the representation and
     the transport convention disagree. A coloring that check_genericity
     flags raises ColoringError.
@@ -47,48 +61,51 @@ def propagate(rep, seed_region, seedV, Wvec):
     n = d.n_regions
     if not (0 <= seed_region < n):
         raise ColoringError(f"no region {seed_region + 1}")
-    seedV = np.asarray(seedV, dtype=complex).reshape(2)
-    if np.max(np.abs(seedV)) == 0:
+    v0, v1 = seedV
+    if not (v0 or v1):
         raise ColoringError("seed vector must be nonzero")
 
-    trans = {e: rep.matrices[d.overarc_of[e]] for e in sorted(d.left_region)}
+    arcs = sorted(d.left_region)
+    trans = {e: rep.quads[d.overarc_of[e]] for e in arcs}
     V = [None] * n
-    V[seed_region] = seedV
-    frontier = [seed_region]
-    # huge finite pins overflow here to non-finite vectors, which the
-    # closure test (NaN fails it) or check_genericity rejects: no warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        while frontier:
-            nxt = []
-            for e in sorted(trans):
-                lr, rr = d.left_region[e], d.right_region[e]
-                if V[lr] is not None and V[rr] is None:
-                    V[rr] = trans[e] @ V[lr]
-                    nxt.append(rr)
-                elif V[rr] is not None and V[lr] is None:
-                    V[lr] = R.inv2(trans[e]) @ V[rr]
-                    nxt.append(lr)
-            if not nxt:
-                break
-        if any(v is None for v in V):
-            # cannot happen for a connected diagram, kept as a guard
-            raise ColoringError("disconnected region graph")
-
-        scale = max(float(np.max(np.abs(v))) for v in V)
-        for e in sorted(trans):
+    V[seed_region] = (complex(v0), complex(v1))
+    grown = True
+    while grown:
+        grown = False
+        for e in arcs:
             lr, rr = d.left_region[e], d.right_region[e]
-            resid = float(np.max(np.abs(V[rr] - trans[e] @ V[lr])))
-            if not resid <= _TOL * max(1.0, scale):
-                raise ColoringError(
-                    f"representation/transport convention mismatch: arc {e} "
-                    f"closes with residual {resid:.3g}")
-        col = RegionColoring(rep=rep, V=V, seed_region=seed_region,
-                             Wvec=np.asarray(Wvec, dtype=complex).reshape(2))
-        report = check_genericity(col)
-        if report:
+            if V[lr] is not None and V[rr] is None:
+                V[rr] = R.apply(trans[e], V[lr])
+                grown = True
+            elif V[rr] is not None and V[lr] is None:
+                V[lr] = R.apply(R.inv(trans[e]), V[rr])
+                grown = True
+    if any(v is None for v in V):
+        # cannot happen for a connected diagram, kept as a guard
+        raise ColoringError("disconnected region graph")
+
+    # every region is some arc's left or right one, and a non-finite
+    # vector has a non-finite image, so this sees every overflow
+    closure = [(e, V[d.right_region[e]],
+                R.apply(trans[e], V[d.left_region[e]])) for e in arcs]
+    if not all(cmath.isfinite(z) for _, v, image in closure
+               for z in v + image):
+        raise ColoringError(
+            "the pinned vectors overflow in the transport: a region vector "
+            "is not finite; retry with a smaller seed vector")
+    scale = max(R.cabs(z) for v in V for z in v)
+    for e, v, image in closure:
+        resid = R.dist(v, image)
+        if not resid <= _TOL * max(1.0, scale):
             raise ColoringError(
-                "degenerate coloring: " + "; ".join(report) +
-                "; retry with different W / seed vector")
+                f"representation/transport convention mismatch: arc {e} "
+                f"closes with residual {resid:.3g}")
+    col = RegionColoring(rep=rep, V=V, seed_region=seed_region, Wvec=Wvec)
+    report = check_genericity(col)
+    if report:
+        raise ColoringError(
+            "degenerate coloring: " + "; ".join(report) +
+            "; retry with different W / seed vector")
     return col
 
 
@@ -98,24 +115,38 @@ def check_genericity(col):
     Conditions: (i) det(W, V_j) != 0 for every region; (ii) W is not an
     eigenvector of any generator matrix; (iii) no V_j is an eigenvector of
     any generator matrix. A vector u is an eigenvector of g when u and g u
-    are parallel, tested on all (generator, vector) pairs at once. Returns
-    a list of human-readable violations, determinants first, then per
-    generator W and V_1, V_2, ...; empty means generic.
+    are parallel, relative to the moduli of both. Returns a list of
+    human-readable violations, determinants first, then per generator W
+    and V_1, V_2, ...; empty means generic.
     """
-    W = col.Wvec
-    V = np.array(col.V, dtype=complex).reshape(-1, 2)
-    det = np.abs(W[0] * V[:, 1] - W[1] * V[:, 0])
-    det_scale = np.maximum(1.0, np.max(np.abs(W)) * np.abs(V).max(axis=1))
-    report = [f"det(W, V_{j + 1}) = 0"
-              for j in np.flatnonzero(det <= _TOL * det_scale)]
-    U = np.vstack([W, V])                          # row 0 is W
-    GU = np.array(col.rep.matrices) @ U.T          # (generators, 2, 1 + n)
-    cross = np.abs(U[:, 0] * GU[:, 1] - U[:, 1] * GU[:, 0])
-    scale = np.abs(U).max(axis=1) * np.abs(GU).max(axis=1)
-    names = ["W"] + [f"V_{j + 1}" for j in range(V.shape[0])]
-    report += [f"{names[k]} is an eigenvector of ρ(g{gi + 1})"
-               for gi, k in np.argwhere(
-                   cross <= _TOL * np.maximum(scale, 1e-300))]
+    try:
+        return _violations(col, abs)
+    except OverflowError:
+        # abs() raises where the modulus of a finite number overflows;
+        # cabs returns inf there and equals abs everywhere else
+        return _violations(col, R.cabs)
+
+
+def _violations(col, mag):
+    W = col.W_pair
+    U = [W] + col.V_pairs                          # U[0] is W
+    size = [max(mag(u0), mag(u1)) for u0, u1 in U]
+    w0, w1 = W
+    report = [f"det(W, V_{j}) = 0"
+              for j, (v0, v1) in enumerate(col.V_pairs, 1)
+              if mag(w0 * v1 - w1 * v0) <= _TOL * max(1.0,
+                                                       size[0] * size[j])]
+    for gi, (a, b, c, d) in enumerate(col.rep.quads, 1):
+        for k, (u0, u1) in enumerate(U):
+            g0 = a * u0 + b * u1
+            g1 = c * u0 + d * u1
+            m0, m1 = mag(g0), mag(g1)
+            # conditional maxima: the builtin max costs a call per pair
+            scale = size[k] * (m0 if m0 >= m1 else m1)
+            if mag(u0 * g1 - u1 * g0) <= _TOL * (
+                    scale if scale >= 1e-300 else 1e-300):
+                name = f"V_{k}" if k else "W"
+                report.append(f"{name} is an eigenvector of ρ(g{gi})")
     return report
 
 
@@ -124,8 +155,9 @@ def assemble_solution(col):
     from .potential import Solution
 
     rep = col.rep
-    W = col.Wvec
-    w = np.array([W[0] * v[1] - W[1] * v[0] for v in col.V], dtype=complex)
+    w0, w1 = col.W_pair
+    w = np.array([w0 * v1 - w1 * v0 for v0, v1 in col.V_pairs],
+                 dtype=complex)
     m = np.array([R.meridian_eigenvalue(rep, i)
                   for i in range(rep.diagram.n_components)], dtype=complex)
     return Solution(diagram=rep.diagram, w=w, m=m)
@@ -145,8 +177,8 @@ def random_generic_coloring(rep, rng_seed=0):
 
     for _ in range(_MAX_ATTEMPTS):
         seed_region = int(rng.integers(0, n))
-        seedV = np.array([grid_complex(), grid_complex()])
-        Wvec = np.array([grid_complex(), grid_complex()])
+        seedV = (grid_complex(), grid_complex())
+        Wvec = (grid_complex(), grid_complex())
         try:
             return propagate(rep, seed_region, seedV, Wvec)
         except ColoringError as exc:

@@ -1,8 +1,12 @@
 """Wirtinger representations into SL(2,C) and Dehn-filling data.
 
-Matrices are 2x2 complex numpy arrays with unit determinant. A
-representation assigns one matrix per over-arc generator so that every
-crossing relation g_out = g_over^eps g_in g_over^(-eps) holds.
+A representation assigns one unit-determinant 2x2 complex matrix per
+over-arc generator so that every crossing relation
+g_out = g_over^eps g_in g_over^(-eps) holds. ``Representation.matrices``
+holds them as 2x2 numpy arrays. The 2x2 algebra of this module and of
+``coloring`` runs on plain Python complex numbers instead: a matrix is a
+row-major 4-tuple (a, b, c, d) and a vector a 2-tuple, since a numpy call
+on 2 to 4 entries costs several times its arithmetic.
 """
 
 import cmath
@@ -15,7 +19,8 @@ import numpy as np
 from .diagram import longitude_word, wirtinger
 from .numerics import principal_log
 
-I2 = np.eye(2, dtype=complex)
+_IDENTITY = (1 + 0j, 0j, 0j, 1 + 0j)
+_MINUS_IDENTITY = (-1 + 0j, 0j, 0j, -1 + 0j)
 
 # How far a generator's determinant may miss 1; the largest relation
 # residual, which is also how close to ±I a meridian counts as ±I; the
@@ -44,17 +49,48 @@ def mat(entries):
     return m
 
 
-def det2(m):
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+def cabs(z):
+    """|z| as a float. Where the modulus of a finite z overflows, abs()
+    raises OverflowError; this returns inf, as np.abs does."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
-def inv2(m):
+def mul(x, y):
+    """The product of two row-major 4-tuples."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def inv(x):
     # adjugate; callers guarantee unit determinant
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
+    a, b, c, d = x
+    return (d, -b, -c, a)
 
 
-def mat_dist(a, b):
-    return float(np.max(np.abs(a - b)))
+def apply(x, v):
+    """The 4-tuple matrix x times the 2-tuple vector v."""
+    a, b, c, d = x
+    return (a * v[0] + b * v[1], c * v[0] + d * v[1])
+
+
+def dist(x, y):
+    """The largest entry modulus of x - y (tuples of equal length); NaN
+    when an entry is NaN, so a NaN fails every ``<=`` test."""
+    worst = 0.0
+    for p, q in zip(x, y):
+        e = cabs(p - q)
+        if e > worst or e != e:
+            worst = e
+    return worst
+
+
+def _is_plus_minus_identity(q):
+    return (dist(q, _IDENTITY) <= _RELATION_TOL
+            or dist(q, _MINUS_IDENTITY) <= _RELATION_TOL)
 
 
 @dataclass
@@ -63,22 +99,24 @@ class Representation:
     matrices: list  # one 2x2 array per generator
 
     def __post_init__(self):
-        self.matrices = [mat(m) for m in self.matrices]
-
-    def meridian_matrix(self, i):
-        return self.matrices[self.diagram.meridian_gen[i]]
+        stack = np.asarray(self.matrices, dtype=complex)
+        if stack.shape[1:] != (2, 2):
+            raise RepresentationError("matrix must be 2x2")
+        self.matrices = list(stack)
+        # the same matrices as row-major 4-tuples, for the 2x2 algebra
+        self.quads = [tuple(q) for q in stack.reshape(-1, 4).tolist()]
 
     def relation_residual(self):
         pres = wirtinger(self.diagram)
         worst = 0.0
         for out_g, over_g, in_g, eps in pres.relations:
-            o = self.matrices[over_g]
-            oi = inv2(o)
+            o = self.quads[over_g]
+            oi = inv(o)
             if eps == 1:
-                rhs = o @ self.matrices[in_g] @ oi
+                rhs = mul(mul(o, self.quads[in_g]), oi)
             else:
-                rhs = oi @ self.matrices[in_g] @ o
-            worst = max(worst, mat_dist(self.matrices[out_g], rhs))
+                rhs = mul(mul(oi, self.quads[in_g]), o)
+            worst = max(worst, dist(self.quads[out_g], rhs))
         return worst
 
 
@@ -87,8 +125,9 @@ def complete_representation(d, partial):
 
     ``partial`` maps generator names ("g1", ...) or 0-based indices to
     matrices. Remaining generators are derived by applying the crossing
-    relations in both directions until a fixed point. The last pass derives
-    nothing and checks every relation to _RELATION_TOL.
+    relations in both directions until a fixed point, and each relation is
+    checked to _RELATION_TOL once its three generators are known; a
+    non-finite determinant or residual fails its check.
     """
     n = len(d.over_arcs)
     known = [None] * n
@@ -103,81 +142,79 @@ def complete_representation(d, partial):
         if not (0 <= gi < n):
             raise RepresentationFormatError(
                 f"no generator g{gi + 1}: the diagram has g1..g{n}")
-        m = mat(value)
-        if abs(det2(m) - 1) > _DET_TOL:
+        a, b, c, dd = q = tuple(mat(value).ravel().tolist())
+        det = a * dd - b * c
+        if not cabs(det - 1) <= _DET_TOL:
             raise RepresentationError(
-                f"matrix determinant {det2(m):.6g} is not 1 (tolerance "
+                f"matrix determinant {det:.6g} is not 1 (tolerance "
                 f"{_DET_TOL:g})")
-        known[gi] = m
+        known[gi] = q
 
     if all(k is None for k in known):
         raise RepresentationError("insufficient generators: empty input")
 
-    pres = wirtinger(d)
-    progress = True
-    while progress:
-        progress = False
-        for out_g, over_g, in_g, eps in pres.relations:
+    pending = wirtinger(d).relations
+    while pending:
+        waiting = []
+        for rel in pending:
+            out_g, over_g, in_g, eps = rel
             o = known[over_g]
-            if o is None:
+            if o is None or known[in_g] is None and known[out_g] is None:
+                waiting.append(rel)
                 continue
-            oi = inv2(o)
-            conj = (lambda x: o @ x @ oi) if eps == 1 else (lambda x: oi @ x @ o)
-            dconj = (lambda x: oi @ x @ o) if eps == 1 else (lambda x: o @ x @ oi)
-            if known[in_g] is not None:
-                derived = conj(known[in_g])
-                if known[out_g] is None:
-                    known[out_g] = derived
-                    progress = True
-                elif mat_dist(known[out_g], derived) > _RELATION_TOL:
-                    raise RepresentationError(
-                        "relations inconsistent: crossing relation residual "
-                        f"{mat_dist(known[out_g], derived):.3g} exceeds "
-                        f"{_RELATION_TOL:g}")
-            if known[out_g] is not None and known[in_g] is None:
-                known[in_g] = dconj(known[out_g])
-                progress = True
+            left, right = (o, inv(o)) if eps == 1 else (inv(o), o)
+            if known[in_g] is None:
+                known[in_g] = mul(mul(right, known[out_g]), left)
+            derived = mul(mul(left, known[in_g]), right)
+            if known[out_g] is None:
+                known[out_g] = derived
+                continue
+            resid = dist(known[out_g], derived)
+            if not resid <= _RELATION_TOL:
+                raise RepresentationError(
+                    "relations inconsistent: crossing relation residual "
+                    f"{resid:.3g} exceeds {_RELATION_TOL:g}")
+        if len(waiting) == len(pending):
+            break
+        pending = waiting
 
     if any(k is None for k in known):
         missing = [f"g{i + 1}" for i, k in enumerate(known) if k is None]
         raise RepresentationError(
             f"insufficient generators: cannot derive {', '.join(missing)}")
 
-    rep = Representation(d, known)
     for i in range(d.n_components):
-        m = rep.meridian_matrix(i)
-        if (mat_dist(m, I2) <= _RELATION_TOL
-                or mat_dist(m, -I2) <= _RELATION_TOL):
+        if _is_plus_minus_identity(known[d.meridian_gen[i]]):
             raise RepresentationError(
                 f"ρ(μ_{i + 1}) ≠ ±I violated: the meridian of component "
                 f"{i + 1} maps to ±identity")
-    return rep
+    return Representation(d, np.array(known).reshape(n, 2, 2))
 
 
 def evaluate_word(rep, word):
-    out = I2.copy()
+    """The 4-tuple of the word's image under ``rep``."""
+    out = _IDENTITY
     for g, e in word.letters:
-        m = rep.matrices[g]
-        out = out @ (m if e == 1 else inv2(m))
+        m = rep.quads[g]
+        out = mul(out, m if e == 1 else inv(m))
     return out
 
 
 def meridian_eigenvalue(rep, i):
-    m = rep.meridian_matrix(i)
-    if (mat_dist(m, I2) <= _RELATION_TOL
-            or mat_dist(m, -I2) <= _RELATION_TOL):
+    a, b, c, d = m = rep.quads[rep.diagram.meridian_gen[i]]
+    if _is_plus_minus_identity(m):
         raise RepresentationError(f"ρ(μ_{i + 1}) = ±I has no preferred "
                                   f"eigenvalue")
-    if abs(m[1, 0]) <= _TRIANGULAR_TOL:
-        return complex(m[0, 0])
-    tr = m[0, 0] + m[1, 1]
+    if cabs(c) <= _TRIANGULAR_TOL:
+        return a
+    tr = a + d
     # The square root halves the working precision near tr = ±2, turning a
     # 1e-16 trace error into a 1e-8 eigenvalue error that then contaminates
     # every ratio downstream. A trace within rounding of ±2 is therefore
     # treated as exactly parabolic.
-    if abs(tr - 2.0) <= 1e-12:
+    if cabs(tr - 2.0) <= 1e-12:
         return complex(1.0)
-    if abs(tr + 2.0) <= 1e-12:
+    if cabs(tr + 2.0) <= 1e-12:
         return complex(-1.0)
     disc = cmath.sqrt(tr * tr - 4.0)
     lam1 = (tr + disc) / 2.0
@@ -185,47 +222,47 @@ def meridian_eigenvalue(rep, i):
     # prefer non-negative imaginary part of log, then modulus >= 1
     def key(lam):
         lg = cmath.log(lam)
-        return (lg.imag >= -1e-15, abs(lam) >= 1.0, -abs(lg.imag))
-    cands = sorted([complex(lam1), complex(lam2)],
-                   key=key, reverse=True)
+        return (lg.imag >= -1e-15, cabs(lam) >= 1.0, -abs(lg.imag))
+    cands = sorted([lam1, lam2], key=key, reverse=True)
     return cands[0]
 
 
 def _eigenvector(m, lam, tol=1e-9):
     # rows of (m - lam I) are orthogonal to the eigenvector; use the larger
     # of the two candidate constructions for stability
-    v1 = np.array([m[0, 1], lam - m[0, 0]], dtype=complex)
-    v2 = np.array([lam - m[1, 1], m[1, 0]], dtype=complex)
-    v = v1 if np.max(np.abs(v1)) >= np.max(np.abs(v2)) else v2
-    nv = np.max(np.abs(v))
+    a, b, c, d = m
+    v1 = (b, lam - a)
+    v2 = (lam - d, c)
+    n1 = max(cabs(b), cabs(lam - a))
+    n2 = max(cabs(lam - d), cabs(c))
+    v, nv = (v1, n1) if n1 >= n2 else (v2, n2)
     if nv <= tol:
         # m is lam * identity on this eigenvalue; any vector works
-        return np.array([1.0, 0.0], dtype=complex)
-    return v / nv
+        return (1 + 0j, 0j)
+    return (v[0] / nv, v[1] / nv)
 
 
 def longitude_eigenvalue(rep, i):
     """Eigenvalue of the longitude on the eigenvector shared with the
     meridian, so that the pair (m_i, l_i) lives on one boundary line."""
     lam_mat = evaluate_word(rep, longitude_word(rep.diagram, i))
-    mu_mat = rep.meridian_matrix(i)
-    comm = mu_mat @ lam_mat - lam_mat @ mu_mat
-    if float(np.max(np.abs(comm))) > _COMMUTE_TOL:
+    mu_mat = rep.quads[rep.diagram.meridian_gen[i]]
+    comm = dist(mul(mu_mat, lam_mat), mul(lam_mat, mu_mat))
+    if comm > _COMMUTE_TOL:
         raise RepresentationError(
             f"longitude of component {i + 1} does not commute with its "
-            f"meridian (residual {float(np.max(np.abs(comm))):.3g}); "
-            f"representation invalid")
+            f"meridian (residual {comm:.3g}); representation invalid")
     m_i = meridian_eigenvalue(rep, i)
     v = _eigenvector(mu_mat, m_i)
-    w = lam_mat @ v
-    k = int(np.argmax(np.abs(v)))
+    w = apply(lam_mat, v)
+    k = 0 if cabs(v[0]) >= cabs(v[1]) else 1
     l_i = w[k] / v[k]
-    resid = float(np.max(np.abs(w - l_i * v)))
-    if resid > 1e-6 * max(1.0, abs(l_i)):
+    resid = dist(w, (l_i * v[0], l_i * v[1]))
+    if resid > 1e-6 * max(1.0, cabs(l_i)):
         raise RepresentationError(
             f"meridian and longitude of component {i + 1} share no "
             f"eigenvector (residual {resid:.3g}); representation invalid")
-    return complex(l_i)
+    return l_i
 
 
 def solve_uv(m, l, r, s, tol=1e-6):

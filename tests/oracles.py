@@ -4,11 +4,16 @@ Nothing in this module imports from linkvol. Each oracle is a from-scratch
 computation (series, Newton on gluing equations, finite differences, the
 telescoping arc products of the octahedral decomposition) used to
 cross-check the package, plus mpmath as an independent mature
-implementation of the dilogarithm.
+implementation of the dilogarithm. The 2x2 SL(2,C) algebra of
+representation completion, transport, genericity and longitudes is kept
+here on numpy arrays, as the package computed it before it moved to tuples
+of Python complex.
 """
 
 import cmath
 import math
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 PI_SQ = math.pi * math.pi
@@ -305,3 +310,162 @@ def genericity_report(W, V, matrices, tol):
                 report.append(f"V_{j + 1} is an eigenvector of ρ(g{gi + 1})")
     return report
 
+
+
+# ---------------------------------------------------------------------------
+# 2x2 SL(2,C) algebra on numpy arrays
+# ---------------------------------------------------------------------------
+
+I2 = np.eye(2, dtype=complex)
+_RELATION_TOL = 1e-6
+_TRIANGULAR_TOL = 1e-12
+_COMMUTE_TOL = 1e-9
+
+
+def det2(m):
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
+def inv2(m):
+    # adjugate; callers guarantee unit determinant
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
+
+
+def mat_dist(a, b):
+    return float(np.max(np.abs(a - b)))
+
+
+def complete_generators(relations, known, meridian_gens, error=ValueError):
+    """Every generator matrix from ``known`` (one 2x2 array or None per
+    generator) by applying the crossing relations (out, over, in, eps) in
+    both directions until a fixed point; raises ``error`` for an empty
+    input, an inconsistent relation, an underivable generator or a
+    meridian (``meridian_gens``, one generator per component) at ±I."""
+    known = list(known)
+    if all(k is None for k in known):
+        raise error("insufficient generators: empty input")
+    progress = True
+    while progress:
+        progress = False
+        for out_g, over_g, in_g, eps in relations:
+            o = known[over_g]
+            if o is None:
+                continue
+            left, right = (o, inv2(o)) if eps == 1 else (inv2(o), o)
+            if known[in_g] is not None:
+                derived = left @ known[in_g] @ right
+                if known[out_g] is None:
+                    known[out_g] = derived
+                    progress = True
+                elif mat_dist(known[out_g], derived) > _RELATION_TOL:
+                    raise error(
+                        "relations inconsistent: crossing relation residual "
+                        f"{mat_dist(known[out_g], derived):.3g} exceeds "
+                        f"{_RELATION_TOL:g}")
+            if known[out_g] is not None and known[in_g] is None:
+                known[in_g] = right @ known[out_g] @ left
+                progress = True
+    if any(k is None for k in known):
+        missing = [f"g{i + 1}" for i, k in enumerate(known) if k is None]
+        raise error(
+            f"insufficient generators: cannot derive {', '.join(missing)}")
+    for i, g in enumerate(meridian_gens):
+        if (mat_dist(known[g], I2) <= _RELATION_TOL
+                or mat_dist(known[g], -I2) <= _RELATION_TOL):
+            raise error(
+                f"ρ(μ_{i + 1}) ≠ ±I violated: the meridian of component "
+                f"{i + 1} maps to ±identity")
+    return known
+
+
+def transport(d, matrices, seed_region, seedV, tol, error=ValueError):
+    """The region vectors from ``seedV`` in ``seed_region``, crossing each
+    arc from its left region to its right one by its generator's matrix
+    (``d`` duck-typed: n_regions, left_region, right_region, overarc_of),
+    then every arc re-checked to relative ``tol``."""
+    trans = {e: matrices[d.overarc_of[e]] for e in sorted(d.left_region)}
+    V = [None] * d.n_regions
+    V[seed_region] = np.asarray(seedV, dtype=complex).reshape(2)
+    grown = True
+    while grown:
+        grown = False
+        for e in sorted(trans):
+            lr, rr = d.left_region[e], d.right_region[e]
+            if V[lr] is not None and V[rr] is None:
+                V[rr] = trans[e] @ V[lr]
+                grown = True
+            elif V[rr] is not None and V[lr] is None:
+                V[lr] = inv2(trans[e]) @ V[rr]
+                grown = True
+    scale = max(float(np.max(np.abs(v))) for v in V)
+    for e in sorted(trans):
+        lr, rr = d.left_region[e], d.right_region[e]
+        resid = float(np.max(np.abs(V[rr] - trans[e] @ V[lr])))
+        if not resid <= tol * max(1.0, scale):
+            raise error(
+                f"representation/transport convention mismatch: arc {e} "
+                f"closes with residual {resid:.3g}")
+    return V
+
+
+def genericity_report_stacked(W, V, matrices, tol):
+    """genericity_report's violations, in its order, tested on all
+    (generator, vector) pairs at once."""
+    W = np.asarray(W, dtype=complex)
+    V = np.array(V, dtype=complex).reshape(-1, 2)
+    det = np.abs(W[0] * V[:, 1] - W[1] * V[:, 0])
+    det_scale = np.maximum(1.0, np.max(np.abs(W)) * np.abs(V).max(axis=1))
+    report = [f"det(W, V_{j + 1}) = 0"
+              for j in np.flatnonzero(det <= tol * det_scale)]
+    U = np.vstack([W, V])                          # row 0 is W
+    GU = np.array(matrices) @ U.T                  # (generators, 2, 1 + n)
+    cross = np.abs(U[:, 0] * GU[:, 1] - U[:, 1] * GU[:, 0])
+    scale = np.abs(U).max(axis=1) * np.abs(GU).max(axis=1)
+    names = ["W"] + [f"V_{j + 1}" for j in range(V.shape[0])]
+    report += [f"{names[k]} is an eigenvector of ρ(g{gi + 1})"
+               for gi, k in np.argwhere(
+                   cross <= tol * np.maximum(scale, 1e-300))]
+    return report
+
+
+def _meridian_eigenvalue(m):
+    if abs(m[1, 0]) <= _TRIANGULAR_TOL:
+        return complex(m[0, 0])
+    tr = m[0, 0] + m[1, 1]
+    if abs(tr - 2.0) <= 1e-12:
+        return complex(1.0)
+    if abs(tr + 2.0) <= 1e-12:
+        return complex(-1.0)
+    disc = cmath.sqrt(tr * tr - 4.0)
+    lam1 = (tr + disc) / 2.0
+    lam2 = (tr - disc) / 2.0
+
+    def key(lam):
+        lg = cmath.log(lam)
+        return (lg.imag >= -1e-15, abs(lam) >= 1.0, -abs(lg.imag))
+    return sorted([complex(lam1), complex(lam2)], key=key, reverse=True)[0]
+
+
+def longitude_eigenvalue(matrices, letters, meridian, error=ValueError):
+    """The eigenvalue of the word ``letters`` ((generator, ±1) pairs) on
+    the eigenvector of the meridian matrix ``meridian`` for its preferred
+    eigenvalue; raises ``error`` when the two do not commute or share no
+    eigenvector."""
+    lam_mat = I2.copy()
+    for g, e in letters:
+        lam_mat = lam_mat @ (matrices[g] if e == 1 else inv2(matrices[g]))
+    comm = meridian @ lam_mat - lam_mat @ meridian
+    if float(np.max(np.abs(comm))) > _COMMUTE_TOL:
+        raise error("longitude does not commute with its meridian")
+    lam = _meridian_eigenvalue(meridian)
+    v1 = np.array([meridian[0, 1], lam - meridian[0, 0]], dtype=complex)
+    v2 = np.array([lam - meridian[1, 1], meridian[1, 0]], dtype=complex)
+    v = v1 if np.max(np.abs(v1)) >= np.max(np.abs(v2)) else v2
+    nv = np.max(np.abs(v))
+    v = np.array([1.0, 0.0], dtype=complex) if nv <= 1e-9 else v / nv
+    w = lam_mat @ v
+    k = int(np.argmax(np.abs(v)))
+    l = w[k] / v[k]
+    if float(np.max(np.abs(w - l * v))) > 1e-6 * max(1.0, abs(l)):
+        raise error("meridian and longitude share no eigenvector")
+    return complex(l)

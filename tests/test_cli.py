@@ -1,5 +1,9 @@
 import argparse
+import cmath
+import contextlib
+import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -9,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linkvol import _examples, _kernels, cli, diagram, engine, potential
 from linkvol.numerics import cs_mod_pi2
@@ -46,6 +51,15 @@ def test_parse_complex():
     assert cli.parse_complex("-1.5") == complex(-1.5)
     assert cli.parse_complex("2i") == complex(0, 2)
     assert cli.parse_complex("-0.4+0.7I") == complex(-0.4, 0.7)
+    assert cli.parse_complex("i") == 1j
+    assert cli.parse_complex("-i") == -1j
+    assert cli.parse_complex("2.5e-3-1e2I") == complex(2.5e-3, -1e2)
+    assert cli.parse_complex("3j") == 3j
+    # only a trailing i is the imaginary unit; inf and nan keep theirs
+    assert cli.parse_complex("inf") == complex(math.inf, 0)
+    assert cli.parse_complex("-Infinity") == complex(-math.inf, 0)
+    assert cli.parse_complex("1+infi") == complex(1, math.inf)
+    assert cmath.isnan(cli.parse_complex("nan"))
     with pytest.raises(cli.InputError):
         cli.parse_complex("one")
     with pytest.raises(cli.InputError):
@@ -186,17 +200,21 @@ def test_from_rep_partial_pins_rejected(fig8_path, tmp_path, capsys):
                      "--seedV", "1+0i,0+1i"]) == 2
 
 
-@pytest.mark.parametrize("seedV, W, code", [
-    ("nan+0i,1", "2,1", 2),
-    ("1e309,1", "2,1", 2),
-    ("1,0", "nan,1", 2),
-    ("1e308,1e308", "2,1", 1),
-    ("1,0", "1e200,1e200", 1),
-], ids=["nan-seed", "inf-seed", "nan-W", "huge-seed", "huge-W"])
+@pytest.mark.parametrize("seedV, W, code, message", [
+    ("nan+0i,1", "2,1", 2, "--seedV entries must be finite"),
+    ("1e309,1", "2,1", 2, "--seedV entries must be finite"),
+    ("1,0", "nan,1", 2, "--W entries must be finite"),
+    ("1e308,1e308", "2,1", 1, "pinned vectors overflow in the transport"),
+    ("1.7e308+1.7e308i,1", "2,1", 1,
+     "pinned vectors overflow in the transport"),
+    ("1,0", "1e200,1e200", 1, "degenerate coloring"),
+], ids=["nan-seed", "inf-seed", "nan-W", "huge-seed", "huge-complex-seed",
+        "huge-W"])
 def test_from_rep_pins_beyond_floats(fig8_path, tmp_path, capsys, seedV, W,
-                                     code):
-    # a non-finite pin is an input error; a huge finite one overflows in
-    # the transport and is a degenerate coloring, without a numpy warning
+                                     code, message):
+    # a non-finite pin is an input error; a huge finite seed overflows in
+    # the transport, and a huge W makes a degenerate coloring, each with
+    # one line of its own and without a numpy warning
     rep = write_rep(tmp_path, "rep.json",
                     _examples.fig8_matrices(_examples.FIG8_M))
     assert cli.main(["from-rep", fig8_path, rep, "--seedV", seedV,
@@ -204,6 +222,70 @@ def test_from_rep_pins_beyond_floats(fig8_path, tmp_path, capsys, seedV, W,
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: " if code == 2 else "verification failure")
+    assert message in err
+
+
+# finite extremes of the double range next to arbitrary finite floats, and
+# the spelled-out non-finite values
+_PIN_NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, 1.7e308, -1.7e308, 5e-324,
+                     -5e-324, 2.2250738585072014e-308]),
+    st.floats(allow_nan=False, allow_infinity=False)).map(repr)
+_PIN_WORDS = st.sampled_from(["inf", "-inf", "nan"])
+
+
+@st.composite
+def _pin_entry(draw):
+    # one part in eight is spelled out, so that most vectors are finite
+    real, imag = (draw(_PIN_WORDS if draw(st.integers(0, 7)) == 0
+                       else _PIN_NUMBERS) for _ in range(2))
+    imag += "i"
+    form = draw(st.sampled_from(["real", "imag", "both"]))
+    if form == "both":
+        return real + ("" if imag.startswith("-") else "+") + imag
+    return real if form == "real" else imag
+
+
+@pytest.fixture(scope="module")
+def fig8_pin_inputs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("pins")
+    (tmp / "fig8.pd").write_text(FIG8 + "\n")
+    return [str(tmp / "fig8.pd"),
+            write_rep(tmp, "rep.json",
+                      _examples.fig8_matrices(_examples.FIG8_M))]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(seedV=st.tuples(_pin_entry(), _pin_entry()),
+       W=st.tuples(_pin_entry(), _pin_entry()),
+       region=st.integers(1, 6))
+def test_from_rep_pins_fuzz(fig8_pin_inputs, seedV, W, region):
+    # whatever the pinned vectors, from-rep ends with an exit code and,
+    # when it fails, one line on stderr: never a traceback or a warning
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["from-rep", *fig8_pin_inputs,
+                         "--seedV=" + ",".join(seedV), "--W=" + ",".join(W),
+                         "--seed-region", str(region), "--filling", "2/3"])
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("solve", ["--m", "inf"],
+     "meridian eigenvalues must be finite and nonzero"),
+    ("from-rep", ["--seedV", "1,1+infi", "--W", "2,1", "--seed-region", "3"],
+     "--seedV entries must be finite"),
+], ids=["solve-m", "from-rep-seedV"])
+def test_spelled_out_infinity_is_not_a_parse_error(fig8_path, tmp_path,
+                                                   capsys, command, flags,
+                                                   message):
+    rep = write_rep(tmp_path, "rep.json",
+                    _examples.fig8_matrices(_examples.FIG8_M))
+    inputs = [fig8_path] if command == "solve" else [fig8_path, rep]
+    assert cli.main([command, *inputs, *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_from_rep_negative_rng_seed_is_input_error(fig8_path, tmp_path,

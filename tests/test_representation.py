@@ -1,10 +1,13 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from linkvol import _examples, diagram, representation
+from linkvol import _examples, coloring, diagram, representation
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +31,7 @@ def test_completion_satisfies_all_relations(fig8, whitehead):
         assert len(rep.matrices) == len(d.over_arcs)
         assert rep.relation_residual() < 1e-9
         for g in rep.matrices:
-            assert abs(representation.det2(g) - 1) < 1e-9
+            assert abs(oracles.det2(g) - 1) < 1e-9
 
 
 def test_completion_rejects_inconsistent_seed():
@@ -89,14 +92,16 @@ def test_longitude_eigenvalue_conjugation_invariant(fig8):
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     a /= cmath.sqrt(np.linalg.det(a))
     conj = representation.Representation(
-        d, [a @ g @ representation.inv2(a) for g in rep.matrices])
+        d, [a @ g @ oracles.inv2(a) for g in rep.matrices])
     assert abs(representation.longitude_eigenvalue(conj, 0) - base[0]) < 1e-9
 
 
 def test_longitude_commutes_with_meridian(fig8):
     d, rep = fig8
     mu = rep.matrices[d.meridian_gen[0]]
-    lam = representation.evaluate_word(rep, diagram.longitude_word(d, 0))
+    lam = np.reshape(
+        representation.evaluate_word(rep, diagram.longitude_word(d, 0)),
+        (2, 2))
     comm = mu @ lam - lam @ mu
     assert np.max(np.abs(comm)) < 1e-10
 
@@ -193,7 +198,7 @@ def test_representation_from_json_round_trip(fig8):
         doc["generators"][f"g{gi + 1}"] = [[z.real, z.imag] for z in a]
     rep2 = representation.representation_from_json(d, doc)
     for g1, g2 in zip(rep.matrices, rep2.matrices):
-        assert representation.mat_dist(g1, g2) < 1e-12
+        assert oracles.mat_dist(g1, g2) < 1e-12
 
 
 def test_representation_from_json_rejects_garbage(fig8):
@@ -203,3 +208,107 @@ def test_representation_from_json_rejects_garbage(fig8):
     with pytest.raises(representation.RepresentationError):
         representation.representation_from_json(
             d, {"generators": {"g1": [[1, 0], [0, 0], [0, 0], [2, 0]]}})
+
+
+KINKED = "X[5,1,6,2] X[6,3,7,2] X[3,4,4,1] X[7,5,8,8]"
+
+
+def _random_sl2(rng):
+    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    return a / cmath.sqrt(np.linalg.det(a))
+
+
+def _oracle_cases():
+    """(diagram, seed generators, seed region, seed vector, W) for the
+    three goldens and KINKED, whose group is free on g1 and g4 (seeded
+    with two random SL(2,C) matrices), each also under 20 random SL(2,C)
+    conjugations."""
+    rng = np.random.default_rng(19)
+    bases = [(ex.pd, ex.seed_matrices, ex.seed_region, ex.seedV, ex.auxW)
+             for ex in _examples.all_golden()]
+    bases.append((KINKED, {"g1": _random_sl2(rng), "g4": _random_sl2(rng)},
+                  0, (1, 1j), (2, 1)))
+    for pd, partial, region, seedV, W in bases:
+        d = diagram.load_diagram(pd)
+        yield d, partial, region, seedV, W
+        for _ in range(20):
+            a = _random_sl2(rng)
+            conj = {g: a @ np.asarray(m, dtype=complex) @ oracles.inv2(a)
+                    for g, m in partial.items()}
+            yield d, conj, region, seedV, W
+
+
+def _seeded(d, partial):
+    known = [None] * len(d.over_arcs)
+    for g, m in partial.items():
+        known[int(g[1:]) - 1] = np.asarray(m, dtype=complex)
+    return known
+
+
+def _close(a, b):
+    # relative to the largest entry of the whole stack: a matrix derived
+    # through conjugations by larger ones carries rounding of that size,
+    # on either path (both err by up to 2e-11 against 40-digit mpmath at
+    # entries up to 60)
+    a, b = np.asarray(a), np.asarray(b)
+    return np.max(np.abs(a - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+
+
+def test_scalar_algebra_matches_numpy_oracle(monkeypatch):
+    # completion, transport, genericity and longitudes on tuples of Python
+    # complex against the same steps on numpy arrays; each step after the
+    # completion gets the package's matrices on both paths
+    cases = 0
+    for d, partial, region, seedV, W in _oracle_cases():
+        rep = representation.complete_representation(d, partial)
+        mats = oracles.complete_generators(
+            diagram.wirtinger(d).relations, _seeded(d, partial),
+            d.meridian_gen)
+        assert _close(rep.matrices, mats)
+        with monkeypatch.context() as mp:
+            # the transport alone, whatever the genericity of W
+            mp.setattr(coloring, "check_genericity", lambda col: [])
+            col = coloring.propagate(rep, region, seedV, W)
+        assert _close(col.V, oracles.transport(d, rep.matrices, region,
+                                               seedV, coloring._TOL))
+        # the pinned W, one parallel to the seed vector and an eigenvector
+        # of g1: generic, a zero determinant and eigenvector reports
+        for aux in (W, seedV, np.linalg.eig(rep.matrices[0])[1][:, 0]):
+            report = coloring.check_genericity(
+                dataclasses.replace(col, Wvec=aux))
+            assert report == oracles.genericity_report_stacked(
+                aux, col.V, rep.matrices, coloring._TOL)
+        for i in range(d.n_components):
+            ref = oracles.longitude_eigenvalue(
+                rep.matrices, diagram.longitude_word(d, i).letters,
+                rep.matrices[d.meridian_gen[i]])
+            l = representation.longitude_eigenvalue(rep, i)
+            assert abs(l - ref) <= 1e-12 * max(1.0, abs(ref))
+        cases += 1
+    assert cases == 4 * 21
+
+
+_I = [[1, 0], [0, 1]]
+_MINUS_I = [[-1, 0], [0, -1]]
+
+
+@pytest.mark.parametrize("pd, partial", [
+    (_examples.FIG8_PD, {"g3": _I, "g4": _I}),
+    (_examples.FIG8_PD, {"g3": _MINUS_I, "g4": _MINUS_I}),
+    (_examples.FIG8_PD, {"g4": [[2.0, 1.0], [0.0, 0.5]],
+                         "g3": [[3.0, 0.0], [1.0, 1 / 3]]}),
+    (_examples.FIG8_PD, {"g4": [[2.0, 1.0], [0.0, 0.5]]}),
+    (KINKED, {"g1": [[2.0, 1.0], [0.0, 0.5]]}),
+    (_examples.FIG8_PD, {}),
+], ids=["identity-meridian", "minus-identity-meridian", "inconsistent",
+        "insufficient", "insufficient-kinked", "empty"])
+def test_completion_errors_match_numpy_oracle(pd, partial):
+    d = diagram.load_diagram(pd)
+    with pytest.raises(representation.RepresentationError) as got:
+        representation.complete_representation(d, partial)
+    with pytest.raises(representation.RepresentationError) as ref:
+        oracles.complete_generators(
+            diagram.wirtinger(d).relations, _seeded(d, partial),
+            d.meridian_gen, error=representation.RepresentationError)
+    assert type(got.value) is type(ref.value)
+    assert str(got.value).split(":")[0] == str(ref.value).split(":")[0]
