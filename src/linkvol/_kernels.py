@@ -1,6 +1,6 @@
 """Vectorized numpy kernels for the two hot paths: batched dilogarithm
 evaluation and the assembly of log-derivative residuals/Jacobians from term
-tables.
+tables, which read each distinct logarithm of a ratio stack once.
 
 Branch convention: all logarithms are principal with arg in (-pi, pi]; an
 argument on the negative real axis with a signed -0.0 imaginary part is
@@ -87,25 +87,32 @@ def dilog_many(z):
 
 # ---------------------------------------------------------------------------
 # Term tables: each row of a table is one logarithmic term
-#     sign * log(1 - R)   (kind 0)   or   sign * log(R)   (kind 1)
+#     sign * log(1 - R)   or   sign * log(R)
 # accumulated into an output slot, where R is one of the point's crossing
-# ratios, read from the flattened (n_crossings * 5) ratio array by index.
+# ratios. The terms of both tables read few distinct logarithms per
+# crossing, so ratio_logs forms each of them once per ratio stack, as the
+# columns of an (..., n_crossings, n_logs) array, and a term reads its
+# column of that array, flattened, by index.
 # ---------------------------------------------------------------------------
 
 
 class TermTable:
     """The terms of one family of sums, one array entry per term, for
-    ``n_rows`` output slots over ``n_w`` weights. Term i reads ratio
-    ``ratio[i]``; Jacobian entry e adds d(term)/d(log R) of term
-    ``jac_src[e]`` (negated from index n_terms on) at the flat (row, w)
-    slot ``jac_slots[e]``."""
+    ``n_rows`` output slots over ``n_w`` weights.
 
-    def __init__(self, row, kind, sign, ratio, jac_slots, jac_src, n_rows,
-                 n_w):
-        self.row, self.sign, self.ratio = row, sign, ratio
+    The log layout: log column c of a crossing is log(1 - R) of its ratio
+    ``log_ratio[c]`` where ``log_1m[c]``, else log R. Term i adds
+    ``sign[i]`` times column ``log[i]`` of the flattened (n_crossings *
+    n_logs) log array to output slot ``row[i]``. Jacobian entry e adds
+    d(term)/d(log R) of term ``jac_src[e]`` (negated from index n_terms
+    on) at the flat (row, w) slot ``jac_slots[e]``."""
+
+    def __init__(self, row, sign, log, jac_slots, jac_src, n_rows, n_w,
+                 log_ratio, log_1m):
+        self.row, self.sign, self.log = row, sign, log
         self.jac_slots, self.jac_src = jac_slots, jac_src
         self.n_rows, self.n_w = n_rows, n_w
-        self.log1m = kind == 0
+        self.log_ratio, self.log_1m = log_ratio, log_1m
 
 
 def _scatter(idx, vals, n_slots):
@@ -120,26 +127,48 @@ def _scatter(idx, vals, n_slots):
     return out.reshape(lead + (n_slots,))
 
 
-def _terms_and_sums(R, t):
-    R = R.reshape(R.shape[:-2] + (R.shape[-2] * 5,)).take(t.ratio, -1)
-    vals = _plog_vec(np.where(t.log1m, 1.0 - R, R))
-    return R, _scatter(t.row, t.sign * vals, t.n_rows)
+def _log_args(R, t):
+    """The ratios of t's log columns and the arguments of their logs,
+    both (..., n_crossings, n_logs)."""
+    Rc = R.take(t.log_ratio, -1)
+    return Rc, np.where(t.log_1m, 1.0 - Rc, Rc)
 
 
-def eval_terms(R, t):
+def ratio_logs(R, t):
+    """The log array of table t's layout at ratios R (..., n_crossings, 5):
+    each distinct principal log the terms read, once per crossing, shape
+    (..., n_crossings, n_logs). Both tables of a diagram share it."""
+    return _plog_vec(_log_args(R, t)[1])
+
+
+def _flat(a):
+    """a (..., n_crossings, c) as (..., n_crossings * c)."""
+    return a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
+
+
+def _sums(L, t):
+    return _scatter(t.row, t.sign * _flat(L).take(t.log, -1), t.n_rows)
+
+
+def eval_terms(L, t):
     """Per output slot of table t, the signed sum of its logarithmic terms
-    at one point's ratios R, shape (n_crossings, 5), or at each of a stack,
-    shape (S, n_crossings, 5); the result has shape (..., n_rows)."""
-    return _terms_and_sums(R, t)[1]
+    at the log array L of one point, shape (n_crossings, n_logs), or of a
+    stack, shape (S, n_crossings, n_logs) (see ratio_logs); the result has
+    shape (..., n_rows)."""
+    return _sums(L, t)
 
 
 def eval_terms_jac(R, t):
-    """The sums of eval_terms, their Jacobian in log coordinates,
-    w_j dF/dw_j, and the ratio distance min(|R|, 1/|R|, |1 - R|) over all
-    ratios: how close the point is to a collapsed tetrahedron.
-    Shapes (..., n_rows), (..., n_rows, n_w) and (...)."""
-    Rt, F = _terms_and_sums(R, t)
-    g = np.where(t.log1m, -Rt / (1.0 - Rt), 1.0) * t.sign
+    """The sums of eval_terms at ratios R (..., n_crossings, 5), their
+    Jacobian in log coordinates, w_j dF/dw_j, and the ratio distance
+    min(|R|, 1/|R|, |1 - R|) over all ratios: how close the point is to a
+    collapsed tetrahedron. Shapes (..., n_rows), (..., n_rows, n_w) and
+    (...). The log array and the factors d log(1 - R)/d log R = -R/(1 - R)
+    are formed once per log column."""
+    Rc, Z = _log_args(R, t)
+    F = _sums(_plog_vec(Z), t)
+    G = np.where(t.log_1m, -Rc / Z, 1.0)
+    g = _flat(G).take(t.log, -1) * t.sign
     J = _scatter(t.jac_slots,
                  np.concatenate([g, -g], axis=-1).take(t.jac_src, -1),
                  t.n_rows * t.n_w)

@@ -199,6 +199,8 @@ def _pinned_or_random_coloring(args, rep):
                          "coloring)")
     if all(pinned):
         seedV = parse_vec2(args.seedV, "--seedV")
+        if not seedV.any():
+            raise InputError("--seedV must be nonzero")
         Wvec = parse_vec2(args.W, "--W")
         if not (1 <= args.seed_region <= rep.diagram.n_regions):
             raise InputError(f"--seed-region must be in 1.."

@@ -6,9 +6,11 @@ removed by dropping one (redundant) equation and pinning the last weight.
 Its random seeds, one standard_normal draw, run through the Newton core
 together as one (S, n) array, whose crossing ratios (one
 potential._RatioMap per run, so the meridian factor is formed once) each
-kernel call reads. The core returns candidates, not verified points: one
-potential.Evaluation at the same ratio map verifies them, and multi_start
-returns the rows that pass it.
+kernel call reads. An iteration makes one Jacobian call and, mostly, one
+residual call: the Armijo line search tries a window of step lengths per
+seed in one stacked call. The core returns candidates, not verified
+points: one potential.Evaluation at the same ratio map verifies them, and
+multi_start returns the rows that pass it.
 
 A seed heading for a collapsed tetrahedron is cut early: when its ratio
 distance min(|R|, 1/|R|, |1 - R|), which the Jacobian kernel returns, is
@@ -47,11 +49,14 @@ _SV_CUTOFF = 1e-8
 # finiteness tests, and stalls when none does.
 _STEPS = np.ldexp(1.0, -np.arange(31))
 
-# After the step-1 round, the seeds still searching try the rest of the
-# ladder in blocks of these sizes, one stacked kernel call per block (the
-# last block is cut at the ladder's end). Doubling blocks keep the calls
-# per iteration at six without evaluating many rows past the accepted one.
-_LINE_SEARCH_BLOCKS = (1, 2, 4, 8, 16)
+# The line search's windows. In one stacked kernel call a seed tries the
+# lengths from 1 through two past the one it accepted at its previous
+# iteration (1 and 1/2 at the first); a seed that passes none of them tries
+# the next lengths in a window twice as long at the next call, and so on.
+# Most seeds accept one of their first few lengths, and a seed's accepted
+# length carries over from one iteration to the next, so an iteration
+# mostly makes one call. No window holds more than this many lengths.
+_MAX_WINDOW = 16
 
 # The run-off cut. A seed whose ratio distance min(|R|, 1/|R|, |1 - R|)
 # is below _RUNOFF_DIST and has fallen on _RUNOFF_FALLS consecutive
@@ -146,14 +151,16 @@ def _newton_batch(ratios, seeds, cfg):
 
     Each seed takes exactly the decisions a lone run from it would take;
     the batch only shares the kernel calls, the stacked SVD and the line
-    search rounds. The line search walks the ladder _STEPS (1, 1/2, ...,
-    1/2^30) for every seed: step 1 first, then, for the seeds still
-    searching, the next lengths in blocks of _LINE_SEARCH_BLOCKS, each
-    block one kernel call on a (seeds x block) stack. A seed takes the
-    earliest length of the ladder that passes, so a block decides and
-    computes bitwise as the same lengths tried one at a time would; it
-    only evaluates some rows past the accepted length. A seed that runs
-    off toward a degenerate point (the rule at _RUNOFF_DIST) fails at once.
+    search calls. The line search walks the ladder _STEPS (1, 1/2, ...,
+    1/2^30) in per-seed windows (see _MAX_WINDOW): in one kernel call on
+    a stack of every searching seed's window, a seed tries the lengths
+    from 1 through two past the one it accepted at its previous
+    iteration, and only the seeds that pass none of them make a further
+    call, with a window twice as long. A seed takes the earliest length
+    of the ladder that passes, so the windows decide and compute bitwise
+    as the same lengths tried one at a time would; they only evaluate
+    some rows past the accepted length. A seed that runs off toward a
+    degenerate point (the rule at _RUNOFF_DIST) fails at once.
 
     Works in log-weight coordinates with the last weight pinned to its seed
     value (the equations are invariant under global rescaling of w, and the
@@ -174,6 +181,9 @@ def _newton_batch(ratios, seeds, cfg):
     # the first iteration has no earlier distance, so it is no fall
     dist_prev = np.zeros(seeds.shape[0])
     falls = np.zeros(seeds.shape[0], dtype=int)
+    # the ladder index each seed accepted at its last iteration; -1 before
+    # the first
+    last = np.full(seeds.shape[0], -1)
     out = [None] * seeds.shape[0]
     # iterate past the acceptance threshold down to this floor, so that the
     # returned weights (not just the residuals) are as sharp as the
@@ -239,31 +249,43 @@ def _newton_batch(ratios, seeds, cfg):
 
             base = (np.abs(F) ** 2).sum(axis=1)
             pos = np.arange(live.size)     # the seeds of live still searching
-            lo = 0
-            for size in (1,) + _LINE_SEARCH_BLOCKS:
-                if lo >= _STEPS.size or not pos.size:
-                    break
-                steps = _STEPS[lo:lo + size]
-                lo += size
-                rows = live[pos]
-                # (seeds, block, n): row b of a seed is X + steps[b] dx
-                x_new = np.repeat(X[rows][:, None, :], steps.size, axis=1)
-                x_new[:, :, :k] += steps[:, None] * dx[pos][:, None, :]
-                w_new = np.exp(x_new)
-                F_try = _kernels.eval_terms(ratios(w_new.reshape(-1, n)), t)
-                f_new = (np.abs(_fold(F_try[:, :k])) ** 2).sum(axis=1)
-                acc = (np.isfinite(w_new).all(axis=2)
-                       & np.isfinite(F_try).all(axis=1).reshape(
-                           -1, steps.size)
-                       & (f_new.reshape(-1, steps.size)
-                          <= (1.0 - 1e-4 * steps) * base[pos, None]))
-                hit = acc.any(axis=1)
-                first = acc[hit].argmax(axis=1)
-                X[rows[hit]] = x_new[hit, first]
-                W[rows[hit]] = w_new[hit, first]
-                pos = pos[~hit]
+            lo = np.zeros(live.size, dtype=int)  # their first untried length
+            size = np.minimum(last[live] + 3, _MAX_WINDOW)
             stalled = np.zeros(live.size, dtype=bool)
-            stalled[pos] = True
+            while pos.size:
+                # one stacked call: the window lo .. lo + size - 1 of each
+                # searching seed, its rows in ladder order, seed after seed
+                cnt = np.minimum(size, _STEPS.size - lo)
+                owner = np.repeat(np.arange(pos.size), cnt)
+                idx = np.arange(owner.size) \
+                    + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+                steps = _STEPS[idx]
+                at = pos[owner]    # each row's seed, as a position in live
+                x_new = X[live[at]]
+                x_new[:, :k] += steps[:, None] * dx[at]
+                w_new = np.exp(x_new)
+                F_try = _kernels.eval_terms(
+                    _kernels.ratio_logs(ratios(w_new), t), t)
+                f_new = (np.abs(_fold(F_try[:, :k])) ** 2).sum(axis=1)
+                acc = np.flatnonzero(
+                    np.isfinite(w_new).all(axis=1)
+                    & np.isfinite(F_try).all(axis=1)
+                    & (f_new <= (1.0 - 1e-4 * steps) * base[at]))
+                # a seed takes the first passing row of its window
+                hit = owner[acc]
+                lead = np.ones(acc.size, dtype=bool)
+                lead[1:] = hit[1:] != hit[:-1]
+                first = acc[lead]
+                rows = live[pos[owner[first]]]
+                X[rows], W[rows], last[rows] = x_new[first], w_new[first], \
+                    idx[first]
+                miss = np.ones(pos.size, dtype=bool)
+                miss[owner[first]] = False
+                pos, lo = pos[miss], lo[miss] + cnt[miss]
+                size = np.minimum(2 * size[miss], _MAX_WINDOW)
+                end = lo >= _STEPS.size
+                stalled[pos[end]] = True
+                pos, lo, size = pos[~end], lo[~end], size[~end]
             settle(live[stalled], f"line search stalled at iteration {it}")
             live = live[~stalled]
 

@@ -19,9 +19,11 @@ One evaluation serves every checked point: evaluate forms the (n_crossings,
 5) crossing ratios of a stack of points once (_RatioMap is the one ratio
 formula) and reads off them the potential, both logarithmic derivatives,
 the critical values and residuals and the degeneracy reports, into one
-Evaluation record; W0 reads a row of it. The _kernels term tables index
-the ratio array. All logarithms are principal; no branch tracking happens
-anywhere.
+Evaluation record; W0 reads a row of it. It takes each distinct
+logarithm of the ratios once, in one log array (_kernels.ratio_logs, its
+columns laid out by _LOGS), which both _kernels term tables and the
+crossing terms' log(A) log(B) read. All logarithms are principal; no
+branch tracking happens anywhere.
 """
 
 import math
@@ -138,8 +140,49 @@ _MDW_PATTERN = (
 )
 
 
+# The distinct logarithms the two tables read per crossing, as (kind,
+# ratio) pairs in sorted order: log(1 - R) of all five ratios, then log A
+# and log B (which the crossing term's log(A) log(B) reads too). They are
+# the columns of the log array _kernels.ratio_logs forms.
+_LOGS = sorted({(kind, ratio) for _, ratio, kind, _ in
+                _WDW_PATTERN + _MDW_PATTERN})
+_LOG_A, _LOG_B = _LOGS.index((1, 0)), _LOGS.index((1, 1))
+_LOG_RATIO = np.array([ratio for _, ratio in _LOGS])
+_LOG_1M = np.array([kind == 0 for kind, _ in _LOGS])
+
+# Per ratio (A, B, D, E, C) of the table above, the slots of n1, n2, d1,
+# d2 and the meridian index in a crossing's (j, k, l, m, beta, alpha,
+# n_regions, n_components) (the last two are the sentinels), and which
+# ratios carry the meridian factor m^(-sigma).
+_RATIO_SLOTS = np.array([
+    (3, 6, 0, 6, 4), (1, 6, 0, 6, 5), (2, 6, 1, 6, 4), (2, 6, 3, 6, 5),
+    (0, 2, 3, 1, 7),
+])
+_RATIO_MEXP = np.array([1, 1, 1, 1, 0])
+
+
+def _pattern(rows, role_slot):
+    """A term pattern as arrays over its terms: each term's output slot
+    (an index into a crossing's slots, see _Tables: ``role_slot`` + role),
+    sign, log column, and the slots of its ratio's n1, n2, d1, d2 as a
+    (4, n_terms) array."""
+    role, ratio, kind, sign = np.array(rows).T
+    log = np.array([_LOGS.index((k, r)) for k, r in zip(kind, ratio)])
+    return role_slot + role, sign, log, _RATIO_SLOTS[ratio, :4].T
+
+
+_WDW_TERMS = _pattern(_WDW_PATTERN, 0)
+_MDW_TERMS = _pattern(_MDW_PATTERN, 4)
+
+# d log R / d log w is +1 at n1, n2 and -1 at d1, d2: a term's Jacobian
+# entries at its ratio's d1, d2 read the negated term
+_JAC_NEGATED = np.array([0, 0, 1, 1])[:, None]
+
+
 class _Tables:
-    """The ratio layout of one diagram and its term tables for _kernels.
+    """The ratio layout of one diagram and its term tables for _kernels,
+    built by broadcasting the fixed per-crossing patterns over all
+    crossings (crossing-major, pattern order within a crossing).
 
     In r_nd, r_mi the index sentinels n_regions / n_components point at the
     constant 1 that _ext appends to the weight / meridian vectors.
@@ -147,46 +190,38 @@ class _Tables:
 
     def __init__(self, d):
         nw = d.n_regions
-        nm = d.n_components
-        self.sigma = np.array([SIGMA_POS * c.sign for c in d.crossings],
-                              dtype=np.int8)
+        nc = len(d.crossings)
+        # per crossing (j, k, l, m, beta, alpha, n_regions, n_components),
+        # the slots the patterns index, and its sign
+        slots = np.array([(*c.regions, c.beta, c.alpha, nw, d.n_components,
+                           c.sign) for c in d.crossings],
+                         dtype=np.int64).reshape(nc, 9)
+        self.sigma = (SIGMA_POS * slots[:, 8]).astype(np.int8)
+        sig = SIGMA_POS * slots[:, 8:]
 
-        # r_rows: (n1, n2, d1, d2, mi, mexp) per ratio, crossing-major
-        r_rows, w_rows, m_rows = [], [], []
-        for ci, c in enumerate(d.crossings):
-            j, k, l, m = c.regions
-            sig = int(self.sigma[ci])
-            r_rows.extend([
-                (m, nw, j, nw, c.beta, -sig),
-                (k, nw, j, nw, c.alpha, -sig),
-                (l, nw, k, nw, c.beta, -sig),
-                (l, nw, m, nw, c.alpha, -sig),
-                (j, l, m, k, nm, 0),
-            ])
-            for role, ratio, kind, sgn in _WDW_PATTERN:
-                w_rows.append((c.regions[role], kind, sgn * sig,
-                               5 * ci + ratio))
-            for role, ratio, kind, sgn in _MDW_PATTERN:
-                m_rows.append(((c.beta, c.alpha)[role], kind, sgn,
-                               5 * ci + ratio))
-        cols = np.array(r_rows, dtype=np.int64).T
-        self.r_nd = np.ascontiguousarray(cols[0:4])   # n1, n2, d1, d2
-        self.r_mi, self.r_mexp = cols[4], cols[5]
+        r = slots[:, _RATIO_SLOTS]               # (nc, 5, 5)
+        self.r_nd = np.ascontiguousarray(r[:, :, :4].reshape(-1, 4).T)
+        self.r_mi = r[:, :, 4].ravel()
+        self.r_mexp = (-sig * _RATIO_MEXP).ravel()
 
-        def pack(rows, n_rows):
-            out_row, kind, sign, t = np.array(rows, dtype=np.int64).T
-            # d log R / d log w is +1 at n1, n2 and -1 at d1, d2; the
+        def pack(terms, factor, n_rows):
+            # factor (nc, 1) multiplies each crossing's pattern signs
+            out_slot, sign, log, jac_slot = terms
+            out = slots[:, out_slot].ravel()
+            # (4, n_terms): the weights of each term's n1, n2, d1, d2; the
             # sentinel columns get no Jacobian entry
-            cols = self.r_nd[:, t]
-            src = np.arange(t.size)
-            src = np.stack([src, src, src + t.size, src + t.size])
+            cols = slots[:, jac_slot].transpose(1, 0, 2).reshape(4, -1)
             keep = cols < nw
+            src = np.arange(out.size) + out.size * _JAC_NEGATED
             return _kernels.TermTable(
-                out_row, kind, sign, t, (out_row * nw + cols)[keep],
-                src[keep], n_rows, nw)
+                out, (sign * factor).ravel(),
+                (len(_LOGS) * np.arange(nc)[:, None] + log).ravel(),
+                (out * nw + cols)[keep], src[keep], n_rows, nw,
+                _LOG_RATIO, _LOG_1M)
 
-        self.wdw = pack(w_rows, nw)
-        self.mdw = pack(m_rows, nm)
+        self.wdw = pack(_WDW_TERMS, sig, nw)
+        # the sigma factors cancel in the meridian table (see _MDW_PATTERN)
+        self.mdw = pack(_MDW_TERMS, np.ones_like(sig), d.n_components)
 
 
 def _tables(d):
@@ -234,23 +269,25 @@ class _RatioMap:
         R = self(w)
         t = self.t
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            W = _potentials(self.d, R)
-            wdW = _kernels.eval_terms(R, t.wdw)
+            L = _kernels.ratio_logs(R, t.wdw)
+            W = _potentials(self.d, R, L)
+            wdW = _kernels.eval_terms(L, t.wdw)
             return Evaluation(
                 self.d, w,
                 np.broadcast_to(self.m, w.shape[:-1] + self.m.shape[-1:]),
                 R, _degeneracy_reports(R), W, wdW,
-                _kernels.eval_terms(R, t.mdw),
+                _kernels.eval_terms(L, t.mdw),
                 W - np.sum(wdW * _kernels._plog_vec(w), axis=-1),
                 np.exp(wdW) - 1.0)
 
 
-def _potentials(d, R):
-    """The sum of the crossing terms at ratios R (..., n_crossings, 5),
-    accumulated in crossing order (cumsum adds left to right; np.sum's
-    pairwise order would move the last bits)."""
+def _potentials(d, R, L):
+    """The sum of the crossing terms at ratios R (..., n_crossings, 5) with
+    log array L (see _kernels.ratio_logs), accumulated in crossing order
+    (cumsum adds left to right; np.sum's pairwise order would move the
+    last bits)."""
     li = _kernels.dilog_many(R.ravel()).reshape(R.shape)
-    logAB = _kernels._plog_vec(R[..., 0]) * _kernels._plog_vec(R[..., 1])
+    logAB = L[..., _LOG_A] * L[..., _LOG_B]
     vals = _tables(d).sigma * (li[..., 0] + li[..., 1] - li[..., 2]
                                - li[..., 3] + li[..., 4] - _PI2_6 + logAB)
     return np.cumsum(vals, axis=-1)[..., -1]

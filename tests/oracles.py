@@ -7,7 +7,10 @@ cross-check the package, plus mpmath as an independent mature
 implementation of the dilogarithm. The 2x2 SL(2,C) algebra of
 representation completion, transport, genericity and longitudes is kept
 here on numpy arrays, as the package computed it before it moved to tuples
-of Python complex.
+of Python complex. The potential's term tables are kept here as the
+package built them before it broadcast the per-crossing patterns, a loop
+over the crossings, and the term kernels as it ran them before it formed
+each distinct logarithm once: one logarithm per term.
 """
 
 import cmath
@@ -469,3 +472,97 @@ def longitude_eigenvalue(matrices, letters, meridian, error=ValueError):
     if float(np.max(np.abs(w - l * v))) > 1e-6 * max(1.0, abs(l)):
         raise error("meridian and longitude share no eigenvector")
     return complex(l)
+
+
+# ---------------------------------------------------------------------------
+# Term tables and the per-term kernels
+# ---------------------------------------------------------------------------
+
+def term_tables(d, wdw_pattern, mdw_pattern, sigma_pos):
+    """The ratio layout and the two term tables of diagram d, built by a
+    loop over its crossings from the (role, ratio, kind, sign) patterns.
+
+    Returns a dict: sigma, r_nd, r_mi, r_mexp, and per table ("wdw",
+    "mdw") a dict of the per-term arrays row, kind, sign, ratio (flat
+    ratio index) and log (flat index into the log array whose columns
+    per crossing are the sorted distinct (kind, ratio) pairs of both
+    patterns), the Jacobian arrays jac_slots, jac_src, and n_rows, n_w.
+    """
+    nw, nm = d.n_regions, d.n_components
+    logs = sorted({(kind, ratio) for _, ratio, kind, _ in
+                   tuple(wdw_pattern) + tuple(mdw_pattern)})
+    sigma = np.array([sigma_pos * c.sign for c in d.crossings],
+                     dtype=np.int8)
+    r_rows, w_rows, m_rows = [], [], []
+    for ci, c in enumerate(d.crossings):
+        j, k, l, m = c.regions
+        sig = int(sigma[ci])
+        r_rows.extend([
+            (m, nw, j, nw, c.beta, -sig),
+            (k, nw, j, nw, c.alpha, -sig),
+            (l, nw, k, nw, c.beta, -sig),
+            (l, nw, m, nw, c.alpha, -sig),
+            (j, l, m, k, nm, 0),
+        ])
+        for role, ratio, kind, sgn in wdw_pattern:
+            w_rows.append((c.regions[role], kind, sgn * sig, 5 * ci + ratio,
+                           len(logs) * ci + logs.index((kind, ratio))))
+        for role, ratio, kind, sgn in mdw_pattern:
+            m_rows.append(((c.beta, c.alpha)[role], kind, sgn,
+                           5 * ci + ratio,
+                           len(logs) * ci + logs.index((kind, ratio))))
+    cols = np.array(r_rows, dtype=np.int64).T
+    r_nd = np.ascontiguousarray(cols[0:4])
+
+    def pack(rows, n_rows):
+        row, kind, sign, ratio, log = np.array(rows, dtype=np.int64).T
+        cols = r_nd[:, ratio]
+        src = np.arange(ratio.size)
+        src = np.stack([src, src, src + ratio.size, src + ratio.size])
+        keep = cols < nw
+        return {"row": row, "kind": kind, "sign": sign, "ratio": ratio,
+                "log": log, "jac_slots": (row * nw + cols)[keep],
+                "jac_src": src[keep], "n_rows": n_rows, "n_w": nw}
+
+    return {"sigma": sigma, "r_nd": r_nd, "r_mi": cols[4],
+            "r_mexp": cols[5], "wdw": pack(w_rows, nw),
+            "mdw": pack(m_rows, nm)}
+
+
+def _plog(z):
+    # the package's principal log: log|z| + i atan2(Im z + 0.0, Re z)
+    out = np.empty(z.shape, dtype=np.complex128)
+    out.real = np.log(np.abs(z))
+    out.imag = np.arctan2(z.imag + 0.0, z.real)
+    return out
+
+
+def _scatter(idx, vals, n_slots):
+    lead = vals.shape[:-1]
+    batch = vals.size // idx.shape[0]
+    flat = idx if batch == 1 else \
+        (idx + n_slots * np.arange(batch)[:, None]).ravel()
+    out = np.zeros(batch * n_slots, dtype=np.complex128)
+    np.add.at(out, flat, vals.ravel())
+    return out.reshape(lead + (n_slots,))
+
+
+def eval_terms_per_term(R, t):
+    """Per output slot of the term_tables table t, the signed sum of its
+    terms at ratios R (..., n_crossings, 5), one logarithm per term;
+    returns (sums, d(term)/d(log R) per term) with the term ratios."""
+    Rt = R.reshape(R.shape[:-2] + (R.shape[-2] * 5,)).take(t["ratio"], -1)
+    log1m = t["kind"] == 0
+    vals = _plog(np.where(log1m, 1.0 - Rt, Rt))
+    g = np.where(log1m, -Rt / (1.0 - Rt), 1.0) * t["sign"]
+    return _scatter(t["row"], t["sign"] * vals, t["n_rows"]), g
+
+
+def eval_terms_jac_per_term(R, t):
+    """The sums of eval_terms_per_term and their Jacobian in log
+    coordinates, shapes (..., n_rows) and (..., n_rows, n_w)."""
+    F, g = eval_terms_per_term(R, t)
+    J = _scatter(t["jac_slots"],
+                 np.concatenate([g, -g], axis=-1).take(t["jac_src"], -1),
+                 t["n_rows"] * t["n_w"])
+    return F, J.reshape(F.shape + (t["n_w"],))

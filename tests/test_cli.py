@@ -288,6 +288,16 @@ def test_spelled_out_infinity_is_not_a_parse_error(fig8_path, tmp_path,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("seedV", ["0,0", "0j,-0+0i"])
+def test_zero_seed_vector_is_input_error(fig8_path, tmp_path, capsys,
+                                         seedV):
+    rep = write_rep(tmp_path, "rep.json",
+                    _examples.fig8_matrices(_examples.FIG8_M))
+    assert cli.main(["from-rep", fig8_path, rep, "--seedV", seedV, "--W",
+                     "2,1", "--seed-region", "3"]) == 2
+    assert capsys.readouterr().err == "error: --seedV must be nonzero\n"
+
+
 def test_from_rep_negative_rng_seed_is_input_error(fig8_path, tmp_path,
                                                    capsys):
     rep = write_rep(tmp_path, "rep.json",
@@ -488,7 +498,7 @@ def test_solve_reports_read_one_stacked_evaluation(tmp_path, monkeypatch):
                                  str(rng_seed), "--json",
                                  str(out_json)]) == 0
             docs = json.loads(out_json.read_text())["solutions"]
-            assert docs and shapes[-1] == (len(docs), len(d.crossings), 5)
+            assert docs and shapes[-1][:2] == (len(docs), len(d.crossings))
             assert all(len(shape) == 3 for shape in shapes)
             for doc in docs:
                 s = potential.Solution.from_json(d, doc)

@@ -283,22 +283,32 @@ def test_stacked_kernels_match_single_rows():
     # one code path serves (n_crossings, 5) and (S, n_crossings, 5) ratio
     # arrays: every row of a stacked call equals the call on that row
     # alone, and the Jacobian is the log-coordinate one, w_j dF/dw_j
-    # (checked by central differences)
+    # (checked by central differences). Reading each distinct log once
+    # gives bitwise the sums and the Jacobian of one log per term.
     rng = np.random.default_rng(66)
     for pd in GOLDENS:
         d = diagram.load_diagram(pd)
-        t = potential._tables(d).wdw
+        tables = potential._tables(d)
+        t = tables.wdw
+        ref = oracles.term_tables(d, potential._WDW_PATTERN,
+                                  potential._MDW_PATTERN, potential.SIGMA_POS)
         n = d.n_regions
         m = rng.uniform(0.7, 1.4, d.n_components) + 0.3j
         W = random_point(pd, rng).w * (1 + 0.1 * rng.standard_normal((5, n)))
         ratios = potential._RatioMap(d, m)
         R = ratios(W)
-        F = _kernels.eval_terms(R, t)
+        L = _kernels.ratio_logs(R, t)
+        F = _kernels.eval_terms(L, t)
         F2, J, dist = _kernels.eval_terms_jac(R, t)
         assert F.shape == (5, n) and J.shape == (5, n, n)
         assert dist.shape == (5,)
+        F_ref, J_ref = oracles.eval_terms_jac_per_term(R, ref["wdw"])
+        assert F.tobytes() == F2.tobytes() == F_ref.tobytes()
+        assert J.tobytes() == J_ref.tobytes()
+        assert _kernels.eval_terms(L, tables.mdw).tobytes() \
+            == oracles.eval_terms_per_term(R, ref["mdw"])[0].tobytes()
         for s in range(5):
-            f1 = _kernels.eval_terms(R[s], t)
+            f1 = _kernels.eval_terms(_kernels.ratio_logs(R[s], t), t)
             f2, j1, d1 = _kernels.eval_terms_jac(R[s], t)
             scale = np.max(np.abs(f1))
             assert np.max(np.abs(F[s] - f1)) <= 1e-13 * scale
@@ -316,7 +326,8 @@ def test_stacked_kernels_match_single_rows():
             up, dn = W[0].copy(), W[0].copy()
             up[j] *= np.exp(h)
             dn[j] *= np.exp(-h)
-            F = _kernels.eval_terms(ratios(np.array([up, dn])), t)
+            F = _kernels.eval_terms(
+                _kernels.ratio_logs(ratios(np.array([up, dn])), t), t)
             fd = (F[0] - F[1]) / (2 * h)
             assert np.max(np.abs(fd - J[0][:, j])) < 1e-6
 
@@ -411,41 +422,51 @@ def multi_start_seeds(d, m, rng_seed, monkeypatch):
     return seen[0]
 
 
+def count_eval_terms(monkeypatch):
+    """Patch _kernels.eval_terms to record the table of every call."""
+    tables = []
+    real = _kernels.eval_terms
+
+    def count(L, t):
+        tables.append(t)
+        return real(L, t)
+
+    monkeypatch.setattr(_kernels, "eval_terms", count)
+    return tables
+
+
 @pytest.mark.parametrize("pd", GOLDENS, ids=["fig8", "whitehead",
                                              "trefoil"])
 def test_line_search_blocks_decide_as_single_steps(pd, monkeypatch):
     # a seed takes the earliest passing length of the ladder, so trying
-    # the lengths in blocks gives bitwise the weights and the failure
-    # texts of trying them one at a time
+    # the lengths in per-seed windows gives bitwise the weights and the
+    # failure texts of trying them one at a time (windows of at most one
+    # length), in fewer calls
     d = diagram.load_diagram(pd)
     m = np.ones(d.n_components, dtype=complex)
     seeds = multi_start_seeds(d, m, 0, monkeypatch)
     assert seeds.shape[0] == 64
     cfg = engine.SolveConfig()
-    blocked = outcomes(newton(d, m, seeds, cfg))
-    monkeypatch.setattr(engine, "_LINE_SEARCH_BLOCKS", (1,) * 30)
+    calls = count_eval_terms(monkeypatch)
+    windowed = outcomes(newton(d, m, seeds, cfg))
+    n_windowed = len(calls)
+    monkeypatch.setattr(engine, "_MAX_WINDOW", 1)
     single = outcomes(newton(d, m, seeds, cfg))
     assert sum(isinstance(a, bytes) for a in single) > 0
-    assert blocked == single
+    assert windowed == single
+    assert len(calls) - n_windowed > 2 * n_windowed
 
 
 def test_multi_start_residual_call_budget(monkeypatch):
-    # the blocked line search makes at most six residual calls per Newton
+    # the windowed line search mostly makes one residual call per Newton
     # iteration, run-off seeds leave the batch early, and the distinct
-    # solutions are evaluated in one stacked call: this run makes 157
+    # solutions are evaluated in one stacked call: this run makes 54
     # weight-table calls and one meridian-table call
     d = diagram.load_diagram(FIG8)
-    tables = []
-    real = _kernels.eval_terms
-
-    def count(R, t):
-        tables.append(t)
-        return real(R, t)
-
-    monkeypatch.setattr(_kernels, "eval_terms", count)
+    tables = count_eval_terms(monkeypatch)
     engine.multi_start(d, [1.0], engine.SolveConfig(seeds=64, rng_seed=0))
     mdw = potential._tables(d).mdw
-    assert len(tables) - tables.count(mdw) <= 157
+    assert len(tables) - tables.count(mdw) <= 54
     assert tables.count(mdw) == 1
 
 

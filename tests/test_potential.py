@@ -64,6 +64,51 @@ def test_all_ratios_match_direct_formula():
                 assert np.max(np.abs(R[ci] - ratio_oracle(c, s))) < 1e-12
 
 
+# The diagrams of the solver coverage table that the benchmark generates:
+# 5_2, the Borromean rings, 8_18, (s1 s2^-1 s3)^3, T(2,7) and T(2,15).
+BRAID_CLOSURES = (
+    "X[6,2,7,1] X[2,8,3,7] X[8,4,9,3] X[11,5,12,4] X[9,12,10,1] "
+    "X[5,11,6,10]",
+    "X[5,2,6,1] X[2,9,3,10] X[10,7,11,6] X[7,3,8,4] X[4,12,1,11] "
+    "X[12,8,9,5]",
+    "X[12,2,13,1] X[2,7,3,8] X[8,14,9,13] X[14,3,15,4] X[4,10,5,9] "
+    "X[10,15,11,16] X[16,6,1,5] X[6,11,7,12]",
+    "X[6,2,7,1] X[2,11,3,12] X[16,4,17,3] X[12,8,13,7] X[8,17,9,18] "
+    "X[4,10,5,9] X[18,14,1,13] X[14,5,15,6] X[10,16,11,15]",
+    "X[1,8,2,9] X[3,10,4,11] X[5,12,6,13] X[7,14,8,1] X[9,2,10,3] "
+    "X[11,4,12,5] X[13,6,14,7]",
+    "X[1,16,2,17] X[3,18,4,19] X[5,20,6,21] X[7,22,8,23] X[9,24,10,25] "
+    "X[11,26,12,27] X[13,28,14,29] X[15,30,16,1] X[17,2,18,3] "
+    "X[19,4,20,5] X[21,6,22,7] X[23,8,24,9] X[25,10,26,11] "
+    "X[27,12,28,13] X[29,14,30,15]",
+)
+
+
+@pytest.mark.parametrize("pd", (FIG8, WHITEHEAD, TREFOIL) + BRAID_CLOSURES)
+def test_tables_match_loop_reference(pd):
+    # the broadcast tables equal, field for field, the ones a loop over
+    # the crossings builds, and each term's log column is the log of its
+    # ratio of its kind
+    d = diagram.load_diagram(pd)
+    t = potential._Tables(d)
+    ref = oracles.term_tables(d, potential._WDW_PATTERN,
+                              potential._MDW_PATTERN, potential.SIGMA_POS)
+    for name in ("sigma", "r_nd", "r_mi", "r_mexp"):
+        got = getattr(t, name)
+        assert got.dtype == ref[name].dtype and np.array_equal(got,
+                                                               ref[name])
+    n_logs = len(potential._LOGS)
+    for name in ("wdw", "mdw"):
+        table, want = getattr(t, name), ref[name]
+        for field in ("row", "sign", "log", "jac_slots", "jac_src"):
+            assert np.array_equal(getattr(table, field), want[field])
+        assert (table.n_rows, table.n_w) == (want["n_rows"], want["n_w"])
+        col = table.log % n_logs
+        assert np.array_equal(table.log // n_logs, want["ratio"] // 5)
+        assert np.array_equal(table.log_ratio[col], want["ratio"] % 5)
+        assert np.array_equal(table.log_1m[col], want["kind"] == 0)
+
+
 def test_all_ratios_meridian_free_at_one():
     rng = np.random.default_rng(43)
     d = diagram.load_diagram(FIG8)
