@@ -104,13 +104,14 @@ class TermTable:
     ``log_ratio[c]`` where ``log_1m[c]``, else log R. Term i adds
     ``sign[i]`` times column ``log[i]`` of the flattened (n_crossings *
     n_logs) log array to output slot ``row[i]``. Jacobian entry e adds
-    d(term)/d(log R) of term ``jac_src[e]`` (negated from index n_terms
-    on) at the flat (row, w) slot ``jac_slots[e]``."""
+    ``jac_sign[e]`` times d(column ``jac_log[e]``)/d(log R) at the flat
+    (row, w) slot ``jac_slots[e]``."""
 
-    def __init__(self, row, sign, log, jac_slots, jac_src, n_rows, n_w,
-                 log_ratio, log_1m):
+    def __init__(self, row, sign, log, jac_slots, jac_log, jac_sign, n_rows,
+                 n_w, log_ratio, log_1m):
         self.row, self.sign, self.log = row, sign, log
-        self.jac_slots, self.jac_src = jac_slots, jac_src
+        self.jac_slots, self.jac_log, self.jac_sign = \
+            jac_slots, jac_log, jac_sign
         self.n_rows, self.n_w = n_rows, n_w
         self.log_ratio, self.log_1m = log_ratio, log_1m
 
@@ -168,9 +169,7 @@ def eval_terms_jac(R, t):
     Rc, Z = _log_args(R, t)
     F = _sums(_plog_vec(Z), t)
     G = np.where(t.log_1m, -Rc / Z, 1.0)
-    g = _flat(G).take(t.log, -1) * t.sign
-    J = _scatter(t.jac_slots,
-                 np.concatenate([g, -g], axis=-1).take(t.jac_src, -1),
+    J = _scatter(t.jac_slots, _flat(G).take(t.jac_log, -1) * t.jac_sign,
                  t.n_rows * t.n_w)
     mag = np.abs(R)
     dist = np.minimum(np.minimum(mag, 1.0 / mag), np.abs(1.0 - R))

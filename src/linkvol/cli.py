@@ -53,10 +53,10 @@ def parse_vec2(text, flag):
     if len(vals) != 2:
         raise InputError(f"{flag} needs two comma-separated complex "
                          f"numbers, e.g. \"1+0i,0+1i\"")
-    vec = [parse_complex(v) for v in vals]
+    vec = tuple(parse_complex(v) for v in vals)
     if not all(cmath.isfinite(z) for z in vec):
         raise InputError(f"{flag} entries must be finite")
-    return np.array(vec, dtype=complex)
+    return vec
 
 
 def parse_filling(text, n_components):
@@ -92,7 +92,7 @@ def _read_text(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
@@ -100,7 +100,8 @@ def _read_json(path):
     text = _read_text(path)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # also an integer past int()'s 4300 digits, or too deep a nesting
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -199,13 +200,13 @@ def _pinned_or_random_coloring(args, rep):
                          "coloring)")
     if all(pinned):
         seedV = parse_vec2(args.seedV, "--seedV")
-        if not seedV.any():
+        if not any(seedV):
             raise InputError("--seedV must be nonzero")
-        Wvec = parse_vec2(args.W, "--W")
+        W = parse_vec2(args.W, "--W")
         if not (1 <= args.seed_region <= rep.diagram.n_regions):
             raise InputError(f"--seed-region must be in 1.."
                              f"{rep.diagram.n_regions}")
-        return coloring.propagate(rep, args.seed_region - 1, seedV, Wvec)
+        return coloring.propagate(rep, args.seed_region - 1, seedV, W)
     return coloring.random_generic_coloring(rep, args.rng_seed)
 
 
@@ -384,7 +385,8 @@ def cmd_verify(args):
         fills.append(filling(doc["filling"]) if own else shared)
         try:
             sols.append(potential.Solution.from_json(d, doc))
-        except (IndexError, KeyError, TypeError, ValueError) as exc:
+        except (IndexError, KeyError, OverflowError, TypeError,
+                ValueError) as exc:
             raise InputError(f"bad solution record: {exc}") from None
     p = potential.evaluate(
         d, np.array([s.w for s in sols]).reshape(-1, d.n_regions),

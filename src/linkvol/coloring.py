@@ -7,9 +7,8 @@ check of the representation and of the transport convention. Together with
 an auxiliary vector W this induces the region weights w_j = det(W, V_j)
 that feed the potential function.
 
-The transport and the checks run on 2-tuples of Python complex and the
-representation's 4-tuples (see ``representation``); ``RegionColoring.V``
-and ``Wvec`` stay numpy.
+The transport and the checks run on the representation's 4-tuples, and
+every vector is a 2-tuple of Python complex (see ``representation``).
 """
 
 import cmath
@@ -32,20 +31,12 @@ class ColoringError(ValueError):
 @dataclass
 class RegionColoring:
     rep: object
-    V: list            # one 2-vector per region
+    V: list            # one 2-tuple per region
     seed_region: int
-    Wvec: object       # the auxiliary 2-vector W
-
-    def __post_init__(self):
-        V = np.array(self.V, dtype=complex).reshape(-1, 2)
-        self.V = list(V)
-        self.Wvec = np.array(self.Wvec, dtype=complex).reshape(2)
-        # the same vectors as 2-tuples of Python complex
-        self.V_pairs = [tuple(v) for v in V.tolist()]
-        self.W_pair = tuple(self.Wvec.tolist())
+    W: tuple           # the auxiliary vector
 
 
-def propagate(rep, seed_region, seedV, Wvec):
+def propagate(rep, seed_region, seedV, W):
     """Breadth-first transport of the seed vector to every region, with
     the auxiliary vector W; returns a generic RegionColoring.
 
@@ -100,7 +91,9 @@ def propagate(rep, seed_region, seedV, Wvec):
             raise ColoringError(
                 f"representation/transport convention mismatch: arc {e} "
                 f"closes with residual {resid:.3g}")
-    col = RegionColoring(rep=rep, V=V, seed_region=seed_region, Wvec=Wvec)
+    w0, w1 = W
+    col = RegionColoring(rep=rep, V=V, seed_region=seed_region,
+                         W=(complex(w0), complex(w1)))
     report = check_genericity(col)
     if report:
         raise ColoringError(
@@ -128,12 +121,11 @@ def check_genericity(col):
 
 
 def _violations(col, mag):
-    W = col.W_pair
-    U = [W] + col.V_pairs                          # U[0] is W
+    U = [col.W] + col.V                            # U[0] is W
     size = [max(mag(u0), mag(u1)) for u0, u1 in U]
-    w0, w1 = W
+    w0, w1 = col.W
     report = [f"det(W, V_{j}) = 0"
-              for j, (v0, v1) in enumerate(col.V_pairs, 1)
+              for j, (v0, v1) in enumerate(col.V, 1)
               if mag(w0 * v1 - w1 * v0) <= _TOL * max(1.0,
                                                        size[0] * size[j])]
     for gi, (a, b, c, d) in enumerate(col.rep.quads, 1):
@@ -155,8 +147,8 @@ def assemble_solution(col):
     from .potential import Solution
 
     rep = col.rep
-    w0, w1 = col.W_pair
-    w = np.array([w0 * v1 - w1 * v0 for v0, v1 in col.V_pairs],
+    w0, w1 = col.W
+    w = np.array([w0 * v1 - w1 * v0 for v0, v1 in col.V],
                  dtype=complex)
     m = np.array([R.meridian_eigenvalue(rep, i)
                   for i in range(rep.diagram.n_components)], dtype=complex)
@@ -178,9 +170,9 @@ def random_generic_coloring(rep, rng_seed=0):
     for _ in range(_MAX_ATTEMPTS):
         seed_region = int(rng.integers(0, n))
         seedV = (grid_complex(), grid_complex())
-        Wvec = (grid_complex(), grid_complex())
+        W = (grid_complex(), grid_complex())
         try:
-            return propagate(rep, seed_region, seedV, Wvec)
+            return propagate(rep, seed_region, seedV, W)
         except ColoringError as exc:
             last = exc
     raise ColoringError(

@@ -114,7 +114,9 @@ class LinkDiagram:
                 f"{comp}")
 
 
-_X_RE = re.compile(r"X\[\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\]")
+# a label past int()'s 4300 digits is no match
+_X_RE = re.compile(r"X\[\s*(\d{1,4300})\s*,\s*(\d{1,4300})\s*,"
+                   r"\s*(\d{1,4300})\s*,\s*(\d{1,4300})\s*\]")
 
 
 def _parse_compact(text):
@@ -151,6 +153,9 @@ def parse_pd(text):
             raise DiagramError(
                 f"syntax error at line {exc.lineno}, column {exc.colno}: "
                 f"{exc.msg}") from None
+        except (ValueError, RecursionError) as exc:
+            # an integer past int()'s 4300 digits, or too deep a nesting
+            raise DiagramError(f"unreadable JSON diagram: {exc}") from None
         crossings = doc.get("pd")
         if not (isinstance(crossings, list) and all(
                 isinstance(row, list) and len(row) == 4

@@ -174,10 +174,6 @@ def _pattern(rows, role_slot):
 _WDW_TERMS = _pattern(_WDW_PATTERN, 0)
 _MDW_TERMS = _pattern(_MDW_PATTERN, 4)
 
-# d log R / d log w is +1 at n1, n2 and -1 at d1, d2: a term's Jacobian
-# entries at its ratio's d1, d2 read the negated term
-_JAC_NEGATED = np.array([0, 0, 1, 1])[:, None]
-
 
 class _Tables:
     """The ratio layout of one diagram and its term tables for _kernels,
@@ -208,15 +204,17 @@ class _Tables:
             # factor (nc, 1) multiplies each crossing's pattern signs
             out_slot, sign, log, jac_slot = terms
             out = slots[:, out_slot].ravel()
-            # (4, n_terms): the weights of each term's n1, n2, d1, d2; the
-            # sentinel columns get no Jacobian entry
+            sign = (sign * factor).ravel()
+            log = (len(_LOGS) * np.arange(nc)[:, None] + log).ravel()
+            # (4, n_terms): the weights of each term's n1, n2, d1, d2, where
+            # d log R / d log w is +1, +1, -1, -1; the sentinel columns get
+            # no Jacobian entry
             cols = slots[:, jac_slot].transpose(1, 0, 2).reshape(4, -1)
             keep = cols < nw
-            src = np.arange(out.size) + out.size * _JAC_NEGATED
             return _kernels.TermTable(
-                out, (sign * factor).ravel(),
-                (len(_LOGS) * np.arange(nc)[:, None] + log).ravel(),
-                (out * nw + cols)[keep], src[keep], n_rows, nw,
+                out, sign, log, (out * nw + cols)[keep],
+                np.broadcast_to(log, cols.shape)[keep],
+                (np.array([[1], [1], [-1], [-1]]) * sign)[keep], n_rows, nw,
                 _LOG_RATIO, _LOG_1M)
 
         self.wdw = pack(_WDW_TERMS, sig, nw)

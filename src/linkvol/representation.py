@@ -2,10 +2,9 @@
 
 A representation assigns one unit-determinant 2x2 complex matrix per
 over-arc generator so that every crossing relation
-g_out = g_over^eps g_in g_over^(-eps) holds. ``Representation.matrices``
-holds them as 2x2 numpy arrays. The 2x2 algebra of this module and of
-``coloring`` runs on plain Python complex numbers instead: a matrix is a
-row-major 4-tuple (a, b, c, d) and a vector a 2-tuple, since a numpy call
+g_out = g_over^eps g_in g_over^(-eps) holds. Matrices and vectors have
+one form, here and in ``coloring``: a matrix is a row-major 4-tuple
+(a, b, c, d) of Python complex and a vector a 2-tuple, since a numpy call
 on 2 to 4 entries costs several times its arithmetic.
 """
 
@@ -13,8 +12,6 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
-
-import numpy as np
 
 from .diagram import longitude_word, wirtinger
 from .numerics import principal_log
@@ -31,6 +28,10 @@ _RELATION_TOL = 1e-6
 _TRIANGULAR_TOL = 1e-12
 _COMMUTE_TOL = 1e-9
 
+# The largest magnitude of a slope or correction entry: past 2^53 an
+# integer has no exact double, so r log m + u pi i loses its integrality.
+_MAX_SLOPE = 2 ** 53
+
 
 class RepresentationError(ValueError):
     pass
@@ -40,13 +41,6 @@ class RepresentationFormatError(RepresentationError):
     """The input is not shaped like a representation of the diagram (not
     an object of 2x2 matrices, or a generator the diagram does not have),
     or like a filling."""
-
-
-def mat(entries):
-    m = np.asarray(entries, dtype=complex)
-    if m.shape != (2, 2):
-        raise RepresentationError("matrix must be 2x2")
-    return m
 
 
 def cabs(z):
@@ -96,28 +90,7 @@ def _is_plus_minus_identity(q):
 @dataclass
 class Representation:
     diagram: object
-    matrices: list  # one 2x2 array per generator
-
-    def __post_init__(self):
-        stack = np.asarray(self.matrices, dtype=complex)
-        if stack.shape[1:] != (2, 2):
-            raise RepresentationError("matrix must be 2x2")
-        self.matrices = list(stack)
-        # the same matrices as row-major 4-tuples, for the 2x2 algebra
-        self.quads = [tuple(q) for q in stack.reshape(-1, 4).tolist()]
-
-    def relation_residual(self):
-        pres = wirtinger(self.diagram)
-        worst = 0.0
-        for out_g, over_g, in_g, eps in pres.relations:
-            o = self.quads[over_g]
-            oi = inv(o)
-            if eps == 1:
-                rhs = mul(mul(o, self.quads[in_g]), oi)
-            else:
-                rhs = mul(mul(oi, self.quads[in_g]), o)
-            worst = max(worst, dist(self.quads[out_g], rhs))
-        return worst
+    quads: list  # one row-major 4-tuple per generator
 
 
 def complete_representation(d, partial):
@@ -130,10 +103,11 @@ def complete_representation(d, partial):
     non-finite determinant or residual fails its check.
     """
     n = len(d.over_arcs)
-    known = [None] * n
+    seeds = []
     for key, value in partial.items():
         if isinstance(key, str):
-            name = re.fullmatch(r"g(\d+)", key)
+            # a name of ten digits or more is none that a diagram has
+            name = re.fullmatch(r"g(\d{1,9})", key)
             if not name:
                 raise RepresentationFormatError(f"bad generator name {key!r}")
             gi = int(name.group(1)) - 1
@@ -142,7 +116,16 @@ def complete_representation(d, partial):
         if not (0 <= gi < n):
             raise RepresentationFormatError(
                 f"no generator g{gi + 1}: the diagram has g1..g{n}")
-        a, b, c, dd = q = tuple(mat(value).ravel().tolist())
+        seeds.append((gi, value))
+    # every key is checked before any matrix, so that a key the diagram
+    # does not have is a format error whatever the matrices
+    known = [None] * n
+    for gi, value in seeds:
+        try:
+            (a, b), (c, dd) = value
+            q = a, b, c, dd = complex(a), complex(b), complex(c), complex(dd)
+        except (TypeError, ValueError):
+            raise RepresentationError("matrix must be 2x2") from None
         det = a * dd - b * c
         if not cabs(det - 1) <= _DET_TOL:
             raise RepresentationError(
@@ -188,7 +171,7 @@ def complete_representation(d, partial):
             raise RepresentationError(
                 f"ρ(μ_{i + 1}) ≠ ±I violated: the meridian of component "
                 f"{i + 1} maps to ±identity")
-    return Representation(d, np.array(known).reshape(n, 2, 2))
+    return Representation(d, known)
 
 
 def evaluate_word(rep, word):
@@ -335,6 +318,12 @@ class FillingSpec:
                 raise RepresentationError(
                     f"slope ({r},{s}) has s = 0: meridional filling is not "
                     f"supported")
+        for what, pairs in (("slope", self.slopes), ("(u,v)", self.uv)):
+            for p in filter(None, pairs):
+                if max(abs(int(x)) for x in p) > _MAX_SLOPE:
+                    raise RepresentationError(
+                        f"{what} ({p[0]},{p[1]}) is out of range: its "
+                        f"entries must be at most 2^53 in magnitude")
 
     @classmethod
     def from_eigenvalues(cls, slopes, m, l, tol=1e-6):

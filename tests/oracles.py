@@ -325,6 +325,15 @@ _TRIANGULAR_TOL = 1e-12
 _COMMUTE_TOL = 1e-9
 
 
+def arrays(entries):
+    """The package's tuple data in this section's numpy form: a list of
+    row-major 4-tuples (a representation's matrices) as an (n, 2, 2)
+    array, a list of 2-tuples (region vectors) as (n, 2), and one 2-tuple
+    as a 2-vector."""
+    a = np.array(entries, dtype=complex)
+    return a.reshape(a.shape[:-1] + (2, 2)) if a.shape[-1] == 4 else a
+
+
 def det2(m):
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
@@ -486,7 +495,8 @@ def term_tables(d, wdw_pattern, mdw_pattern, sigma_pos):
     "mdw") a dict of the per-term arrays row, kind, sign, ratio (flat
     ratio index) and log (flat index into the log array whose columns
     per crossing are the sorted distinct (kind, ratio) pairs of both
-    patterns), the Jacobian arrays jac_slots, jac_src, and n_rows, n_w.
+    patterns), the Jacobian arrays jac_slots, jac_log, jac_sign and
+    jac_term (the term of each entry), and n_rows, n_w.
     """
     nw, nm = d.n_regions, d.n_components
     logs = sorted({(kind, ratio) for _, ratio, kind, _ in
@@ -517,12 +527,14 @@ def term_tables(d, wdw_pattern, mdw_pattern, sigma_pos):
     def pack(rows, n_rows):
         row, kind, sign, ratio, log = np.array(rows, dtype=np.int64).T
         cols = r_nd[:, ratio]
-        src = np.arange(ratio.size)
-        src = np.stack([src, src, src + ratio.size, src + ratio.size])
+        # d log R / d log w at the ratio's n1, n2, d1, d2
+        dlog = np.array([1, 1, -1, -1])[:, None]
+        term = np.tile(np.arange(ratio.size), (4, 1))
         keep = cols < nw
         return {"row": row, "kind": kind, "sign": sign, "ratio": ratio,
                 "log": log, "jac_slots": (row * nw + cols)[keep],
-                "jac_src": src[keep], "n_rows": n_rows, "n_w": nw}
+                "jac_log": log[term][keep], "jac_sign": (dlog * sign)[keep],
+                "jac_term": term[keep], "n_rows": n_rows, "n_w": nw}
 
     return {"sigma": sigma, "r_nd": r_nd, "r_mi": cols[4],
             "r_mexp": cols[5], "wdw": pack(w_rows, nw),
@@ -550,11 +562,12 @@ def _scatter(idx, vals, n_slots):
 def eval_terms_per_term(R, t):
     """Per output slot of the term_tables table t, the signed sum of its
     terms at ratios R (..., n_crossings, 5), one logarithm per term;
-    returns (sums, d(term)/d(log R) per term) with the term ratios."""
+    returns (sums, d(log)/d(log R) per term, unsigned) with the term
+    ratios."""
     Rt = R.reshape(R.shape[:-2] + (R.shape[-2] * 5,)).take(t["ratio"], -1)
     log1m = t["kind"] == 0
     vals = _plog(np.where(log1m, 1.0 - Rt, Rt))
-    g = np.where(log1m, -Rt / (1.0 - Rt), 1.0) * t["sign"]
+    g = np.where(log1m, -Rt / (1.0 - Rt), 1.0)
     return _scatter(t["row"], t["sign"] * vals, t["n_rows"]), g
 
 
@@ -563,6 +576,6 @@ def eval_terms_jac_per_term(R, t):
     coordinates, shapes (..., n_rows) and (..., n_rows, n_w)."""
     F, g = eval_terms_per_term(R, t)
     J = _scatter(t["jac_slots"],
-                 np.concatenate([g, -g], axis=-1).take(t["jac_src"], -1),
+                 g.take(t["jac_term"], -1) * t["jac_sign"],
                  t["n_rows"] * t["n_w"])
     return F, J.reshape(F.shape + (t["n_w"],))

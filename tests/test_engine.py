@@ -347,28 +347,37 @@ def test_batched_seed_does_not_depend_on_its_batch():
 
 
 def test_stacked_svd_failure_marks_only_that_seed(monkeypatch):
-    # when the stacked SVD raises, the matrices are decomposed one by one
-    # and only the one that fails again reads as singular
-    d = diagram.load_diagram(FIG8)
-    m = np.ones(1, dtype=complex)
-    seeds = usable_seeds(d, m, 4, np.random.default_rng(68))
-    cfg = engine.SolveConfig()
-    clean = outcomes(newton(d, m, seeds, cfg))
+    # when the stacked SVD raises, the matrices are decomposed one by one:
+    # the chosen one, which raises again, gets NaN singular values and its
+    # seed fails as singular, and every other row is bitwise the stacked
+    # SVD's, so the other seeds run as they do without the failure
+    d = diagram.load_diagram(WHITEHEAD)
+    m = np.ones(d.n_components, dtype=complex)
+    seeds = usable_seeds(d, m, 6, np.random.default_rng(68))
+    k = d.n_regions - 1
+    # the reduced Jacobians of Newton's first iteration
+    J = _kernels.eval_terms_jac(potential._RatioMap(d, m)(seeds),
+                                potential._tables(d).wdw)[1][:, :k, :k]
+    stacked = np.linalg.svd(J)
+    clean = outcomes(newton(d, m, seeds))
     real_svd = np.linalg.svd
-    single = []
+    bad = 3
 
     def svd(a, *args, **kwargs):
-        if a.ndim == 3:
-            raise np.linalg.LinAlgError("SVD did not converge")
-        single.append(a)
-        if len(single) == 1:      # seed 0 at iteration 0
+        if a.ndim == 3 or np.array_equal(a, J[bad]):
             raise np.linalg.LinAlgError("SVD did not converge")
         return real_svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", svd)
-    out = outcomes(newton(d, m, seeds, cfg))
-    assert out[0].startswith("singular Jacobian at iteration 0 ")
-    assert out[1:] == clean[1:]
+    U, sv, Vh = engine._svd_stack(J)
+    assert np.isnan(sv[bad]).all()
+    rows = [i for i in range(len(J)) if i != bad]
+    assert not np.isnan(sv[rows]).any()
+    for got, want in zip((U, sv, Vh), stacked):
+        assert got[rows].tobytes() == want[rows].tobytes()
+    out = outcomes(newton(d, m, seeds))
+    assert out[bad].startswith("singular Jacobian at iteration 0 ")
+    assert [out[i] for i in rows] == [clean[i] for i in rows]
 
 
 def reference_multi_start(d, m, cfg):

@@ -100,7 +100,8 @@ def test_tables_match_loop_reference(pd):
     n_logs = len(potential._LOGS)
     for name in ("wdw", "mdw"):
         table, want = getattr(t, name), ref[name]
-        for field in ("row", "sign", "log", "jac_slots", "jac_src"):
+        for field in ("row", "sign", "log", "jac_slots", "jac_log",
+                      "jac_sign"):
             assert np.array_equal(getattr(table, field), want[field])
         assert (table.n_rows, table.n_w) == (want["n_rows"], want["n_w"])
         col = table.log % n_logs

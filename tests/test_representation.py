@@ -28,9 +28,13 @@ def whitehead():
 
 def test_completion_satisfies_all_relations(fig8, whitehead):
     for d, rep in (fig8, whitehead):
-        assert len(rep.matrices) == len(d.over_arcs)
-        assert rep.relation_residual() < 1e-9
-        for g in rep.matrices:
+        mats = oracles.arrays(rep.quads)
+        assert mats.shape == (len(d.over_arcs), 2, 2)
+        for out_g, over_g, in_g, eps in diagram.wirtinger(d).relations:
+            o = np.linalg.matrix_power(mats[over_g], eps)
+            rhs = o @ mats[in_g] @ oracles.inv2(o)
+            assert oracles.mat_dist(mats[out_g], rhs) < 1e-9
+        for g in mats:
             assert abs(oracles.det2(g) - 1) < 1e-9
 
 
@@ -47,6 +51,31 @@ def test_completion_needs_enough_seeds():
     with pytest.raises(representation.RepresentationError):
         representation.complete_representation(
             d, {"g4": [[2.0, 1.0], [0.0, 0.5]]})
+
+
+@pytest.mark.parametrize("value", [
+    [[1, 0, 0], [0, 1, 0]],
+    [1, 0, 0, 1],
+    1.0,
+    [[1, 0], [0]],
+], ids=["2x3", "flat-4", "scalar", "ragged"])
+def test_completion_rejects_a_matrix_not_2x2(value):
+    d = diagram.load_diagram(_examples.FIG8_PD)
+    with pytest.raises(representation.RepresentationError) as exc:
+        representation.complete_representation(d, {"g4": value})
+    assert type(exc.value) is representation.RepresentationError
+    assert str(exc.value) == "matrix must be 2x2"
+
+
+def test_completion_accepts_numpy_and_nested_lists(fig8):
+    # the same seed as nested lists and as numpy 2x2 arrays completes to
+    # the same tuples, entry for entry
+    d, rep = fig8
+    seeds = _examples.fig8_matrices(_examples.FIG8_M)
+    as_arrays = representation.complete_representation(
+        d, {g: np.array(m, dtype=complex) for g, m in seeds.items()})
+    assert as_arrays.quads == rep.quads
+    assert all(type(z) is complex for q in rep.quads for z in q)
 
 
 def test_meridian_eigenvalues_match_seed(fig8, whitehead):
@@ -91,17 +120,17 @@ def test_longitude_eigenvalue_conjugation_invariant(fig8):
     rng = np.random.default_rng(3)
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     a /= cmath.sqrt(np.linalg.det(a))
-    conj = representation.Representation(
-        d, [a @ g @ oracles.inv2(a) for g in rep.matrices])
+    conj = representation.complete_representation(
+        d, {gi: a @ g @ oracles.inv2(a)
+            for gi, g in enumerate(oracles.arrays(rep.quads))})
     assert abs(representation.longitude_eigenvalue(conj, 0) - base[0]) < 1e-9
 
 
 def test_longitude_commutes_with_meridian(fig8):
     d, rep = fig8
-    mu = rep.matrices[d.meridian_gen[0]]
-    lam = np.reshape(
-        representation.evaluate_word(rep, diagram.longitude_word(d, 0)),
-        (2, 2))
+    mu = oracles.arrays(rep.quads)[d.meridian_gen[0]]
+    lam = oracles.arrays(
+        [representation.evaluate_word(rep, diagram.longitude_word(d, 0))])[0]
     comm = mu @ lam - lam @ mu
     assert np.max(np.abs(comm)) < 1e-10
 
@@ -193,12 +222,11 @@ def test_filling_spec_rejects_meridional_slope():
 def test_representation_from_json_round_trip(fig8):
     d, rep = fig8
     doc = {"generators": {}}
-    for gi, g in enumerate(rep.matrices):
-        a = np.asarray(g, dtype=complex).reshape(-1)
-        doc["generators"][f"g{gi + 1}"] = [[z.real, z.imag] for z in a]
+    for gi, q in enumerate(rep.quads):
+        doc["generators"][f"g{gi + 1}"] = [[z.real, z.imag] for z in q]
     rep2 = representation.representation_from_json(d, doc)
-    for g1, g2 in zip(rep.matrices, rep2.matrices):
-        assert oracles.mat_dist(g1, g2) < 1e-12
+    assert oracles.mat_dist(oracles.arrays(rep.quads),
+                            oracles.arrays(rep2.quads)) < 1e-12
 
 
 def test_representation_from_json_rejects_garbage(fig8):
@@ -264,24 +292,27 @@ def test_scalar_algebra_matches_numpy_oracle(monkeypatch):
         mats = oracles.complete_generators(
             diagram.wirtinger(d).relations, _seeded(d, partial),
             d.meridian_gen)
-        assert _close(rep.matrices, mats)
+        got = oracles.arrays(rep.quads)
+        assert _close(got, mats)
         with monkeypatch.context() as mp:
             # the transport alone, whatever the genericity of W
             mp.setattr(coloring, "check_genericity", lambda col: [])
             col = coloring.propagate(rep, region, seedV, W)
-        assert _close(col.V, oracles.transport(d, rep.matrices, region,
-                                               seedV, coloring._TOL))
+        assert _close(oracles.arrays(col.V),
+                      oracles.transport(d, got, region, seedV,
+                                        coloring._TOL))
         # the pinned W, one parallel to the seed vector and an eigenvector
         # of g1: generic, a zero determinant and eigenvector reports
-        for aux in (W, seedV, np.linalg.eig(rep.matrices[0])[1][:, 0]):
+        for aux in (W, seedV, np.linalg.eig(got[0])[1][:, 0]):
+            aux = oracles.arrays(aux)
             report = coloring.check_genericity(
-                dataclasses.replace(col, Wvec=aux))
+                dataclasses.replace(col, W=tuple(aux.tolist())))
             assert report == oracles.genericity_report_stacked(
-                aux, col.V, rep.matrices, coloring._TOL)
+                aux, col.V, got, coloring._TOL)
         for i in range(d.n_components):
             ref = oracles.longitude_eigenvalue(
-                rep.matrices, diagram.longitude_word(d, i).letters,
-                rep.matrices[d.meridian_gen[i]])
+                got, diagram.longitude_word(d, i).letters,
+                got[d.meridian_gen[i]])
             l = representation.longitude_eigenvalue(rep, i)
             assert abs(l - ref) <= 1e-12 * max(1.0, abs(ref))
         cases += 1
