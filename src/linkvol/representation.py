@@ -97,7 +97,7 @@ def complete_representation(d, partial):
     """Fill in all Wirtinger generators from a generating subset.
 
     ``partial`` maps generator names ("g1", ...) or 0-based indices to
-    matrices. Remaining generators are derived by applying the crossing
+    2x2 matrices, as nested sequences or numpy arrays. Remaining generators are derived by applying the crossing
     relations in both directions until a fixed point, and each relation is
     checked to _RELATION_TOL once its three generators are known; a
     non-finite determinant or residual fails its check.

@@ -29,6 +29,11 @@ FUZZ = settings(derandomize=True, database=None, deadline=None,
 # one file in sixteen is not UTF-8
 CORRUPT = st.sampled_from([False] * 15 + [True])
 
+# the figure-eight golden's PD code and its generators as [re, im] entries
+_GOLDEN = _examples.figure_eight_golden()
+_GENS = {g: [[z.real, z.imag] for row in m for z in map(complex, row)]
+         for g, m in _GOLDEN.seed_matrices.items()}
+
 # any JSON value, nested a few levels
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=4)
@@ -80,18 +85,15 @@ def write(path, data, corrupt=False):
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """A scratch directory, the figure-eight PD file, its golden
+    """A temporary directory, the figure-eight PD file, its golden
     representation file, and the golden's from-rep report."""
     tmp = tmp_path_factory.mktemp("fuzz")
-    ex = _examples.figure_eight_golden()
-    pd = write(tmp / "fig8.pd", ex.pd + "\n")
-    gens = {g: [[z.real, z.imag] for row in m for z in map(complex, row)]
-            for g, m in ex.seed_matrices.items()}
-    rep = write(tmp / "rep.json", {"generators": gens})
+    pd = write(tmp / "fig8.pd", _GOLDEN.pd + "\n")
+    rep = write(tmp / "rep.json", {"generators": _GENS})
     report = tmp / "report.json"
     assert cli.main(["from-rep", pd, rep, "--filling", "2/3",
                      "--json", str(report)]) == 0
-    return {"dir": tmp, "pd": pd, "rep": rep, "gens": gens,
+    return {"dir": tmp, "pd": pd, "rep": rep,
             "report": json.loads(report.read_text())}
 
 
@@ -182,7 +184,7 @@ def generator_entries(draw, golden):
     elif kind == "number":
         entries[draw(st.integers(0, 3))][draw(st.integers(0, 1))] = \
             draw(NUMBER)
-        # a number of any kind keeps the shape; only a non-number breaks it
+        # a float, or an int within the double range, keeps the shape
         x = [v for p in entries for v in p]
         return entries, not all(
             type(v) is float or type(v) is int and abs(v) <= 10 ** 308
@@ -207,17 +209,17 @@ OTHER_NAMES = ["g1", "g2", "g03", "g9", "g0", "gx", "g" + "9" * 5000]
 
 
 @st.composite
-def representation_docs(draw, gens):
+def representation_docs(draw):
     """(document, malformed) from the figure-eight's golden generators
-    ``gens`` with up to three edits: a generator's entries changed or
-    dropped, or another name added. malformed is None where unknown."""
+    with up to three edits: a generator's entries changed or dropped, or
+    another name added. malformed is None where unknown."""
     shape = draw(st.sampled_from(["golden"] * 8 + ["json", "generators"]))
     if shape == "json":
         # no 'generators' key: JSON's keys here are at most 3 characters
         return draw(JSON), True
     if shape == "generators":
         return {"generators": draw(JSON)}, None
-    out = dict(gens)
+    out = dict(_GENS)
     bad = dict.fromkeys(out, False)
     for _ in range(draw(st.integers(0, 3))):
         name = draw(st.sampled_from(GOLDEN_NAMES * 3 + OTHER_NAMES))
@@ -225,7 +227,7 @@ def representation_docs(draw, gens):
             del out[name], bad[name]
             continue
         out[name], bad[name] = draw(generator_entries(
-            gens.get(name, gens["g4"])))
+            _GENS.get(name, _GENS["g4"])))
         bad[name] |= name in ("g9", "g0", "gx") or len(name) > 10
     return {"generators": out}, not out or any(bad.values())
 
@@ -234,7 +236,7 @@ def representation_docs(draw, gens):
 @given(data=st.data(), filling=st.sampled_from([[], ["--filling", "2/3"]]),
        corrupt=CORRUPT)
 def test_from_rep_representation_file_fuzz(files, data, filling, corrupt):
-    doc, malformed = data.draw(representation_docs(files["gens"]))
+    doc, malformed = data.draw(representation_docs())
     path = write(files["dir"] / "r.json", doc, corrupt)
     code, out, err = run(["from-rep", files["pd"], path, *filling])
     check_exit(code, out, err, malformed=corrupt or bool(malformed))
@@ -354,20 +356,12 @@ def test_verify_report_and_filling_fuzz(files, data, wrap, filling,
 # Inputs that once ended in a traceback, or in exit 1 although malformed
 # ---------------------------------------------------------------------------
 
-def _golden_files():
-    ex = _examples.figure_eight_golden()
-    gens = {g: [[z.real, z.imag] for row in m for z in map(complex, row)]
-            for g, m in ex.seed_matrices.items()}
-    return ex.pd, gens
-
-
-_PD, _GENS = _golden_files()
 _DEEP = "[" * 5000 + "]" * 5000
 _LONG = "9" * 5000
 
 
 @pytest.mark.parametrize("argv, contents, message", [
-    (["analyze", "d.pd"], {"d.pd": b"\xff" + _PD.encode()}, "cannot read"),
+    (["analyze", "d.pd"], {"d.pd": b"\xff" + _GOLDEN.pd.encode()}, "cannot read"),
     (["analyze", "d.pd"], {"d.pd": f"X[{_LONG},1,2,3]"},
      "expected X[a,b,c,d]"),
     (["analyze", "d.pd"], {"d.pd": f'{{"pd": [[{_LONG},1,2,3]]}}'},
