@@ -160,17 +160,17 @@ def eval_terms(L, t):
 
 
 def eval_terms_jac(R, t):
-    """The sums of eval_terms at ratios R (..., n_crossings, 5), their
-    Jacobian in log coordinates, w_j dF/dw_j, and the ratio distance
+    """The Jacobian in log coordinates, w_j dF/dw_j, of the sums of
+    eval_terms at ratios R (..., n_crossings, 5), and the ratio distance
     min(|R|, 1/|R|, |1 - R|) over all ratios: how close the point is to a
-    collapsed tetrahedron. Shapes (..., n_rows), (..., n_rows, n_w) and
-    (...). The log array and the factors d log(1 - R)/d log R = -R/(1 - R)
-    are formed once per log column."""
+    collapsed tetrahedron. Shapes (..., n_rows, n_w) and (...). The
+    factors d log(1 - R)/d log R = -R/(1 - R) are formed once per log
+    column."""
     Rc, Z = _log_args(R, t)
-    F = _sums(_plog_vec(Z), t)
     G = np.where(t.log_1m, -Rc / Z, 1.0)
     J = _scatter(t.jac_slots, _flat(G).take(t.jac_log, -1) * t.jac_sign,
                  t.n_rows * t.n_w)
     mag = np.abs(R)
     dist = np.minimum(np.minimum(mag, 1.0 / mag), np.abs(1.0 - R))
-    return F, J.reshape(F.shape + (t.n_w,)), dist.min(axis=(-2, -1))
+    return J.reshape(R.shape[:-2] + (t.n_rows, t.n_w)), \
+        np.minimum.reduce(dist, axis=(-2, -1))

@@ -99,7 +99,7 @@ def _read_text(path):
 def _read_json(path):
     text = _read_text(path)
     try:
-        return json.loads(text)
+        return diagram.parse_json(text)
     except (ValueError, RecursionError) as exc:
         # also an integer past int()'s 4300 digits, or too deep a nesting
         raise InputError(f"{path} is not valid JSON: {exc}") from None
@@ -378,16 +378,15 @@ def cmd_verify(args):
         shared = filling(payload["filling"])
     # every record and filling is read before any point is evaluated
     sols, fills = [], []
-    for doc in docs:
+    for i, doc in enumerate(docs, 1):
         # a filling file applies to all; else a solution's own comes first
         own = not args.filling_file and isinstance(doc, dict) \
             and doc.get("filling")
         fills.append(filling(doc["filling"]) if own else shared)
         try:
             sols.append(potential.Solution.from_json(d, doc))
-        except (IndexError, KeyError, OverflowError, TypeError,
-                ValueError) as exc:
-            raise InputError(f"bad solution record: {exc}") from None
+        except potential.PotentialError as exc:
+            raise InputError(f"bad solution record {i}: {exc}") from None
     p = potential.evaluate(
         d, np.array([s.w for s in sols]).reshape(-1, d.n_regions),
         np.array([s.m for s in sols]).reshape(-1, d.n_components))

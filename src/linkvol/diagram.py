@@ -141,6 +141,22 @@ def _parse_compact(text):
     return crossings
 
 
+def _json_int(digits):
+    # int() refuses more digits than sys.get_int_max_str_digits() with
+    # advice to raise that limit, which no linkvol option can act on
+    try:
+        return int(digits)
+    except ValueError:
+        raise ValueError(f"an integer of {len(digits.lstrip('-'))} digits "
+                         f"is too long") from None
+
+
+def parse_json(text):
+    """json.loads, except that an integer too long to convert fails with
+    a ValueError that says so."""
+    return json.loads(text, parse_int=_json_int)
+
+
 def parse_pd(text):
     """Parse PD text, either compact `X[a,b,c,d] ...` or the JSON form
     {"pd": [[a,b,c,d], ...], "meridians": ...}."""
@@ -148,7 +164,7 @@ def parse_pd(text):
     overrides = ()
     if s[:1] == "{":
         try:
-            doc = json.loads(s)
+            doc = parse_json(s)
         except json.JSONDecodeError as exc:
             raise DiagramError(
                 f"syntax error at line {exc.lineno}, column {exc.colno}: "

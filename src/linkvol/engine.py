@@ -6,11 +6,15 @@ removed by dropping one (redundant) equation and pinning the last weight.
 Its random seeds, one standard_normal draw, run through the Newton core
 together as one (S, n) array, whose crossing ratios (one
 potential._RatioMap per run, so the meridian factor is formed once) each
-kernel call reads. An iteration makes one Jacobian call and, mostly, one
-residual call: the Armijo line search tries a window of step lengths per
-seed in one stacked call. The core returns candidates, not verified
-points: one potential.Evaluation at the same ratio map verifies them, and
-multi_start returns the rows that pass it.
+kernel call reads. Each point is evaluated once: the seeds' ratios and
+sums before the first iteration, and every later point in the line
+search, which keeps the ratios and sums of the row each seed accepts for
+the next iteration's Jacobian call. An iteration makes one Jacobian call
+and, mostly, one residual call: the Armijo line search tries a window of
+step lengths per seed in one stacked call. The live seeds' state is kept
+in compact row arrays that shrink as seeds end. The core returns
+candidates, not verified points: one potential.Evaluation at the same
+ratio map verifies them, and multi_start returns the rows that pass it.
 
 A seed heading for a collapsed tetrahedron is cut early: when its ratio
 distance min(|R|, 1/|R|, |1 - R|), which the Jacobian kernel returns, is
@@ -162,6 +166,12 @@ def _newton_batch(ratios, seeds, cfg):
     some rows past the accepted length. A seed that runs off toward a
     degenerate point (the rule at _RUNOFF_DIST) fails at once.
 
+    Each point is evaluated once. The seeds' ratios and sums F are formed
+    before the first iteration; after that a seed keeps the ratios and F
+    of the row its line search accepted, and the next iteration's
+    Jacobian call reads those ratios. The state of the live seeds is kept
+    in compact row arrays that shrink when seeds end.
+
     Works in log-weight coordinates with the last weight pinned to its seed
     value (the equations are invariant under global rescaling of w, and the
     row sum of the system vanishes identically, so one equation is dropped
@@ -175,121 +185,148 @@ def _newton_batch(ratios, seeds, cfg):
     k = n - 1
     t = ratios.t.wdw
     W = seeds.astype(complex)
-    X = np.log(W)
-    resid = np.full(seeds.shape[0], math.inf)
-    # ratio distance at the last iteration and the falls of it in a row;
-    # the first iteration has no earlier distance, so it is no fall
-    dist_prev = np.zeros(seeds.shape[0])
-    falls = np.zeros(seeds.shape[0], dtype=int)
-    # the ladder index each seed accepted at its last iteration; -1 before
-    # the first
-    last = np.full(seeds.shape[0], -1)
-    out = [None] * seeds.shape[0]
+    out = [None] * W.shape[0]
     # iterate past the acceptance threshold down to this floor, so that the
     # returned weights (not just the residuals) are as sharp as the
     # quadratic tail allows — seeds differing by pure gauge then agree far
     # below the verification tolerance
     floor = min(cfg.residual_tol, 1e-13)
+    rows_all = np.logical_and.reduce
 
-    def settle(ended, failed):
+    def fail(ended, text):
+        for i in ended:
+            out[i] = text
+
+    def settle(ended, resid, failed):
         # a point that already meets the tolerance is a candidate (the
         # quadratic tail bottoms out at machine precision), else it fails
-        for i in ended[~(resid[ended] <= cfg.residual_tol)]:
-            out[i] = f"{failed} (residual {resid[i]:.3g})"
+        for i, res in zip(ended, resid):
+            if not res <= cfg.residual_tol:
+                out[i] = f"{failed} (residual {res:.3g})"
 
-    live = np.arange(seeds.shape[0])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # The live seeds' state, one row per seed: its index into seeds,
+        # its log weights with a last column 0 (whose exp is the constant 1
+        # that the ratio map's sentinels read), the ratios R and sums F at
+        # its point, the ladder index it accepted at its last iteration
+        # (-1 before the first), its ratio distance at the last iteration
+        # and the falls of it in a row (the first iteration has no earlier
+        # distance, so it is no fall), and its last residual.
+        ids = np.arange(W.shape[0])
+        X = np.zeros((ids.size, n + 1), complex)
+        X[:, :n] = np.log(W)
+        R = ratios(W)
+        F = _kernels.eval_terms(_kernels.ratio_logs(R, t), t)
+        last = np.full(ids.size, -1)
+        dist = np.zeros(ids.size)
+        falls = np.zeros(ids.size, dtype=int)
+        resid = np.full(ids.size, math.inf)
         for it in range(_MAX_ITERATIONS):
-            if not live.size:
+            if not ids.size:
                 break
-            F_raw, J, dist = _kernels.eval_terms_jac(ratios(W[live]), t)
-            r = np.abs(np.exp(F_raw) - 1.0).max(axis=1)
-            resid[live] = r
-            falls[live] = np.where(dist < dist_prev[live],
-                                   falls[live] + 1, 0)
-            dist_prev[live] = dist
-            bad = ~np.isfinite(F_raw).all(axis=1)
-            for i in live[bad]:
-                out[i] = f"hit a degenerate point at iteration {it}"
-            done = ~bad & (r <= floor)
+            J, dist_now = _kernels.eval_terms_jac(R, t)
+            r = np.maximum.reduce(np.abs(np.exp(F) - 1.0), axis=1)
+            falls = np.where(dist_now < dist, falls + 1, 0)
+            dist = dist_now
+            ok = rows_all(np.isfinite(F), axis=1)
+            done = ok & (r <= floor)
             # never accepted on the residual: near-collapsed points can
             # meet a loose residual_tol
-            runoff = ~(bad | done) & (dist < _RUNOFF_DIST) \
-                & (falls[live] >= _RUNOFF_FALLS)
-            for i in live[runoff]:
-                out[i] = f"ran off toward a degenerate point at iteration {it}"
-            go = ~(bad | done | runoff)
-            jbad = go & ~np.isfinite(J).all(axis=(1, 2))
-            for i in live[jbad]:
-                out[i] = f"Jacobian not finite at iteration {it}"
+            runoff = ok & ~done & (dist < _RUNOFF_DIST) \
+                & (falls >= _RUNOFF_FALLS)
+            go = ok & ~done & ~runoff
+            jbad = go & ~rows_all(np.isfinite(J), axis=(1, 2))
             go &= ~jbad
-            live, F, J = live[go], _fold(F_raw[go, :k]), J[go, :k, :k]
-            if not live.size:
-                break
+            p = go.nonzero()[0]   # the seeds that take a step
+            if p.size < ids.size:
+                fail(ids[~ok], f"hit a degenerate point at iteration {it}")
+                fail(ids[runoff],
+                     f"ran off toward a degenerate point at iteration {it}")
+                fail(ids[jbad], f"Jacobian not finite at iteration {it}")
+                if not p.size:
+                    ids = p
+                    break
             # The critical set at fixed m is typically a positive-
             # dimensional family (one representation admits a family of
             # weight vectors), so the reduced Jacobian is rank-deficient
             # *at* solutions. Take the minimum-norm step: it has no
             # component along the kernel, so iterates do not slide along
             # the family and proportionally scaled seeds stay in lockstep.
-            U, sv, Vh = _svd_stack(J)
+            Fk = _fold(F[p, :k])
+            U, sv, Vh = _svd_stack(J[p, :k, :k])
             keep = sv > _SV_CUTOFF * sv[:, :1]
             singular = ~(np.isfinite(sv[:, 0]) & keep.any(axis=1))
-            settle(live[singular], f"singular Jacobian at iteration {it}")
-            s_inv = np.zeros_like(sv)
+            s_inv = np.zeros(sv.shape)
             s_inv[keep] = 1.0 / sv[keep]
-            UhF = np.conj(U).transpose(0, 2, 1) @ F[:, :, None]
+            UhF = np.conj(U).transpose(0, 2, 1) @ Fk[:, :, None]
             dx = -(np.conj(Vh).transpose(0, 2, 1)
                    @ (s_inv[:, :, None] * UhF))[:, :, 0]
-            nonfinite = ~singular & ~np.isfinite(dx).all(axis=1)
-            for i in live[nonfinite]:
-                out[i] = f"non-finite Newton step at iteration {it}"
+            nonfinite = ~singular & ~rows_all(np.isfinite(dx), axis=1)
             go = ~(singular | nonfinite)
-            live, F, dx = live[go], F[go], dx[go]
+            if not go.all():
+                settle(ids[p[singular]], r[p[singular]],
+                       f"singular Jacobian at iteration {it}")
+                fail(ids[p[nonfinite]],
+                     f"non-finite Newton step at iteration {it}")
+                p, Fk, dx = p[go], Fk[go], dx[go]
+                if not p.size:
+                    ids = p
+                    break
 
-            base = (np.abs(F) ** 2).sum(axis=1)
-            pos = np.arange(live.size)     # the seeds of live still searching
-            lo = np.zeros(live.size, dtype=int)  # their first untried length
-            size = np.minimum(last[live] + 3, _MAX_WINDOW)
-            stalled = np.zeros(live.size, dtype=bool)
-            while pos.size:
+            base = np.add.reduce(np.abs(Fk) ** 2, axis=1)
+            sel = np.arange(p.size)   # the seeds still searching, in p
+            lo = np.zeros(p.size, dtype=int)   # their first untried length
+            size = np.minimum(last[p] + 3, _MAX_WINDOW)
+            accepted, stalled = [], []
+            while sel.size:
                 # one stacked call: the window lo .. lo + size - 1 of each
                 # searching seed, its rows in ladder order, seed after seed
                 cnt = np.minimum(size, _STEPS.size - lo)
-                owner = np.repeat(np.arange(pos.size), cnt)
+                owner = np.arange(sel.size).repeat(cnt)
                 idx = np.arange(owner.size) \
-                    + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+                    + (lo - cnt.cumsum() + cnt).repeat(cnt)
                 steps = _STEPS[idx]
-                at = pos[owner]    # each row's seed, as a position in live
-                x_new = X[live[at]]
+                at = sel[owner]     # each row's seed, as a position in p
+                x_new = X[p[at]]
                 x_new[:, :k] += steps[:, None] * dx[at]
                 w_new = np.exp(x_new)
-                F_try = _kernels.eval_terms(
-                    _kernels.ratio_logs(ratios(w_new), t), t)
-                f_new = (np.abs(_fold(F_try[:, :k])) ** 2).sum(axis=1)
-                acc = np.flatnonzero(
-                    np.isfinite(w_new).all(axis=1)
-                    & np.isfinite(F_try).all(axis=1)
-                    & (f_new <= (1.0 - 1e-4 * steps) * base[at]))
+                R_try = ratios.extended(w_new)
+                F_try = _kernels.eval_terms(_kernels.ratio_logs(R_try, t), t)
+                f_new = np.add.reduce(np.abs(_fold(F_try[:, :k])) ** 2,
+                                      axis=1)
+                acc = (rows_all(np.isfinite(w_new), axis=1)
+                       & rows_all(np.isfinite(F_try), axis=1)
+                       & (f_new <= (1.0 - 1e-4 * steps) * base[at])
+                       ).nonzero()[0]
                 # a seed takes the first passing row of its window
                 hit = owner[acc]
                 lead = np.ones(acc.size, dtype=bool)
                 lead[1:] = hit[1:] != hit[:-1]
                 first = acc[lead]
-                rows = live[pos[owner[first]]]
-                X[rows], W[rows], last[rows] = x_new[first], w_new[first], \
-                    idx[first]
-                miss = np.ones(pos.size, dtype=bool)
+                accepted.append((at[first], x_new[first], w_new[first],
+                                 R_try[first], F_try[first], idx[first]))
+                if first.size == sel.size:
+                    break
+                miss = np.ones(sel.size, dtype=bool)
                 miss[owner[first]] = False
-                pos, lo = pos[miss], lo[miss] + cnt[miss]
+                sel, lo = sel[miss], lo[miss] + cnt[miss]
                 size = np.minimum(2 * size[miss], _MAX_WINDOW)
                 end = lo >= _STEPS.size
-                stalled[pos[end]] = True
-                pos, lo, size = pos[~end], lo[~end], size[~end]
-            settle(live[stalled], f"line search stalled at iteration {it}")
-            live = live[~stalled]
+                stalled.append(p[sel[end]])
+                sel, lo, size = sel[~end], lo[~end], size[~end]
+            if stalled:
+                gone = np.concatenate(stalled)
+                settle(ids[gone], r[gone],
+                       f"line search stalled at iteration {it}")
+            # the seeds that accepted a row are the live seeds of the next
+            # iteration, at that row
+            at, X, w_new, R, F, last = accepted[0] if len(accepted) == 1 \
+                else (np.concatenate(a) for a in zip(*accepted))
+            s = p[at]
+            ids, falls, dist, resid = ids[s], falls[s], dist[s], r[s]
+            W[ids] = w_new[:, :n]
 
-    settle(live, f"no convergence within {_MAX_ITERATIONS} iterations")
+    settle(ids, resid, f"no convergence within {_MAX_ITERATIONS} iterations")
     return W, out
 
 

@@ -92,9 +92,31 @@ class Solution:
 
     @classmethod
     def from_json(cls, diagram, doc):
-        w = [complex(p[0], p[1]) for p in doc["w"]]
-        m = [complex(p[0], p[1]) for p in doc["m"]]
-        return cls(diagram=diagram, w=w, m=m)
+        """The solution of a record {"w": [[re, im], ...], "m": [...]};
+        a record of another shape raises PotentialError naming the key or
+        the entry at fault."""
+        if not isinstance(doc, dict):
+            raise PotentialError("not an object")
+        return cls(diagram=diagram, w=_pairs(doc, "w"), m=_pairs(doc, "m"))
+
+
+def _pairs(doc, key):
+    """The complex numbers of the [re, im] pairs listed at doc[key]."""
+    if key not in doc:
+        raise PotentialError(f"missing key {key!r}")
+    if not isinstance(doc[key], list):
+        raise PotentialError(f"{key!r} must be a list of [re, im] pairs")
+    out = []
+    for i, p in enumerate(doc[key], 1):
+        try:
+            out.append(complex(p[0], p[1]))
+        except OverflowError:
+            raise PotentialError(
+                f"{key!r} entry {i} is beyond the double range") from None
+        except (IndexError, KeyError, TypeError, ValueError):
+            raise PotentialError(
+                f"{key!r} entry {i} is not an [re, im] pair") from None
+    return out
 
 
 @dataclass
@@ -255,12 +277,17 @@ class _RatioMap:
             self.mf = _ext(m)[..., self.t.r_mi] ** self.t.r_mexp
 
     def __call__(self, w):
-        t = self.t
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            g = _ext(w).take(t.r_nd, -1)
-            R = g[..., 0, :] * g[..., 1, :] / (g[..., 2, :] * g[..., 3, :])
-            R = R * self.mf
-        return R.reshape(w.shape[:-1] + (t.sigma.shape[0], 5))
+            return self.extended(_ext(w))
+
+    def extended(self, v):
+        """The ratios at a weight stack v (S, n + 1) whose rows already end
+        in the constant 1 that the index sentinels point at. The caller
+        silences numpy's warnings."""
+        g = v.take(self.t.r_nd, -1)
+        R = g[..., 0, :] * g[..., 1, :] / (g[..., 2, :] * g[..., 3, :]) \
+            * self.mf
+        return R.reshape(v.shape[:-1] + (self.t.sigma.shape[0], 5))
 
     def evaluate(self, w):
         """evaluate(d, w, m) at this map's diagram and meridians."""

@@ -427,5 +427,8 @@ def representation_from_json(d, doc):
         if vals is None or len(vals) != 4:
             raise RepresentationFormatError(
                 f"generator {name}: need 4 row-major [re, im] entries")
+        if not all(map(cmath.isfinite, vals)):
+            raise RepresentationFormatError(
+                f"generator {name}: entries must be finite")
         partial[name] = [[vals[0], vals[1]], [vals[2], vals[3]]]
     return complete_representation(d, partial)

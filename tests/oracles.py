@@ -10,7 +10,9 @@ here on numpy arrays, as the package computed it before it moved to tuples
 of Python complex. The potential's term tables are kept here as the
 package built them before it broadcast the per-crossing patterns, a loop
 over the crossings, and the term kernels as it ran them before it formed
-each distinct logarithm once: one logarithm per term.
+each distinct logarithm once: one logarithm per term. The Newton core is
+kept here as it ran before it kept each accepted point's ratios and sums,
+a loop over full-size state that re-forms them at every iteration.
 """
 
 import cmath
@@ -579,3 +581,164 @@ def eval_terms_jac_per_term(R, t):
                  g.take(t["jac_term"], -1) * t["jac_sign"],
                  t["n_rows"] * t["n_w"])
     return F, J.reshape(F.shape + (t["n_w"],))
+
+
+# ---------------------------------------------------------------------------
+# The Newton core as a loop over full-size state
+# ---------------------------------------------------------------------------
+
+# the package's Newton constants: singular-value cutoff, step ladder,
+# longest line-search window, run-off cut, iteration limit
+NEWTON_SV_CUTOFF = 1e-8
+NEWTON_STEPS = np.ldexp(1.0, -np.arange(31))
+NEWTON_MAX_WINDOW = 16
+NEWTON_RUNOFF_DIST = 1e-7
+NEWTON_RUNOFF_FALLS = 3
+NEWTON_MAX_ITERATIONS = 50
+
+
+def ratio_map(tables, m):
+    """w (S, n) -> the (S, n_crossings, 5) crossing ratios at meridians m,
+    from the ratio layout of term_tables, formed as the package forms
+    them: n1 n2 / (d1 d2) times the meridian factor."""
+    mf = np.append(np.asarray(m, dtype=complex), 1.0)[tables["r_mi"]] \
+        ** tables["r_mexp"]
+
+    def ratios(w):
+        g = np.concatenate([w, np.ones(w.shape[:-1] + (1,))], axis=-1) \
+            .take(tables["r_nd"], -1)
+        R = g[..., 0, :] * g[..., 1, :] / (g[..., 2, :] * g[..., 3, :])
+        return (R * mf).reshape(w.shape[:-1] + (-1, 5))
+    return ratios
+
+
+def _fold(vals):
+    return vals - TWO_PI * 1j * np.rint(vals.imag / TWO_PI)
+
+
+def _svd_stack(J):
+    try:
+        return np.linalg.svd(J)
+    except np.linalg.LinAlgError:
+        U, Vh = np.zeros_like(J), np.zeros_like(J)
+        sv = np.full(J.shape[:2], np.nan)
+        for i, a in enumerate(J):
+            try:
+                U[i], sv[i], Vh[i] = np.linalg.svd(a)
+            except np.linalg.LinAlgError:
+                pass
+        return U, sv, Vh
+
+
+def newton_batch(tables, m, seeds, residual_tol):
+    """The package's Newton core as it ran before it kept each accepted
+    point's ratios and sums: damped Newton in log-weight coordinates from
+    every row of seeds at once, the last weight pinned, minimum-norm SVD
+    steps and an Armijo line search over per-seed windows of the ladder
+    NEWTON_STEPS. Every iteration re-forms the ratios, sums and Jacobian
+    of the live seeds (eval_terms_jac_per_term on the "wdw" table of
+    term_tables) and reads and writes full-size state through the live
+    index. Returns (W, out) as the package's core does."""
+    t = tables["wdw"]
+    ratios = ratio_map(tables, m)
+    n = t["n_w"]
+    k = n - 1
+    W = seeds.astype(complex)
+    X = np.log(W)
+    resid = np.full(seeds.shape[0], math.inf)
+    dist_prev = np.zeros(seeds.shape[0])
+    falls = np.zeros(seeds.shape[0], dtype=int)
+    last = np.full(seeds.shape[0], -1)
+    out = [None] * seeds.shape[0]
+    floor = min(residual_tol, 1e-13)
+
+    def settle(ended, failed):
+        for i in ended[~(resid[ended] <= residual_tol)]:
+            out[i] = f"{failed} (residual {resid[i]:.3g})"
+
+    live = np.arange(seeds.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(NEWTON_MAX_ITERATIONS):
+            if not live.size:
+                break
+            R = ratios(W[live])
+            F_raw, J = eval_terms_jac_per_term(R, t)
+            mag = np.abs(R)
+            dist = np.minimum(np.minimum(mag, 1.0 / mag),
+                              np.abs(1.0 - R)).min(axis=(-2, -1))
+            r = np.abs(np.exp(F_raw) - 1.0).max(axis=1)
+            resid[live] = r
+            falls[live] = np.where(dist < dist_prev[live],
+                                   falls[live] + 1, 0)
+            dist_prev[live] = dist
+            bad = ~np.isfinite(F_raw).all(axis=1)
+            for i in live[bad]:
+                out[i] = f"hit a degenerate point at iteration {it}"
+            done = ~bad & (r <= floor)
+            runoff = ~(bad | done) & (dist < NEWTON_RUNOFF_DIST) \
+                & (falls[live] >= NEWTON_RUNOFF_FALLS)
+            for i in live[runoff]:
+                out[i] = f"ran off toward a degenerate point at iteration {it}"
+            go = ~(bad | done | runoff)
+            jbad = go & ~np.isfinite(J).all(axis=(1, 2))
+            for i in live[jbad]:
+                out[i] = f"Jacobian not finite at iteration {it}"
+            go &= ~jbad
+            live, F, J = live[go], _fold(F_raw[go, :k]), J[go, :k, :k]
+            if not live.size:
+                break
+            U, sv, Vh = _svd_stack(J)
+            keep = sv > NEWTON_SV_CUTOFF * sv[:, :1]
+            singular = ~(np.isfinite(sv[:, 0]) & keep.any(axis=1))
+            settle(live[singular], f"singular Jacobian at iteration {it}")
+            s_inv = np.zeros_like(sv)
+            s_inv[keep] = 1.0 / sv[keep]
+            UhF = np.conj(U).transpose(0, 2, 1) @ F[:, :, None]
+            dx = -(np.conj(Vh).transpose(0, 2, 1)
+                   @ (s_inv[:, :, None] * UhF))[:, :, 0]
+            nonfinite = ~singular & ~np.isfinite(dx).all(axis=1)
+            for i in live[nonfinite]:
+                out[i] = f"non-finite Newton step at iteration {it}"
+            go = ~(singular | nonfinite)
+            live, F, dx = live[go], F[go], dx[go]
+
+            base = (np.abs(F) ** 2).sum(axis=1)
+            pos = np.arange(live.size)
+            lo = np.zeros(live.size, dtype=int)
+            size = np.minimum(last[live] + 3, NEWTON_MAX_WINDOW)
+            stalled = np.zeros(live.size, dtype=bool)
+            while pos.size:
+                cnt = np.minimum(size, NEWTON_STEPS.size - lo)
+                owner = np.repeat(np.arange(pos.size), cnt)
+                idx = np.arange(owner.size) \
+                    + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+                steps = NEWTON_STEPS[idx]
+                at = pos[owner]
+                x_new = X[live[at]]
+                x_new[:, :k] += steps[:, None] * dx[at]
+                w_new = np.exp(x_new)
+                F_try = eval_terms_per_term(ratios(w_new), t)[0]
+                f_new = (np.abs(_fold(F_try[:, :k])) ** 2).sum(axis=1)
+                acc = np.flatnonzero(
+                    np.isfinite(w_new).all(axis=1)
+                    & np.isfinite(F_try).all(axis=1)
+                    & (f_new <= (1.0 - 1e-4 * steps) * base[at]))
+                hit = owner[acc]
+                lead = np.ones(acc.size, dtype=bool)
+                lead[1:] = hit[1:] != hit[:-1]
+                first = acc[lead]
+                rows = live[pos[owner[first]]]
+                X[rows], W[rows], last[rows] = x_new[first], w_new[first], \
+                    idx[first]
+                miss = np.ones(pos.size, dtype=bool)
+                miss[owner[first]] = False
+                pos, lo = pos[miss], lo[miss] + cnt[miss]
+                size = np.minimum(2 * size[miss], NEWTON_MAX_WINDOW)
+                end = lo >= NEWTON_STEPS.size
+                stalled[pos[end]] = True
+                pos, lo, size = pos[~end], lo[~end], size[~end]
+            settle(live[stalled], f"line search stalled at iteration {it}")
+            live = live[~stalled]
+
+    settle(live, f"no convergence within {NEWTON_MAX_ITERATIONS} iterations")
+    return W, out

@@ -12,6 +12,7 @@ The examples are derandomized, so every run tries the same inputs.
 import contextlib
 import io
 import json
+import math
 import warnings
 
 import pytest
@@ -184,11 +185,12 @@ def generator_entries(draw, golden):
     elif kind == "number":
         entries[draw(st.integers(0, 3))][draw(st.integers(0, 1))] = \
             draw(NUMBER)
-        # a float, or an int within the double range, keeps the shape
+        # a finite float, or an int within the double range, keeps the
+        # shape
         x = [v for p in entries for v in p]
         return entries, not all(
-            type(v) is float or type(v) is int and abs(v) <= 10 ** 308
-            for v in x)
+            type(v) is float and math.isfinite(v)
+            or type(v) is int and abs(v) <= 10 ** 308 for v in x)
     elif kind == "short":
         entries = entries[:3]
     elif kind == "long":
@@ -358,6 +360,8 @@ def test_verify_report_and_filling_fuzz(files, data, wrap, filling,
 
 _DEEP = "[" * 5000 + "]" * 5000
 _LONG = "9" * 5000
+# a solution record of the figure-eight's shape: six weights, one meridian
+_RECORD = {"w": [[1.0, 0.0]] * 6, "m": [[1.0, 0.0]]}
 
 
 @pytest.mark.parametrize("argv, contents, message", [
@@ -365,17 +369,23 @@ _LONG = "9" * 5000
     (["analyze", "d.pd"], {"d.pd": f"X[{_LONG},1,2,3]"},
      "expected X[a,b,c,d]"),
     (["analyze", "d.pd"], {"d.pd": f'{{"pd": [[{_LONG},1,2,3]]}}'},
-     "unreadable JSON diagram"),
+     "unreadable JSON diagram: an integer of 5000 digits is too long"),
     (["analyze", "d.pd"], {"d.pd": f'{{"pd": {_DEEP}}}'},
      "unreadable JSON diagram"),
     (["from-rep", "d.pd", "r.json"], {"r.json": b"\xff{}"}, "cannot read"),
     (["from-rep", "d.pd", "r.json"],
      {"r.json": f'{{"generators": {{"g3": [[{_LONG}, 0]]}}}}'},
-     "is not valid JSON"),
+     "is not valid JSON: an integer of 5000 digits is too long"),
     (["from-rep", "d.pd", "r.json"], {"r.json": _DEEP}, "is not valid JSON"),
     (["from-rep", "d.pd", "r.json"],
      {"r.json": {"generators": dict(_GENS, **{"g" + _LONG: _GENS["g3"]})}},
      "bad generator name"),
+    (["from-rep", "d.pd", "r.json"],
+     {"r.json": {"generators": dict(_GENS, g3=[[math.nan, 0.0]] * 4)}},
+     "generator g3: entries must be finite"),
+    (["from-rep", "d.pd", "r.json"],
+     {"r.json": {"generators": dict(_GENS, g4=[[1.0, math.inf]] * 4)}},
+     "generator g4: entries must be finite"),
     # a key the diagram does not have is found before a failing matrix
     (["from-rep", "d.pd", "r.json"],
      {"r.json": {"generators": {"g3": [[0.0, 0.0]] * 4, "g9": _GENS["g3"]}}},
@@ -386,7 +396,18 @@ _LONG = "9" * 5000
      "is out of range"),
     (["verify", "d.pd", "v.json"],
      {"v.json": {"w": [[10 ** 400, 0.0]] * 6, "m": [[1.0, 0.0]]}},
-     "bad solution record"),
+     "bad solution record 1: 'w' entry 1 is beyond the double range"),
+    (["verify", "d.pd", "v.json"],
+     {"v.json": {"solutions": [_RECORD, {"w": _RECORD["w"]}]}},
+     "bad solution record 2: missing key 'm'"),
+    (["verify", "d.pd", "v.json"],
+     {"v.json": {"w": "abcd", "m": [[1.0, 0.0]]}},
+     "bad solution record 1: 'w' must be a list of [re, im] pairs"),
+    (["verify", "d.pd", "v.json"],
+     {"v.json": {"w": _RECORD["w"][:5] + [[1.0]], "m": [[1.0, 0.0]]}},
+     "bad solution record 1: 'w' entry 6 is not an [re, im] pair"),
+    (["verify", "d.pd", "v.json"], {"v.json": {"solutions": [7]}},
+     "bad solution record 1: not an object"),
     (["verify", "d.pd", "v.json", "f.json"],
      {"f.json": {"slopes": [[10 ** 400, 1]]}}, "is out of range"),
     (["verify", "d.pd", "v.json", "f.json"],
@@ -394,8 +415,10 @@ _LONG = "9" * 5000
      "is out of range"),
 ], ids=["pd-not-utf8", "pd-long-label", "json-pd-long-int", "json-pd-deep",
         "rep-not-utf8", "rep-long-int", "rep-deep", "rep-long-name",
-        "rep-name-after-bad-matrix", "filling-beyond-float",
-        "filling-beyond-2^53", "verify-weight-beyond-float",
+        "rep-nan", "rep-infinity", "rep-name-after-bad-matrix",
+        "filling-beyond-float", "filling-beyond-2^53",
+        "verify-weight-beyond-float", "verify-record-without-m",
+        "verify-string-w", "verify-ragged-w", "verify-record-not-object",
         "verify-slope-beyond-float", "verify-uv-beyond-float"])
 def test_found_inputs_are_input_errors(files, tmp_path, argv, contents,
                                        message):
@@ -411,3 +434,5 @@ def test_found_inputs_are_input_errors(files, tmp_path, argv, contents,
     code, out, err = run([paths.get(a, a) for a in argv])
     check_exit(code, out, err, malformed=True)
     assert message in err
+    # no advice that no linkvol option can act on
+    assert "set_int_max_str_digits" not in err

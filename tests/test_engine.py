@@ -299,21 +299,19 @@ def test_stacked_kernels_match_single_rows():
         R = ratios(W)
         L = _kernels.ratio_logs(R, t)
         F = _kernels.eval_terms(L, t)
-        F2, J, dist = _kernels.eval_terms_jac(R, t)
+        J, dist = _kernels.eval_terms_jac(R, t)
         assert F.shape == (5, n) and J.shape == (5, n, n)
         assert dist.shape == (5,)
         F_ref, J_ref = oracles.eval_terms_jac_per_term(R, ref["wdw"])
-        assert F.tobytes() == F2.tobytes() == F_ref.tobytes()
+        assert F.tobytes() == F_ref.tobytes()
         assert J.tobytes() == J_ref.tobytes()
         assert _kernels.eval_terms(L, tables.mdw).tobytes() \
             == oracles.eval_terms_per_term(R, ref["mdw"])[0].tobytes()
         for s in range(5):
             f1 = _kernels.eval_terms(_kernels.ratio_logs(R[s], t), t)
-            f2, j1, d1 = _kernels.eval_terms_jac(R[s], t)
+            j1, d1 = _kernels.eval_terms_jac(R[s], t)
             scale = np.max(np.abs(f1))
             assert np.max(np.abs(F[s] - f1)) <= 1e-13 * scale
-            assert np.max(np.abs(F2[s] - f1)) <= 1e-13 * scale
-            assert np.max(np.abs(f2 - f1)) <= 1e-13 * scale
             assert np.max(np.abs(J[s] - j1)) <= 1e-13 * np.max(np.abs(j1))
             # the ratio distance covers all five ratios of every crossing
             Rs = ratios(W[s:s + 1])[0]
@@ -357,7 +355,7 @@ def test_stacked_svd_failure_marks_only_that_seed(monkeypatch):
     k = d.n_regions - 1
     # the reduced Jacobians of Newton's first iteration
     J = _kernels.eval_terms_jac(potential._RatioMap(d, m)(seeds),
-                                potential._tables(d).wdw)[1][:, :k, :k]
+                                potential._tables(d).wdw)[0][:, :k, :k]
     stacked = np.linalg.svd(J)
     clean = outcomes(newton(d, m, seeds))
     real_svd = np.linalg.svd
@@ -468,15 +466,73 @@ def test_line_search_blocks_decide_as_single_steps(pd, monkeypatch):
 
 def test_multi_start_residual_call_budget(monkeypatch):
     # the windowed line search mostly makes one residual call per Newton
-    # iteration, run-off seeds leave the batch early, and the distinct
-    # solutions are evaluated in one stacked call: this run makes 54
-    # weight-table calls and one meridian-table call
+    # iteration, run-off seeds leave the batch early, and the seeds and
+    # the solutions are each evaluated in one stacked call: this run makes
+    # 53 line-search calls between the seeds' weight-table call and the
+    # solutions' weight- and meridian-table calls
     d = diagram.load_diagram(FIG8)
-    tables = count_eval_terms(monkeypatch)
+    real = _kernels.eval_terms
+    calls = []
+
+    def count(L, t):
+        calls.append((t, L.shape[0]))
+        return real(L, t)
+
+    monkeypatch.setattr(_kernels, "eval_terms", count)
+    p = engine.multi_start(d, [1.0], engine.SolveConfig(seeds=64, rng_seed=0))
+    tables = potential._tables(d)
+    solutions = len(p.w)
+    assert calls[0] == (tables.wdw, 64)
+    assert calls[-2:] == [(tables.wdw, solutions), (tables.mdw, solutions)]
+    assert len(calls) - 3 == 53
+    assert all(t is tables.wdw for t, _ in calls[1:-2])
+
+
+def test_each_newton_point_is_evaluated_once(monkeypatch):
+    # the line search keeps the ratios and sums of the row each seed
+    # accepts, so a run forms ratios once for the seeds, once per
+    # line-search call and once for the solutions, and makes one Jacobian
+    # call per iteration
+    d = diagram.load_diagram(FIG8)
+    counts = {"ratios": 0, "jacobian": 0}
+    real_ratios = potential._RatioMap.extended
+    real_jac = _kernels.eval_terms_jac
+
+    def ratios(self, v):
+        counts["ratios"] += 1
+        return real_ratios(self, v)
+
+    def jacobian(R, t):
+        counts["jacobian"] += 1
+        return real_jac(R, t)
+
+    monkeypatch.setattr(potential._RatioMap, "extended", ratios)
+    monkeypatch.setattr(_kernels, "eval_terms_jac", jacobian)
     engine.multi_start(d, [1.0], engine.SolveConfig(seeds=64, rng_seed=0))
-    mdw = potential._tables(d).mdw
-    assert len(tables) - tables.count(mdw) <= 54
-    assert tables.count(mdw) == 1
+    assert counts == {"ratios": 55, "jacobian": 48}
+
+
+@pytest.mark.parametrize("pd", GOLDENS, ids=["fig8", "whitehead",
+                                             "trefoil"])
+def test_newton_core_matches_reference_loop(pd):
+    # keeping each accepted point's ratios and sums, and the live seeds'
+    # state in compact rows, leaves the weights and failure texts bitwise
+    # those of the loop that re-formed them over full-size state
+    d = diagram.load_diagram(pd)
+    m = np.ones(d.n_components, dtype=complex)
+    tables = oracles.term_tables(d, potential._WDW_PATTERN,
+                                 potential._MDW_PATTERN, potential.SIGMA_POS)
+    found = 0
+    for rng_seed in range(5):
+        cfg = engine.SolveConfig(rng_seed=rng_seed)
+        seeds = engine._draw_seeds(d, cfg)
+        W, out = newton(d, m, seeds, cfg)
+        W_ref, out_ref = oracles.newton_batch(tables, m, seeds,
+                                              cfg.residual_tol)
+        assert out == out_ref
+        assert W.tobytes() == W_ref.tobytes()
+        found += out.count(None)
+    assert found > 0
 
 
 # ---------------------------------------------------------------------------
