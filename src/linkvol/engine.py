@@ -230,11 +230,11 @@ def _newton_batch(ratios, seeds, cfg):
             dist = dist_now
             ok = rows_all(np.isfinite(F), axis=1)
             done = ok & (r <= floor)
+            go = ok & ~done
             # never accepted on the residual: near-collapsed points can
             # meet a loose residual_tol
-            runoff = ok & ~done & (dist < _RUNOFF_DIST) \
-                & (falls >= _RUNOFF_FALLS)
-            go = ok & ~done & ~runoff
+            runoff = go & (dist < _RUNOFF_DIST) & (falls >= _RUNOFF_FALLS)
+            go &= ~runoff
             jbad = go & ~rows_all(np.isfinite(J), axis=(1, 2))
             go &= ~jbad
             p = go.nonzero()[0]   # the seeds that take a step
