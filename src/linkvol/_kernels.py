@@ -148,7 +148,9 @@ def _flat(a):
 
 
 def _sums(L, t):
-    return _scatter(t.row, t.sign * _flat(L).take(t.log, -1), t.n_rows)
+    vals = _flat(L).take(t.log, -1)
+    vals *= t.sign
+    return _scatter(t.row, vals, t.n_rows)
 
 
 def eval_terms(L, t):
@@ -168,8 +170,9 @@ def eval_terms_jac(R, t):
     column."""
     Rc, Z = _log_args(R, t)
     G = np.where(t.log_1m, -Rc / Z, 1.0)
-    J = _scatter(t.jac_slots, _flat(G).take(t.jac_log, -1) * t.jac_sign,
-                 t.n_rows * t.n_w)
+    vals = _flat(G).take(t.jac_log, -1)
+    vals *= t.jac_sign
+    J = _scatter(t.jac_slots, vals, t.n_rows * t.n_w)
     mag = np.abs(R)
     dist = np.minimum(np.minimum(mag, 1.0 / mag), np.abs(1.0 - R))
     return J.reshape(R.shape[:-2] + (t.n_rows, t.n_w)), \

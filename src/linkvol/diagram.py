@@ -14,6 +14,7 @@ meridian choices, writhes, and canonical longitude words.
 
 import json
 import re
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 
@@ -141,20 +142,19 @@ def _parse_compact(text):
     return crossings
 
 
-def _json_int(digits):
-    # int() refuses more digits than sys.get_int_max_str_digits() with
-    # advice to raise that limit, which no linkvol option can act on
-    try:
-        return int(digits)
-    except ValueError:
-        raise ValueError(f"an integer of {len(digits.lstrip('-'))} digits "
-                         f"is too long") from None
-
-
 def parse_json(text):
     """json.loads, except that an integer too long to convert fails with
     a ValueError that says so."""
-    return json.loads(text, parse_int=_json_int)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # the one other ValueError: int() refuses more digits than
+        # sys.get_int_max_str_digits(), with advice to raise that limit,
+        # which no linkvol option can act on
+        raise ValueError(f"an integer has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def parse_pd(text):

@@ -148,6 +148,28 @@ def _svd_stack(J):
         return U, sv, Vh
 
 
+def _min_norm_steps(J, F):
+    """The Newton steps -J^+ F of a stack of reduced Jacobians J (P, k, k)
+    at sums F (P, k), and which of the J are singular.
+
+    The critical set at fixed m is typically a positive-dimensional family
+    (one representation admits a family of weight vectors), so the reduced
+    Jacobian is rank-deficient *at* solutions. The step is the minimum-norm
+    one: it has no component along the kernel, so iterates do not slide
+    along the family and proportionally scaled seeds stay in lockstep. A J
+    is singular when no singular value is kept or the largest is not
+    finite.
+    """
+    U, sv, Vh = _svd_stack(J)
+    keep = sv > _SV_CUTOFF * sv[:, :1]
+    singular = ~(np.isfinite(sv[:, 0]) & keep.any(axis=1))
+    s_inv = np.zeros(sv.shape)
+    s_inv[keep] = 1.0 / sv[keep]
+    UhF = np.conj(U).transpose(0, 2, 1) @ F[:, :, None]
+    dx = -(np.conj(Vh).transpose(0, 2, 1) @ (s_inv[:, :, None] * UhF))
+    return dx[:, :, 0], singular
+
+
 def _newton_batch(ratios, seeds, cfg):
     """Damped Newton from every row of ``seeds`` (S, n) at once, at the
     diagram and meridians of ``ratios`` (a potential._RatioMap, whose
@@ -243,24 +265,8 @@ def _newton_batch(ratios, seeds, cfg):
                 fail(ids[runoff],
                      f"ran off toward a degenerate point at iteration {it}")
                 fail(ids[jbad], f"Jacobian not finite at iteration {it}")
-                if not p.size:
-                    ids = p
-                    break
-            # The critical set at fixed m is typically a positive-
-            # dimensional family (one representation admits a family of
-            # weight vectors), so the reduced Jacobian is rank-deficient
-            # *at* solutions. Take the minimum-norm step: it has no
-            # component along the kernel, so iterates do not slide along
-            # the family and proportionally scaled seeds stay in lockstep.
             Fk = _fold(F[p, :k])
-            U, sv, Vh = _svd_stack(J[p, :k, :k])
-            keep = sv > _SV_CUTOFF * sv[:, :1]
-            singular = ~(np.isfinite(sv[:, 0]) & keep.any(axis=1))
-            s_inv = np.zeros(sv.shape)
-            s_inv[keep] = 1.0 / sv[keep]
-            UhF = np.conj(U).transpose(0, 2, 1) @ Fk[:, :, None]
-            dx = -(np.conj(Vh).transpose(0, 2, 1)
-                   @ (s_inv[:, :, None] * UhF))[:, :, 0]
+            dx, singular = _min_norm_steps(J[p, :k, :k], Fk)
             nonfinite = ~singular & ~rows_all(np.isfinite(dx), axis=1)
             go = ~(singular | nonfinite)
             if not go.all():
@@ -269,9 +275,9 @@ def _newton_batch(ratios, seeds, cfg):
                 fail(ids[p[nonfinite]],
                      f"non-finite Newton step at iteration {it}")
                 p, Fk, dx = p[go], Fk[go], dx[go]
-                if not p.size:
-                    ids = p
-                    break
+            if not p.size:
+                ids = p
+                break
 
             base = np.add.reduce(np.abs(Fk) ** 2, axis=1)
             sel = np.arange(p.size)   # the seeds still searching, in p

@@ -369,13 +369,13 @@ _RECORD = {"w": [[1.0, 0.0]] * 6, "m": [[1.0, 0.0]]}
     (["analyze", "d.pd"], {"d.pd": f"X[{_LONG},1,2,3]"},
      "expected X[a,b,c,d]"),
     (["analyze", "d.pd"], {"d.pd": f'{{"pd": [[{_LONG},1,2,3]]}}'},
-     "unreadable JSON diagram: an integer of 5000 digits is too long"),
+     "unreadable JSON diagram: an integer has more than 4300 digits"),
     (["analyze", "d.pd"], {"d.pd": f'{{"pd": {_DEEP}}}'},
      "unreadable JSON diagram"),
     (["from-rep", "d.pd", "r.json"], {"r.json": b"\xff{}"}, "cannot read"),
     (["from-rep", "d.pd", "r.json"],
      {"r.json": f'{{"generators": {{"g3": [[{_LONG}, 0]]}}}}'},
-     "is not valid JSON: an integer of 5000 digits is too long"),
+     "is not valid JSON: an integer has more than 4300 digits"),
     (["from-rep", "d.pd", "r.json"], {"r.json": _DEEP}, "is not valid JSON"),
     (["from-rep", "d.pd", "r.json"],
      {"r.json": {"generators": dict(_GENS, **{"g" + _LONG: _GENS["g3"]})}},
