@@ -158,7 +158,8 @@ def _min_norm_steps(J, F):
     one: it has no component along the kernel, so iterates do not slide
     along the family and proportionally scaled seeds stay in lockstep. A J
     is singular when no singular value is kept or the largest is not
-    finite.
+    finite. The factors are freed on return, before the line search
+    allocates its stack.
     """
     U, sv, Vh = _svd_stack(J)
     keep = sv > _SV_CUTOFF * sv[:, :1]

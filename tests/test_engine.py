@@ -484,8 +484,9 @@ def test_multi_start_residual_call_budget(monkeypatch):
     solutions = len(p.w)
     assert calls[0] == (tables.wdw, 64)
     assert calls[-2:] == [(tables.wdw, solutions), (tables.mdw, solutions)]
-    assert len(calls) - 3 == 53
-    assert all(t is tables.wdw for t, _ in calls[1:-2])
+    searches = calls[1:-2]
+    assert len(searches) == 53
+    assert all(t is tables.wdw for t, _ in searches)
 
 
 def test_each_newton_point_is_evaluated_once(monkeypatch):
