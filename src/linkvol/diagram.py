@@ -15,7 +15,7 @@ meridian choices, writhes, and canonical longitude words.
 import json
 import re
 import sys
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
 
@@ -65,12 +65,7 @@ class Word:
 
 @dataclass
 class Crossing:
-    index: int
     sign: int
-    a: int
-    b: int
-    c: int
-    d: int
     regions: tuple  # (j, k, l, m) region indices
     alpha: int      # under-strand component
     beta: int       # over-strand component
@@ -87,7 +82,6 @@ class Presentation:
 
 @dataclass
 class LinkDiagram:
-    pd: PDCode
     crossings: list
     n_regions: int
     n_components: int
@@ -118,6 +112,18 @@ class LinkDiagram:
 # a label past int()'s 4300 digits is no match
 _X_RE = re.compile(r"X\[\s*(\d{1,4300})\s*,\s*(\d{1,4300})\s*,"
                    r"\s*(\d{1,4300})\s*,\s*(\d{1,4300})\s*\]")
+# a component number is ASCII decimal, and as for a label, one past
+# int()'s 4300 digits is none
+_COMPONENT_RE = re.compile(r"[0-9]{1,4300}")
+# a generator name of ten digits or more is none that a diagram has
+_GENERATOR_RE = re.compile(r"g([0-9]{1,9})")
+
+
+def generator_index(name):
+    """The 0-based index that a generator name "g<k>" stands for, k of one
+    to nine ASCII digits; None for any other value."""
+    m = isinstance(name, str) and _GENERATOR_RE.fullmatch(name)
+    return int(m.group(1)) - 1 if m else None
 
 
 def _parse_compact(text):
@@ -182,8 +188,13 @@ def parse_pd(text):
         ov = doc.get("meridians")
         if isinstance(ov, list):
             overrides = list(enumerate(ov))
-        elif isinstance(ov, dict) and all(k.isdecimal() for k in ov):
+        elif isinstance(ov, dict) and all(map(_COMPONENT_RE.fullmatch, ov)):
             overrides = [(int(k) - 1, v) for k, v in ov.items()]
+            twice = [i for i, n in Counter(i for i, _ in overrides).items()
+                     if n > 1]
+            if twice:
+                raise DiagramError(f"'meridians' names component "
+                                   f"{twice[0] + 1} twice")
         elif ov is not None:
             raise DiagramError("'meridians' must be a list, or an object "
                                "keyed by component numbers")
@@ -232,122 +243,82 @@ def build_diagram(pd):
         for pos, e in enumerate(t):
             occ.setdefault(e, []).append((ci, pos))
 
-    # Assign a polarity to every crossing slot: +1 if the arc's head is
-    # there (it runs into the crossing), -1 for a tail. Under-strand slots
-    # are fixed by the PD convention; over-strand slots follow by "each arc
-    # has one head and one tail" propagation, which also determines the
-    # over-strand direction at every crossing whose over-strand passes
-    # under somewhere.
-    pol = {}
-    overdir = {}  # crossing -> "bd" (over runs b→d) or "db"
-    work = deque()
-
-    def set_pol(ci, pos, p):
-        key = (ci, pos)
-        if key in pol:
-            if pol[key] != p:
+    # Give every crossing slot a polarity: +1 where its arc runs into the
+    # crossing (the arc's head), -1 where it runs out (its tail). The
+    # under slots 0 and 2 are fixed by the PD convention. One breadth-first
+    # pass from them orients the rest, since an arc's two slots, and a
+    # crossing's two over slots 1 and 3, have opposite polarities.
+    pol = [[1, 0, -1, 0] for _ in cr]
+    work = [(ci, pos) for ci in range(nc) for pos in (0, 2)]
+    for ci, pos in work:  # work grows while it is read
+        links = [s for s in occ[cr[ci][pos]] if s != (ci, pos)]
+        if pos % 2:
+            links.append((ci, 4 - pos))
+        for cj, pq in links:
+            if pol[cj][pq] == 0:
+                pol[cj][pq] = -pol[ci][pos]
+                work.append((cj, pq))
+            elif pol[cj][pq] == pol[ci][pos]:
                 raise DiagramError(
                     "invalid PD: inconsistent arc orientations")
-            return
-        pol[key] = p
-        work.append(key)
-        if pos in (1, 3):
-            b_is_head = (pos == 1 and p == 1) or (pos == 3 and p == -1)
-            direction = "bd" if b_is_head else "db"
-            prev = overdir.get(ci)
-            if prev is not None and prev != direction:
-                raise DiagramError(
-                    "invalid PD: inconsistent arc orientations")
-            overdir[ci] = direction
-            other = 3 if pos == 1 else 1
-            set_pol(ci, other, -p)
 
+    # the pass leaves a crossing's over slots unset only when its
+    # over-strand belongs to a component that passes over everywhere
     for ci in range(nc):
-        set_pol(ci, 0, 1)
-        set_pol(ci, 2, -1)
-    while work:
-        ci, pos = work.popleft()
-        e = cr[ci][pos]
-        for cj, pq in occ[e]:
-            if (cj, pq) != (ci, pos):
-                set_pol(cj, pq, -pol[(ci, pos)])
-
-    # propagation leaves a crossing unoriented only when its over-strand
-    # belongs to a component that passes over everywhere
-    for ci in range(nc):
-        if ci not in overdir:
+        if pol[ci][1] == 0:
             raise DiagramError(
                 f"component without under-passing crossing (it passes over "
                 f"at crossing {ci + 1}); apply a Reidemeister move to the "
                 f"diagram")
 
-    succ = {}
-    for ci, (a, b, c, d) in enumerate(cr):
-        pairs = [(a, c), (b, d) if overdir[ci] == "bd" else (d, b)]
-        for x, y in pairs:
-            if x in succ:
-                raise DiagramError(f"invalid PD: arc {x} has two successors")
-            succ[x] = y
-    edges = sorted(occ)
-    if sorted(succ) != edges or sorted(succ.values()) != edges:
-        raise DiagramError("invalid PD: arcs do not close up into strands")
+    # Every arc now has one head slot and one tail slot, and every crossing
+    # two of each. An arc leaves its head's crossing through the opposite
+    # slot, so succ is a permutation of the arcs.
+    head, tail, succ = {}, {}, {}
+    for ci, t in enumerate(cr):
+        for pos, e in enumerate(t):
+            if pol[ci][pos] == 1:
+                head[e] = (ci, pos)
+                succ[e] = t[(pos + 2) % 4]
+            else:
+                tail[e] = (ci, pos)
 
+    # each component is one cycle of succ, walked from its lowest label
+    edges = sorted(occ)
     comp_of = {}
     components = []
     for e in edges:
         if e in comp_of:
             continue
-        idx = len(components)
         cyc = [e]
-        comp_of[e] = idx
-        x = succ[e]
-        while x != e:
-            if x in comp_of:
-                raise DiagramError("invalid PD: arcs do not close up")
-            comp_of[x] = idx
-            cyc.append(x)
-            x = succ[x]
+        while succ[cyc[-1]] != e:
+            cyc.append(succ[cyc[-1]])
         if cyc != list(range(e, e + len(cyc))):
             raise DiagramError(
                 f"arc labels not consecutive along the component "
                 f"containing arc {e}")
+        for x in cyc:
+            comp_of[x] = len(components)
         components.append(cyc)
     h = len(components)
 
     # (a component that never passes under was rejected above)
     has_over = [False] * h
-    for ci, (a, b, c, d) in enumerate(cr):
-        has_over[comp_of[b]] = True
+    for t in cr:
+        has_over[comp_of[t[1]]] = True
     for i in range(h):
         if not has_over[i]:
             raise DiagramError(
                 f"component {i + 1} without over-passing crossing; apply a "
                 f"Reidemeister move to the diagram")
 
-    adj = {ci: set() for ci in range(nc)}
-    for e, occs in occ.items():
-        (c1, _), (c2, _) = occs
-        adj[c1].add(c2)
-        adj[c2].add(c1)
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    if len(seen) != nc:
+    # the crossings an arc joins are connected; a class's root is its
+    # least member, so the diagram is connected iff every root is 0
+    joined = _UnionFind(nc)
+    for (c1, _), (c2, _) in occ.values():
+        joined.union(c1, c2)
+    if any(joined.find(ci) for ci in range(nc)):
         raise DiagramError("disconnected diagram: unsupported")
-
-    head = {}
-    tail = {}
-    for (ci, pos), p in pol.items():
-        e = cr[ci][pos]
-        if p == 1:
-            head[e] = (ci, pos)
-        else:
-            tail[e] = (ci, pos)
 
     # Faces: quadrant q of crossing ci is node 4*ci + q. Walking an arc from
     # its tail to its head, the face on its left joins the tail's quadrant
@@ -359,14 +330,11 @@ def build_diagram(pd):
         ch, ph = head[e]
         uf.union(4 * ct + pt, 4 * ch + (ph + 3) % 4)
         uf.union(4 * ct + (pt + 3) % 4, 4 * ch + ph)
-    roots = {}
-    for node in range(4 * nc):
-        roots.setdefault(uf.find(node), []).append(node)
-    region_of_node = {}
-    for r, (root, members) in enumerate(sorted(roots.items())):
-        for node in members:
-            region_of_node[node] = r
-    n_regions = len(roots)
+    # regions are numbered in the order of their least nodes, the roots
+    region = {}
+    region_of_node = [region.setdefault(uf.find(node), len(region))
+                      for node in range(4 * nc)]
+    n_regions = len(region)
     if n_regions != nc + 2:
         raise DiagramError(
             f"face count mismatch: got {n_regions} regions for {nc} "
@@ -380,57 +348,41 @@ def build_diagram(pd):
         left_region[e] = region_of_node[4 * ct + pt]
         right_region[e] = region_of_node[4 * ct + (pt + 3) % 4]
 
-    # over-arcs: from each crossing's under-out arc, follow the strand over
-    # crossings until it next dives under
-    over_arcs = []
-    for ci in range(nc):
-        s = cr[ci][2]
-        arc = [s]
-        x = s
-        while True:
-            ch, ph = head[x]
-            if ph == 0:
-                break
-            x = succ[x]
-            arc.append(x)
-        over_arcs.append(arc)
-    over_arcs.sort(key=lambda arc: (comp_of[arc[0]], arc[0]))
-    overarc_of = {}
-    for gi, arc in enumerate(over_arcs):
-        for e in arc:
-            overarc_of[e] = gi
+    def strands(starts, ends_under):
+        # from each start, follow succ up to the arc whose head is an
+        # under slot (ends_under) or an over slot
+        arcs = []
+        for x in starts:
+            arc = [x]
+            while (head[x][1] == 0) != ends_under:
+                x = succ[x]
+                arc.append(x)
+            arcs.append(arc)
+        arcs.sort(key=lambda arc: (comp_of[arc[0]], arc[0]))
+        return arcs
 
-    # under-arcs: from each crossing's over-out arc until the strand next
-    # passes over
-    under_arcs = []
-    for ci in range(nc):
-        s = cr[ci][3] if overdir[ci] == "bd" else cr[ci][1]
-        arc = [s]
-        x = s
-        while True:
-            ch, ph = head[x]
-            if ph != 0:
-                break
-            x = succ[x]
-            arc.append(x)
-        under_arcs.append(arc)
-    under_arcs.sort(key=lambda arc: (comp_of[arc[0]], arc[0]))
+    # over-arcs run from each crossing's under-out arc until the strand
+    # next dives under, under-arcs from its over-out arc until the strand
+    # next passes over
+    over_arcs = strands([t[2] for t in cr], True)
+    under_arcs = strands([t[1] if pol[ci][1] == -1 else t[3]
+                          for ci, t in enumerate(cr)], False)
+    overarc_of = {e: gi for gi, arc in enumerate(over_arcs) for e in arc}
 
+    # by default a component's meridian is its first over-arc
     meridian_gen = []
-    for i in range(h):
-        gens = sorted(gi for gi, arc in enumerate(over_arcs)
-                      if comp_of[arc[0]] == i)
-        meridian_gen.append(gens[0])
+    for gi, arc in enumerate(over_arcs):
+        if comp_of[arc[0]] == len(meridian_gen):
+            meridian_gen.append(gi)
     for i, name in pd.meridian_overrides:
         if name is None:
             continue
         if not (0 <= i < h):
             raise DiagramError(f"meridian override for component "
                                f"{i + 1}: no such component")
-        m = re.fullmatch(r"g(\d+)", str(name))
-        if not m:
+        gi = generator_index(name)
+        if gi is None:
             raise DiagramError(f"bad generator name {name!r}")
-        gi = int(m.group(1)) - 1
         if not (0 <= gi < len(over_arcs)):
             raise DiagramError(f"no generator named {name}")
         if comp_of[over_arcs[gi][0]] != i:
@@ -439,27 +391,21 @@ def build_diagram(pd):
         meridian_gen[i] = gi
 
     writhes = [0] * h
-    signs = {}
-    for ci, (a, b, c, d) in enumerate(cr):
-        s = 1 if overdir[ci] == "db" else -1
-        signs[ci] = s
-        if comp_of[a] == comp_of[b]:
-            writhes[comp_of[a]] += s
-
     crossings = []
-    for ci, (a, b, c, d) in enumerate(cr):
-        s = signs[ci]
+    for ci, (a, b, c, _) in enumerate(cr):
+        s = -pol[ci][1]
+        alpha, beta = comp_of[a], comp_of[b]
+        if alpha == beta:
+            writhes[alpha] += s
         placement = PLACEMENT_POS if s == 1 else PLACEMENT_NEG
-        qreg = [region_of_node[4 * ci + q] for q in range(4)]
-        regions = tuple(qreg[q] for q in placement)
         crossings.append(Crossing(
-            index=ci, sign=s, a=a, b=b, c=c, d=d, regions=regions,
-            alpha=comp_of[a], beta=comp_of[b],
-            in_gen=overarc_of[a], out_gen=overarc_of[c],
-            over_gen=overarc_of[b]))
+            sign=s,
+            regions=tuple(region_of_node[4 * ci + q] for q in placement),
+            alpha=alpha, beta=beta, in_gen=overarc_of[a],
+            out_gen=overarc_of[c], over_gen=overarc_of[b]))
 
     return LinkDiagram(
-        pd=pd, crossings=crossings, n_regions=n_regions, n_components=h,
+        crossings=crossings, n_regions=n_regions, n_components=h,
         components=components, comp_of=comp_of, succ=succ, head=head,
         tail=tail, over_arcs=over_arcs, under_arcs=under_arcs,
         overarc_of=overarc_of,

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _kernels
 from .numerics import cs_mod_pi2, principal_log
-from .representation import RepresentationError
+from .representation import RepresentationError, json_complex
 
 # The crossing term comes in two mirror forms: an overall sign sigma and the
 # meridian exponent (-sigma) inside the four meridian-carrying ratios. Which
@@ -106,17 +106,8 @@ def _pairs(doc, key):
         raise PotentialError(f"missing key {key!r}")
     if not isinstance(doc[key], list):
         raise PotentialError(f"{key!r} must be a list of [re, im] pairs")
-    out = []
-    for i, p in enumerate(doc[key], 1):
-        try:
-            out.append(complex(p[0], p[1]))
-        except OverflowError:
-            raise PotentialError(
-                f"{key!r} entry {i} is beyond the double range") from None
-        except (IndexError, KeyError, TypeError, ValueError):
-            raise PotentialError(
-                f"{key!r} entry {i} is not an [re, im] pair") from None
-    return out
+    return [json_complex(p, f"{key!r} entry {i}", PotentialError)
+            for i, p in enumerate(doc[key], 1)]
 
 
 @dataclass

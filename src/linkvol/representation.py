@@ -10,10 +10,9 @@ on 2 to 4 entries costs several times its arithmetic.
 
 import cmath
 import math
-import re
 from dataclasses import dataclass
 
-from .diagram import longitude_word, wirtinger
+from .diagram import generator_index, longitude_word, wirtinger
 from .numerics import principal_log
 
 _IDENTITY = (1 + 0j, 0j, 0j, 1 + 0j)
@@ -106,11 +105,9 @@ def complete_representation(d, partial):
     seeds = []
     for key, value in partial.items():
         if isinstance(key, str):
-            # a name of ten digits or more is none that a diagram has
-            name = re.fullmatch(r"g(\d{1,9})", key)
-            if not name:
+            gi = generator_index(key)
+            if gi is None:
                 raise RepresentationFormatError(f"bad generator name {key!r}")
-            gi = int(name.group(1)) - 1
         else:
             gi = int(key)
         if not (0 <= gi < n):
@@ -369,15 +366,14 @@ class FillingSpec:
             raise RepresentationFormatError(
                 "filling needs a 'slopes' list")
         slopes = [None if sl is None or sl == "inf" else
-                  _json_pair(sl, int, f"slope {i + 1}",
+                  _json_pair(sl, f"slope {i + 1}",
                              '"inf", null or an [r, s] pair of integers')
                   for i, sl in enumerate(slopes)]
         l = [None if z is None else
-             complex(*_json_pair(z, float, f"l {i + 1}",
-                                 "null or an [re, im] pair of numbers"))
+             json_complex(z, f"filling l {i + 1}", RepresentationFormatError)
              for i, z in enumerate(_json_entries(doc, "l", len(slopes)))]
         uv = [None if p is None else
-              _json_pair(p, int, f"uv {i + 1}",
+              _json_pair(p, f"uv {i + 1}",
                          "null or a [u, v] pair of integers")
               for i, p in enumerate(_json_entries(doc, "uv", len(slopes)))]
         try:
@@ -397,16 +393,32 @@ def _json_entries(doc, key, n):
     return entries
 
 
-def _json_pair(p, kind, what, expected):
-    """A pair of numbers of ``kind`` (int, or float, which admits ints) as
-    a tuple; anything else raises RepresentationFormatError."""
-    kinds = (int,) if kind is int else (int, float)
-    if not (isinstance(p, (list, tuple)) and len(p) == 2
+def _is_pair(p, kinds):
+    return (isinstance(p, (list, tuple)) and len(p) == 2
             and all(isinstance(x, kinds) and not isinstance(x, bool)
-                    for x in p)):
+                    for x in p))
+
+
+def _json_pair(p, what, expected):
+    """A pair of integers as a tuple; anything else raises
+    RepresentationFormatError."""
+    if not _is_pair(p, int):
         raise RepresentationFormatError(
             f"filling {what}: expected {expected}, got {p!r}")
-    return tuple(kind(x) for x in p)
+    return tuple(p)
+
+
+def json_complex(p, what, error):
+    """The complex number of an [re, im] entry: a list of exactly two
+    numbers, neither a bool. Any other value raises ``error`` saying that
+    ``what`` is not an [re, im] pair, an integer beyond the double range
+    that it is beyond it."""
+    if not _is_pair(p, (int, float)):
+        raise error(f"{what} is not an [re, im] pair")
+    try:
+        return complex(p[0], p[1])
+    except OverflowError:
+        raise error(f"{what} is beyond the double range") from None
 
 
 def representation_from_json(d, doc):
@@ -420,13 +432,12 @@ def representation_from_json(d, doc):
             "representation file needs a 'generators' object")
     partial = {}
     for name, flat in gens.items():
-        try:
-            vals = [complex(p[0], p[1]) for p in flat]
-        except (IndexError, KeyError, OverflowError, TypeError):
-            vals = None
-        if vals is None or len(vals) != 4:
+        if not (isinstance(flat, (list, tuple)) and len(flat) == 4):
             raise RepresentationFormatError(
                 f"generator {name}: need 4 row-major [re, im] entries")
+        vals = [json_complex(p, f"generator {name} entry {j}",
+                             RepresentationFormatError)
+                for j, p in enumerate(flat, 1)]
         if not all(map(cmath.isfinite, vals)):
             raise RepresentationFormatError(
                 f"generator {name}: entries must be finite")

@@ -362,6 +362,15 @@ _DEEP = "[" * 5000 + "]" * 5000
 _LONG = "9" * 5000
 # a solution record of the figure-eight's shape: six weights, one meridian
 _RECORD = {"w": [[1.0, 0.0]] * 6, "m": [[1.0, 0.0]]}
+_FIG8_JSON = {"pd": FIG8_CROSSINGS}
+
+
+def _golden_solution(edit):
+    """The golden's solution record with every entry of one key edited;
+    the record is known only once the ``files`` fixture has run."""
+    key, f = edit
+    return lambda files: dict(files["report"]["solution"], **{
+        key: [f(p) for p in files["report"]["solution"][key]]})
 
 
 @pytest.mark.parametrize("argv, contents, message", [
@@ -413,13 +422,48 @@ _RECORD = {"w": [[1.0, 0.0]] * 6, "m": [[1.0, 0.0]]}
     (["verify", "d.pd", "v.json", "f.json"],
      {"f.json": {"slopes": [[2, 3]], "uv": [[10 ** 400, 1]]}},
      "is out of range"),
+    (["analyze", "d.json"],
+     {"d.json": dict(_FIG8_JSON, meridians=["g" + "1" * 5000])},
+     "bad generator name"),
+    (["from-rep", "d.pd", "r.json"],
+     {"r.json": {"generators": {"g\u0663": _GENS["g4"], "g3": _GENS["g3"]}}},
+     "bad generator name"),
+    (["analyze", "d.json"],
+     {"d.json": dict(_FIG8_JSON, meridians={"1" * 5000: "g1"})},
+     "'meridians' must be a list, or an object keyed by component numbers"),
+    (["analyze", "d.json"],
+     {"d.json": dict(_FIG8_JSON, meridians={"\u0661": "g1"})},
+     "'meridians' must be a list, or an object keyed by component numbers"),
+    (["analyze", "d.json"],
+     {"d.json": dict(_FIG8_JSON, meridians={"1": "g1", "01": "g3"})},
+     "'meridians' names component 1 twice"),
+    (["from-rep", "d.pd", "r.json"],
+     {"r.json": {"generators": {g: [p + [99.0] for p in e]
+                                for g, e in _GENS.items()}}},
+     "entry 1 is not an [re, im] pair"),
+    (["from-rep", "d.pd", "r.json"],
+     {"r.json": {"generators": dict(_GENS, g3=[[True, False]] * 4)}},
+     "generator g3 entry 1 is not an [re, im] pair"),
+    (["verify", "d.pd", "v.json"],
+     {"v.json": _golden_solution(("w", lambda p: p + [7]))},
+     "bad solution record 1: 'w' entry 1 is not an [re, im] pair"),
+    (["verify", "d.pd", "v.json"],
+     {"v.json": _golden_solution(("m", lambda p: [True, False]))},
+     "bad solution record 1: 'm' entry 1 is not an [re, im] pair"),
+    (["verify", "d.pd", "v.json", "f.json"],
+     {"f.json": {"slopes": [[2, 3]], "l": [[10 ** 400, 0]]}},
+     "filling l 1 is beyond the double range"),
 ], ids=["pd-not-utf8", "pd-long-label", "json-pd-long-int", "json-pd-deep",
         "rep-not-utf8", "rep-long-int", "rep-deep", "rep-long-name",
         "rep-nan", "rep-infinity", "rep-name-after-bad-matrix",
         "filling-beyond-float", "filling-beyond-2^53",
         "verify-weight-beyond-float", "verify-record-without-m",
         "verify-string-w", "verify-ragged-w", "verify-record-not-object",
-        "verify-slope-beyond-float", "verify-uv-beyond-float"])
+        "verify-slope-beyond-float", "verify-uv-beyond-float",
+        "meridian-name-long", "rep-name-not-ascii", "meridian-key-long",
+        "meridian-key-not-ascii", "meridian-key-twice", "rep-three-numbers",
+        "rep-bool-entry", "verify-three-numbers", "verify-bool-entry",
+        "verify-filling-l-beyond-float"])
 def test_found_inputs_are_input_errors(files, tmp_path, argv, contents,
                                        message):
     paths = {"d.pd": files["pd"], "r.json": files["rep"],
@@ -427,6 +471,8 @@ def test_found_inputs_are_input_errors(files, tmp_path, argv, contents,
                              files["report"]["solution"])}
     for name, data in contents.items():
         paths[name] = str(tmp_path / name)
+        if callable(data):
+            data = data(files)
         if isinstance(data, bytes):
             (tmp_path / name).write_bytes(data)
         else:

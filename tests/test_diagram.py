@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linkvol import diagram
 
@@ -168,3 +169,77 @@ def test_component_that_never_passes_under_is_rejected():
     with pytest.raises(diagram.DiagramError,
                        match="component without under-passing crossing"):
         diagram.load_diagram(OVER_EVERYWHERE)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("X[1,3,4,2] X[1,3,4,2]", "invalid PD: inconsistent arc orientations"),
+    ("X[1,2,3,4] X[3,1,4,2]",
+     "arc labels not consecutive along the component containing arc 1"),
+    # the figure-eight with one crossing's over-strand reversed: arcs 1 and
+    # 2 now pass under at both of their crossings
+    ("X[4,8,5,7] X[3,4,1,8] X[2,5,3,6] X[1,7,2,6]",
+     "component 1 without over-passing crossing"),
+    (TREFOIL + " X[7,10,8,11] X[9,12,10,7] X[11,8,12,9]",
+     "disconnected diagram: unsupported"),
+    ("X[4,2,3,1] X[1,4,2,3]",
+     "face count mismatch: got 2 regions for 2 crossings (expected 4)"),
+], ids=["orientation", "labels", "no-over-pass", "disconnected", "faces"])
+def test_malformed_diagram_messages(text, message):
+    with pytest.raises(diagram.DiagramError) as exc:
+        diagram.load_diagram(text)
+    assert message in str(exc.value)
+
+
+def test_generator_names_are_ascii():
+    assert diagram.generator_index("g3") == 2
+    assert diagram.generator_index("g03") == 2
+    assert diagram.generator_index("g" + "9" * 9) == 999999998
+    for name in ["g\u0663", "g" + "1" * 10, "g", "G3", "g3 ", 3, None]:
+        assert diagram.generator_index(name) is None
+
+
+@st.composite
+def mutated_pd(draw):
+    """A golden PD code after one to three edits: a crossing's 4-tuple
+    rotated or reversed, two of its slots swapped, or two labels swapped
+    throughout."""
+    rows = [list(t) for t in diagram.parse_pd(draw(
+        st.sampled_from(ALL))).crossings]
+    labels = sorted({e for t in rows for e in t})
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["rotate", "labels", "slots",
+                                     "reverse"]))
+        if edit == "rotate":
+            k = draw(st.integers(1, 3))
+            rows[i] = rows[i][k:] + rows[i][:k]
+        elif edit == "labels":
+            x, y = draw(st.permutations(labels))[:2]
+            rows = [[y if e == x else x if e == y else e for e in t]
+                    for t in rows]
+        elif edit == "slots":
+            p, q = draw(st.permutations(range(4)))[:2]
+            rows[i][p], rows[i][q] = rows[i][q], rows[i][p]
+        else:
+            rows[i] = rows[i][::-1]
+    return " ".join(f"X[{a},{b},{c},{d}]" for a, b, c, d in rows)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(text=mutated_pd())
+def test_mutated_pd_is_rejected_or_well_formed(text):
+    # what the orientation pass guarantees of every diagram it accepts:
+    # succ permutes the arcs, each arc has one head and one tail slot, and
+    # the faces number n_crossings + 2
+    try:
+        d = diagram.load_diagram(text)
+    except diagram.DiagramError:
+        return
+    cr = diagram.parse_pd(text).crossings
+    arcs = sorted({e for t in cr for e in t})
+    assert sorted(d.succ) == arcs and sorted(d.succ.values()) == arcs
+    assert sorted(d.head) == arcs and sorted(d.tail) == arcs
+    for e in arcs:
+        (ch, ph), (ct, pt) = d.head[e], d.tail[e]
+        assert cr[ch][ph] == cr[ct][pt] == e and (ch, ph) != (ct, pt)
+    assert d.n_regions == d.n_crossings + 2
