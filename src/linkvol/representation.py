@@ -410,9 +410,9 @@ def _json_pair(p, what, expected):
 
 def json_complex(p, what, error):
     """The complex number of an [re, im] entry: a list of exactly two
-    numbers, neither a bool. Any other value raises ``error`` saying that
-    ``what`` is not an [re, im] pair, an integer beyond the double range
-    that it is beyond it."""
+    numbers, neither a bool. Any other value raises ``error`` with "<what>
+    is not an [re, im] pair", and an integer beyond the double range with
+    "<what> is beyond the double range"."""
     if not _is_pair(p, (int, float)):
         raise error(f"{what} is not an [re, im] pair")
     try:

@@ -365,10 +365,9 @@ _RECORD = {"w": [[1.0, 0.0]] * 6, "m": [[1.0, 0.0]]}
 _FIG8_JSON = {"pd": FIG8_CROSSINGS}
 
 
-def _golden_solution(edit):
-    """The golden's solution record with every entry of one key edited;
-    the record is known only once the ``files`` fixture has run."""
-    key, f = edit
+def _golden_solution(key, f):
+    """The golden's solution record with f applied to every entry of one
+    key; the record is known only once the ``files`` fixture has run."""
     return lambda files: dict(files["report"]["solution"], **{
         key: [f(p) for p in files["report"]["solution"][key]]})
 
@@ -445,10 +444,10 @@ def _golden_solution(edit):
      {"r.json": {"generators": dict(_GENS, g3=[[True, False]] * 4)}},
      "generator g3 entry 1 is not an [re, im] pair"),
     (["verify", "d.pd", "v.json"],
-     {"v.json": _golden_solution(("w", lambda p: p + [7]))},
+     {"v.json": _golden_solution("w", lambda p: p + [7])},
      "bad solution record 1: 'w' entry 1 is not an [re, im] pair"),
     (["verify", "d.pd", "v.json"],
-     {"v.json": _golden_solution(("m", lambda p: [True, False]))},
+     {"v.json": _golden_solution("m", lambda p: [True, False])},
      "bad solution record 1: 'm' entry 1 is not an [re, im] pair"),
     (["verify", "d.pd", "v.json", "f.json"],
      {"f.json": {"slopes": [[2, 3]], "l": [[10 ** 400, 0]]}},
