@@ -18,7 +18,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -116,18 +116,10 @@ def _load_diagram(path):
 # Run manifest
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunManifest:
-    command: str
-    inputs: list = field(default_factory=list)
-    tolerance: float = None
-    output: str = None
-    rng_seed: int = None
-
-    def to_json(self):
-        return {"command": self.command, "inputs": list(self.inputs),
-                "tolerance": self.tolerance, "output": self.output,
-                "rng_seed": self.rng_seed}
+def _manifest(command, inputs=(), tolerance=None, output=None,
+              rng_seed=None):
+    return {"command": command, "inputs": list(inputs),
+            "tolerance": tolerance, "output": output, "rng_seed": rng_seed}
 
 
 def _write_report(args, doc):
@@ -173,7 +165,7 @@ def cmd_analyze(args):
     print("longitude words (canonical, writhe-corrected):")
     for i in range(d.n_components):
         print(f"  component {i + 1}: {diagram.longitude_word(d, i)}")
-    doc = {"manifest": RunManifest("analyze", [args.diagram]).to_json(),
+    doc = {"manifest": _manifest("analyze", [args.diagram]),
            "summary": d.summary(),
            "n_regions": d.n_regions, "n_crossings": d.n_crossings,
            "n_components": d.n_components, "n_edges": len(d.succ),
@@ -230,9 +222,9 @@ def cmd_from_rep(args):
     print(f"residual_max = {vr.residual_max:.3g}")
     doc = sol.to_json()
     doc.update(vr.to_json())
-    out = {"manifest": RunManifest(
+    out = {"manifest": _manifest(
                "from-rep", [args.diagram, args.rep], tolerance=args.tol,
-               output=args.json, rng_seed=args.rng_seed).to_json(),
+               output=args.json, rng_seed=args.rng_seed),
            "summary": d.summary(),
            "l": [[z.real, z.imag] for z in f.l],
            "filling": f.to_json(),
@@ -285,8 +277,7 @@ def cmd_solve(args):
             except representation.RepresentationError:
                 continue
         docs.append(engine.solution_report(
-            p, k, f, residual_tol=max(cfg.residual_tol, 1e-9),
-            filling_tol=filling_tol))
+            p, k, f, residual_tol=cfg.residual_tol, filling_tol=filling_tol))
     n_sols = len(p.w)
     print(f"meridians: " + ", ".join(_c2s(z) for z in m))
     print(f"found {n_sols} distinct solution(s) from {cfg.seeds} seeds"
@@ -295,9 +286,9 @@ def cmd_solve(args):
     for k, doc in enumerate(docs):
         print(f"  #{k + 1}: vol = {_f9(doc['vol'], '+')}  "
               f"cs = {doc['cs']:.9f}  residual {doc['residual_max']:.2e}")
-    out = {"manifest": RunManifest(
+    out = {"manifest": _manifest(
                "solve", [args.diagram], tolerance=args.tol,
-               output=args.json, rng_seed=args.rng_seed).to_json(),
+               output=args.json, rng_seed=args.rng_seed),
            "summary": d.summary(),
            "m": [[z.real, z.imag] for z in m],
            "filling": (None if slopes is None else
@@ -403,11 +394,11 @@ def cmd_verify(args):
             print(line)
     print(f"overall: {'PASS' if all_ok else 'FAIL'} "
           f"({len(docs)} solution(s), tolerance {tol:g})")
-    out = {"manifest": RunManifest(
+    out = {"manifest": _manifest(
                "verify",
                [args.diagram, args.solutions]
                + ([args.filling_file] if args.filling_file else []),
-               tolerance=tol, output=args.json).to_json(),
+               tolerance=tol, output=args.json),
            "passed": all_ok, "results": records}
     _write_report(args, out)
     return 0 if all_ok else 1
@@ -488,7 +479,7 @@ def cmd_selftest(args):
         print(f"  {'PASS' if ok else 'FAIL'}  {name}: {detail}")
     dt = time.perf_counter() - t0
     print(f"selftest: {'PASS' if all_ok else 'FAIL'} ({dt:.1f} s)")
-    out = {"manifest": RunManifest("selftest", output=args.json).to_json(),
+    out = {"manifest": _manifest("selftest", output=args.json),
            "passed": all_ok, "seconds": dt, "checks": results}
     _write_report(args, out)
     return 0 if all_ok else 1

@@ -148,12 +148,34 @@ def _parse_compact(text):
     return crossings
 
 
+class RepeatedKeyError(ValueError):
+    """A JSON object names one key twice."""
+
+
+def _object(pairs):
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items()
+                   if n > 1)
+        raise RepeatedKeyError(f"object key {json.dumps(key)} is repeated")
+    return doc
+
+
+# one decoder for every document (json.loads with an object_pairs_hook
+# would build a new one per call)
+_DECODER = json.JSONDecoder(object_pairs_hook=_object)
+
+
 def parse_json(text):
-    """json.loads, except that an integer too long to convert fails with
-    a ValueError that says so."""
+    """json.loads, except that an object that repeats a key fails with a
+    RepeatedKeyError, and an integer too long to convert with a ValueError
+    that says so."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError(
+            "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     try:
-        return json.loads(text)
-    except json.JSONDecodeError:
+        return _DECODER.decode(text)
+    except (json.JSONDecodeError, RepeatedKeyError):
         raise
     except ValueError:
         # the one other ValueError: int() refuses more digits than

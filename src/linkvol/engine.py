@@ -10,9 +10,7 @@ kernel call reads. Each point is evaluated once: the seeds' ratios and
 sums before the first iteration, and every later point in the line
 search, which keeps the ratios and sums of the row each seed accepts for
 the next iteration's Jacobian call. An iteration makes one Jacobian call
-and, mostly, one residual call: the Armijo line search tries a window of
-step lengths per seed in one stacked call. The live seeds' state is kept
-in compact row arrays that shrink as seeds end. The core returns
+and, mostly, one line-search call (see _newton_batch). The core returns
 candidates, not verified points: one potential.Evaluation at the same
 ratio map verifies them, and multi_start returns the rows that pass it.
 
@@ -49,17 +47,9 @@ _TWO_PI = 2.0 * math.pi
 _SV_CUTOFF = 1e-8
 
 # The line search's ladder of step lengths 1, 1/2, ..., 1/2^30 (exact
-# powers of two). A seed takes the first length that passes the Armijo and
-# finiteness tests, and stalls when none does.
+# powers of two), and the most lengths of it a seed tries in one call; see
+# _newton_batch.
 _STEPS = np.ldexp(1.0, -np.arange(31))
-
-# The line search's windows. In one stacked kernel call a seed tries the
-# lengths from 1 through two past the one it accepted at its previous
-# iteration (1 and 1/2 at the first); a seed that passes none of them tries
-# the next lengths in a window twice as long at the next call, and so on.
-# Most seeds accept one of their first few lengths, and a seed's accepted
-# length carries over from one iteration to the next, so an iteration
-# mostly makes one call. No window holds more than this many lengths.
 _MAX_WINDOW = 16
 
 # The run-off cut. A seed whose ratio distance min(|R|, 1/|R|, |1 - R|)
@@ -178,16 +168,21 @@ def _newton_batch(ratios, seeds, cfg):
 
     Each seed takes exactly the decisions a lone run from it would take;
     the batch only shares the kernel calls, the stacked SVD and the line
-    search calls. The line search walks the ladder _STEPS (1, 1/2, ...,
-    1/2^30) in per-seed windows (see _MAX_WINDOW): in one kernel call on
-    a stack of every searching seed's window, a seed tries the lengths
-    from 1 through two past the one it accepted at its previous
-    iteration, and only the seeds that pass none of them make a further
-    call, with a window twice as long. A seed takes the earliest length
-    of the ladder that passes, so the windows decide and compute bitwise
-    as the same lengths tried one at a time would; they only evaluate
-    some rows past the accepted length. A seed that runs off toward a
-    degenerate point (the rule at _RUNOFF_DIST) fails at once.
+    search calls. A seed that runs off toward a degenerate point (the rule
+    at _RUNOFF_DIST) fails at once.
+
+    The line search takes the earliest length of the ladder _STEPS that
+    passes the Armijo and finiteness tests, trying the lengths in
+    windows. In one kernel call, on one row per searching seed and ladder
+    length in its window, a seed tries the lengths from 1 through two
+    past the one it accepted at its previous iteration (1 and 1/2 at the
+    first). A seed that passes none of them tries the next lengths in a
+    window twice as long, at most _MAX_WINDOW, at the next call, and
+    stalls past the end of the ladder. So a seed decides and computes
+    bitwise as the same lengths tried one at a time would; the windows
+    only evaluate some rows past the accepted length. Most seeds accept
+    one of their first few lengths, and the accepted length carries over,
+    so an iteration mostly makes one call.
 
     Each point is evaluated once. The seeds' ratios and sums F are formed
     before the first iteration; after that a seed keeps the ratios and F
@@ -208,17 +203,14 @@ def _newton_batch(ratios, seeds, cfg):
     k = n - 1
     t = ratios.t.wdw
     W = seeds.astype(complex)
-    out = [None] * W.shape[0]
+    out = np.full(W.shape[0], None)
     # iterate past the acceptance threshold down to this floor, so that the
     # returned weights (not just the residuals) are as sharp as the
     # quadratic tail allows — seeds differing by pure gauge then agree far
     # below the verification tolerance
     floor = min(cfg.residual_tol, 1e-13)
     rows_all = np.logical_and.reduce
-
-    def fail(ended, text):
-        for i in ended:
-            out[i] = text
+    ladder = np.arange(_STEPS.size)
 
     def settle(ended, resid, failed):
         # a point that already meets the tolerance is a candidate (the
@@ -261,11 +253,11 @@ def _newton_batch(ratios, seeds, cfg):
             jbad = go & ~rows_all(np.isfinite(J), axis=(1, 2))
             go &= ~jbad
             p = go.nonzero()[0]   # the seeds that take a step
-            if p.size < ids.size:
-                fail(ids[~ok], f"hit a degenerate point at iteration {it}")
-                fail(ids[runoff],
-                     f"ran off toward a degenerate point at iteration {it}")
-                fail(ids[jbad], f"Jacobian not finite at iteration {it}")
+            if p.size < ids.size:   # most iterations end no seed
+                out[ids[~ok]] = f"hit a degenerate point at iteration {it}"
+                out[ids[runoff]] = \
+                    f"ran off toward a degenerate point at iteration {it}"
+                out[ids[jbad]] = f"Jacobian not finite at iteration {it}"
             Fk = _fold(F[p, :k])
             dx, singular = _min_norm_steps(J[p, :k, :k], Fk)
             nonfinite = ~singular & ~rows_all(np.isfinite(dx), axis=1)
@@ -273,27 +265,22 @@ def _newton_batch(ratios, seeds, cfg):
             if not go.all():
                 settle(ids[p[singular]], r[p[singular]],
                        f"singular Jacobian at iteration {it}")
-                fail(ids[p[nonfinite]],
-                     f"non-finite Newton step at iteration {it}")
+                out[ids[p[nonfinite]]] = \
+                    f"non-finite Newton step at iteration {it}"
                 p, Fk, dx = p[go], Fk[go], dx[go]
-            if not p.size:
-                ids = p
-                break
 
+            # per stepping seed (a position in p): its window's first
+            # ladder index and length, and whether it still searches
             base = np.add.reduce(np.abs(Fk) ** 2, axis=1)
-            sel = np.arange(p.size)   # the seeds still searching, in p
-            lo = np.zeros(p.size, dtype=int)   # their first untried length
+            lo = np.zeros(p.size, dtype=int)
             size = np.minimum(last[p] + 3, _MAX_WINDOW)
-            accepted, stalled = [], []
-            while sel.size:
-                # one stacked call: the window lo .. lo + size - 1 of each
-                # searching seed, its rows in ladder order, seed after seed
-                cnt = np.minimum(size, _STEPS.size - lo)
-                owner = np.arange(sel.size).repeat(cnt)
-                idx = np.arange(owner.size) \
-                    + (lo - cnt.cumsum() + cnt).repeat(cnt)
-                steps = _STEPS[idx]
-                at = sel[owner]     # each row's seed, as a position in p
+            searching = np.ones(p.size, dtype=bool)
+            while searching.any():
+                # each row's seed (a position in p) and ladder index, seed
+                # after seed, in ladder order
+                at, j = (searching[:, None] & (ladder >= lo[:, None])
+                         & (ladder < (lo + size)[:, None])).nonzero()
+                steps = _STEPS[j]
                 x_new = X[p[at]]
                 x_new[:, :k] += steps[:, None] * dx[at]
                 w_new = np.exp(x_new)
@@ -305,36 +292,31 @@ def _newton_batch(ratios, seeds, cfg):
                        & rows_all(np.isfinite(F_try), axis=1)
                        & (f_new <= (1.0 - 1e-4 * steps) * base[at])
                        ).nonzero()[0]
-                # a seed takes the first passing row of its window
-                hit = owner[acc]
-                lead = np.ones(acc.size, dtype=bool)
-                lead[1:] = hit[1:] != hit[:-1]
-                first = acc[lead]
-                accepted.append((at[first], x_new[first], w_new[first],
-                                 R_try[first], F_try[first], idx[first]))
-                if first.size == sel.size:
-                    break
-                miss = np.ones(sel.size, dtype=bool)
-                miss[owner[first]] = False
-                sel, lo = sel[miss], lo[miss] + cnt[miss]
-                size = np.minimum(2 * size[miss], _MAX_WINDOW)
-                end = lo >= _STEPS.size
-                stalled.append(p[sel[end]])
-                sel, lo, size = sel[~end], lo[~end], size[~end]
-            if stalled:
-                gone = np.concatenate(stalled)
-                settle(ids[gone], r[gone],
+                # a seed moves to the first passing row of its window
+                hit, first = np.unique(at[acc], return_index=True)
+                first = acc[first]
+                s = p[hit]
+                X[s], R[s], F[s], last[s] = \
+                    x_new[first], R_try[first], F_try[first], j[first]
+                W[ids[s]] = w_new[first, :n]
+                # a seed that passed none of its window tries the next
+                # lengths in one twice as long, and stalls past the ladder
+                searching[hit] = False
+                lo += size * searching
+                size = np.minimum(2 * size, _MAX_WINDOW)
+                searching &= lo < _STEPS.size
+            end = lo >= _STEPS.size
+            if end.any():
+                settle(ids[p[end]], r[p[end]],
                        f"line search stalled at iteration {it}")
             # the seeds that accepted a row are the live seeds of the next
-            # iteration, at that row
-            at, X, w_new, R, F, last = accepted[0] if len(accepted) == 1 \
-                else (np.concatenate(a) for a in zip(*accepted))
-            s = p[at]
-            ids, falls, dist, resid = ids[s], falls[s], dist[s], r[s]
-            W[ids] = w_new[:, :n]
+            # iteration
+            s = p[~end]
+            ids, X, R, F, last = ids[s], X[s], R[s], F[s], last[s]
+            falls, dist, resid = falls[s], dist[s], r[s]
 
     settle(ids, resid, f"no convergence within {_MAX_ITERATIONS} iterations")
-    return W, out
+    return W, out.tolist()
 
 
 def _draw_seeds(d, cfg):

@@ -172,6 +172,20 @@ def test_from_rep_parabolic(fig8_path, tmp_path, capsys):
     assert "cs  = 0.000000000" in out
 
 
+def test_from_rep_negated_parabolic(fig8_path, tmp_path, capsys):
+    # -rho is the same point of PSL(2,C): meridian and longitude traces -2
+    # give m = l = -1, and the invariants do not move
+    rep = write_rep(tmp_path, "rep.json", {
+        g: -np.asarray(m, dtype=complex)
+        for g, m in _examples.fig8_parabolic_matrices().items()})
+    assert cli.main(["from-rep", fig8_path, rep]) == 0
+    out = capsys.readouterr().out
+    assert "m = -1.000000000+0.000000000i, l = -1.000000000+0.000000000i" \
+        in out
+    assert "vol = 2.029883213" in out
+    assert "cs  = 0.000000000" in out
+
+
 def test_from_rep_whitehead(white_path, tmp_path, capsys):
     rep = write_rep(tmp_path, "rep.json",
                     _examples.whitehead_matrices(*_examples.WHITEHEAD_M))
@@ -222,6 +236,23 @@ def test_from_rep_pins_beyond_floats(fig8_path, tmp_path, capsys, seedV, W,
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: " if code == 2 else "verification failure")
+    assert message in err
+
+
+@pytest.mark.parametrize("seedV, region, message", [
+    ("1", "3", "--seedV needs two comma-separated complex numbers"),
+    ("1,0", "0", "--seed-region must be in 1..6"),
+    ("1,0", "7", "--seed-region must be in 1..6"),
+], ids=["one-number-seed", "region-0", "region-7"])
+def test_from_rep_malformed_pins_are_input_errors(fig8_path, tmp_path,
+                                                  capsys, seedV, region,
+                                                  message):
+    rep = write_rep(tmp_path, "rep.json",
+                    _examples.fig8_matrices(_examples.FIG8_M))
+    assert cli.main(["from-rep", fig8_path, rep, "--seedV", seedV,
+                     "--W", "2,1", "--seed-region", region]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
 
 
@@ -722,6 +753,42 @@ def test_verify_malformed_report_is_input_error(
     assert cli.main(["verify", fig8_path, str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"w": [[1.0, 0.5]] * 6, "m": [[1.0, 0.0]] * 2},
+     "bad solution record 1: solution has 2 meridian values"),
+    ({"w": [[1.0, 0.5]] * 5 + [[0, 0]], "m": [[1.0, 0.0]]},
+     "bad solution record 1: solution entries must be nonzero"),
+], ids=["two-meridians", "zero-weight"])
+def test_verify_record_of_wrong_shape_is_input_error(fig8_path, tmp_path,
+                                                     capsys, record,
+                                                     message):
+    p = tmp_path / "record.json"
+    p.write_text(json.dumps(record))
+    assert cli.main(["verify", fig8_path, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_verify_degenerate_record_fails(fig8_path, tmp_path, capsys):
+    # every weight 1 puts every ratio at 1: the record fails with the
+    # first six lines of its degeneracy report, and its JSON result
+    # carries the whole report
+    p = tmp_path / "record.json"
+    p.write_text(json.dumps({"w": [[1, 0]] * 6, "m": [[1, 0]]}))
+    report = tmp_path / "verify.json"
+    assert cli.main(["verify", fig8_path, str(p), "--json",
+                     str(report)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["solution 1: FAIL", "  degenerate point:"]
+    assert all(line.startswith("    crossing ") for line in lines[2:8])
+    assert lines[8].startswith("overall: FAIL")
+    (result,) = json.loads(report.read_text())["results"]
+    assert result["nondegenerate"] is False and result["passed"] is False
+    assert result["degeneracy_report"][:6] == [
+        line.strip() for line in lines[2:8]]
 
 
 def test_verify_reads_every_record_before_it_prints(

@@ -363,6 +363,7 @@ _LONG = "9" * 5000
 # a solution record of the figure-eight's shape: six weights, one meridian
 _RECORD = {"w": [[1.0, 0.0]] * 6, "m": [[1.0, 0.0]]}
 _FIG8_JSON = {"pd": FIG8_CROSSINGS}
+_TREFOIL_CROSSINGS = [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]
 
 
 def _golden_solution(key, f):
@@ -452,6 +453,20 @@ def _golden_solution(key, f):
     (["verify", "d.pd", "v.json", "f.json"],
      {"f.json": {"slopes": [[2, 3]], "l": [[10 ** 400, 0]]}},
      "filling l 1 is beyond the double range"),
+    (["analyze", "d.json"],
+     {"d.json": f'{{"pd": {FIG8_CROSSINGS}, "pd": {_TREFOIL_CROSSINGS}}}'},
+     'unreadable JSON diagram: object key "pd" is repeated'),
+    (["from-rep", "d.pd", "r.json"],
+     {"r.json": '{"generators": {%s, "g3": %s}}' % (
+         json.dumps(_GENS)[1:-1], json.dumps(_GENS["g4"]))},
+     'is not valid JSON: object key "g3" is repeated'),
+    (["verify", "d.pd", "v.json"],
+     {"v.json": lambda files: json.dumps(files["report"]["solution"])[:-1]
+      + ', "w": ' + json.dumps(_RECORD["w"]) + "}"},
+     'is not valid JSON: object key "w" is repeated'),
+    (["from-rep", "d.pd", "r.json"],
+     {"r.json": "\ufeff" + json.dumps({"generators": _GENS})},
+     "is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
 ], ids=["pd-not-utf8", "pd-long-label", "json-pd-long-int", "json-pd-deep",
         "rep-not-utf8", "rep-long-int", "rep-deep", "rep-long-name",
         "rep-nan", "rep-infinity", "rep-name-after-bad-matrix",
@@ -462,7 +477,8 @@ def _golden_solution(key, f):
         "meridian-name-long", "rep-name-not-ascii", "meridian-key-long",
         "meridian-key-not-ascii", "meridian-key-twice", "rep-three-numbers",
         "rep-bool-entry", "verify-three-numbers", "verify-bool-entry",
-        "verify-filling-l-beyond-float"])
+        "verify-filling-l-beyond-float", "json-pd-key-twice",
+        "rep-generator-twice", "verify-key-twice", "rep-bom"])
 def test_found_inputs_are_input_errors(files, tmp_path, argv, contents,
                                        message):
     paths = {"d.pd": files["pd"], "r.json": files["rep"],

@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -158,6 +161,34 @@ def test_meridian_override():
         diagram.build_diagram(diagram.parse_pd(
             '{"pd": [[4,8,5,7],[8,4,1,3],[2,5,3,6],[6,1,7,2]],'
             ' "meridians": [3]}'))
+
+
+_FIG8_ROWS = [[4, 8, 5, 7], [8, 4, 1, 3], [2, 5, 3, 6], [6, 1, 7, 2]]
+_WHITEHEAD_ROWS = [[1, 6, 2, 5], [3, 7, 4, 8], [8, 4, 9, 1], [10, 3, 5, 2],
+                   [6, 9, 7, 10]]
+
+
+@pytest.mark.parametrize("rows, meridians, message", [
+    (_FIG8_ROWS, ["g1", "g2"],
+     "meridian override for component 2: no such component"),
+    (_FIG8_ROWS, ["g99"], "no generator named g99"),
+    (_WHITEHEAD_ROWS, ["g3"], "generator g3 is not on component 1"),
+], ids=["no-component", "no-generator", "other-component"])
+def test_meridian_override_errors(rows, meridians, message):
+    text = json.dumps({"pd": rows, "meridians": meridians})
+    with pytest.raises(diagram.DiagramError, match=re.escape(message)):
+        diagram.load_diagram(text)
+
+
+@pytest.mark.parametrize("meridians, gens", [
+    ([None, "g3"], [0, 2]),
+    ([None, "g4"], [0, 3]),
+], ids=["default-second", "other-second"])
+def test_null_meridian_keeps_the_default(meridians, gens):
+    # component 1's default meridian is its first over-arc, g1
+    d = diagram.load_diagram(json.dumps({"pd": _WHITEHEAD_ROWS,
+                                         "meridians": meridians}))
+    assert d.meridian_gen == gens
 
 
 # a circle lying over another (a 2-crossing unlink diagram): arcs 1 and 2

@@ -513,17 +513,27 @@ def test_each_newton_point_is_evaluated_once(monkeypatch):
     assert counts == {"ratios": 55, "jacobian": 48}
 
 
-@pytest.mark.parametrize("pd", GOLDENS, ids=["fig8", "whitehead",
-                                             "trefoil"])
-def test_newton_core_matches_reference_loop(pd):
+RUNOFF = "ran off toward a degenerate point at iteration "
+NO_CONVERGENCE = "no convergence within "
+STALLED = "line search stalled at iteration "
+
+
+@pytest.mark.parametrize("pd, exits", [
+    (FIG8, (RUNOFF, NO_CONVERGENCE)),
+    (WHITEHEAD, (RUNOFF, NO_CONVERGENCE, STALLED)),
+    (TREFOIL, (RUNOFF, NO_CONVERGENCE))],
+    ids=["fig8", "whitehead", "trefoil"])
+def test_newton_core_matches_reference_loop(pd, exits):
     # keeping each accepted point's ratios and sums, and the live seeds'
-    # state in compact rows, leaves the weights and failure texts bitwise
-    # those of the loop that re-formed them over full-size state
+    # state in compact rows, and searching on one (seed x ladder) grid,
+    # leave the weights and failure texts bitwise those of the loop that
+    # re-formed them over full-size state; the compared set holds
+    # converged seeds and every listed way of failing
     d = diagram.load_diagram(pd)
     m = np.ones(d.n_components, dtype=complex)
     tables = oracles.term_tables(d, potential._WDW_PATTERN,
                                  potential._MDW_PATTERN, potential.SIGMA_POS)
-    found = 0
+    found, failed = 0, []
     for rng_seed in range(5):
         cfg = engine.SolveConfig(rng_seed=rng_seed)
         seeds = engine._draw_seeds(d, cfg)
@@ -533,15 +543,15 @@ def test_newton_core_matches_reference_loop(pd):
         assert out == out_ref
         assert W.tobytes() == W_ref.tobytes()
         found += out.count(None)
+        failed += [why for why in out if why is not None]
     assert found > 0
+    for start in exits:
+        assert any(why.startswith(start) for why in failed), start
 
 
 # ---------------------------------------------------------------------------
 # Run-off cut, one seed draw, stacked evaluation
 # ---------------------------------------------------------------------------
-
-RUNOFF = "ran off toward a degenerate point at iteration "
-
 
 @pytest.mark.parametrize("pd", GOLDENS, ids=["fig8", "whitehead",
                                              "trefoil"])
