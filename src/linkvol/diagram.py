@@ -190,7 +190,7 @@ def parse_pd(text):
     {"pd": [[a,b,c,d], ...], "meridians": ...}."""
     s = text.strip()
     overrides = ()
-    if s[:1] == "{":
+    if s.startswith(("{", "\ufeff")):   # parse_json rejects a BOM
         try:
             doc = parse_json(s)
         except json.JSONDecodeError as exc:

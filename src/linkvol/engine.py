@@ -10,7 +10,7 @@ kernel call reads. Each point is evaluated once: the seeds' ratios and
 sums before the first iteration, and every later point in the line
 search, which keeps the ratios and sums of the row each seed accepts for
 the next iteration's Jacobian call. An iteration makes one Jacobian call
-and, mostly, one line-search call (see _newton_batch). The core returns
+and one or two line-search calls (see _newton_batch). The core returns
 candidates, not verified points: one potential.Evaluation at the same
 ratio map verifies them, and multi_start returns the rows that pass it.
 
@@ -47,10 +47,8 @@ _TWO_PI = 2.0 * math.pi
 _SV_CUTOFF = 1e-8
 
 # The line search's ladder of step lengths 1, 1/2, ..., 1/2^30 (exact
-# powers of two), and the most lengths of it a seed tries in one call; see
-# _newton_batch.
+# powers of two), tried in at most two calls; see _newton_batch.
 _STEPS = np.ldexp(1.0, -np.arange(31))
-_MAX_WINDOW = 16
 
 # The run-off cut. A seed whose ratio distance min(|R|, 1/|R|, |1 - R|)
 # is below _RUNOFF_DIST and has fallen on _RUNOFF_FALLS consecutive
@@ -172,17 +170,16 @@ def _newton_batch(ratios, seeds, cfg):
     at _RUNOFF_DIST) fails at once.
 
     The line search takes the earliest length of the ladder _STEPS that
-    passes the Armijo and finiteness tests, trying the lengths in
-    windows. In one kernel call, on one row per searching seed and ladder
-    length in its window, a seed tries the lengths from 1 through two
-    past the one it accepted at its previous iteration (1 and 1/2 at the
-    first). A seed that passes none of them tries the next lengths in a
-    window twice as long, at most _MAX_WINDOW, at the next call, and
-    stalls past the end of the ladder. So a seed decides and computes
-    bitwise as the same lengths tried one at a time would; the windows
-    only evaluate some rows past the accepted length. Most seeds accept
-    one of their first few lengths, and the accepted length carries over,
-    so an iteration mostly makes one call.
+    passes the Armijo and finiteness tests, in at most two kernel calls
+    on one row per seed and length tried. In the first, every stepping
+    seed tries the lengths from 1 through two past the one it accepted at
+    its previous iteration (1 and 1/2 at the first); in the second, the
+    seeds that passed none of them try the rest of the ladder, and a seed
+    that passes nothing stalls. A stacked row's values do not depend on
+    the rows beside it, so a seed decides and computes bitwise as the
+    same lengths tried one at a time would. Most seeds accept one of
+    their first few lengths, and the accepted length carries over, so an
+    iteration mostly makes one call.
 
     Each point is evaluated once. The seeds' ratios and sums F are formed
     before the first iteration; after that a seed keeps the ratios and F
@@ -269,17 +266,15 @@ def _newton_batch(ratios, seeds, cfg):
                     f"non-finite Newton step at iteration {it}"
                 p, Fk, dx = p[go], Fk[go], dx[go]
 
-            # per stepping seed (a position in p): its window's first
-            # ladder index and length, and whether it still searches
             base = np.add.reduce(np.abs(Fk) ** 2, axis=1)
-            lo = np.zeros(p.size, dtype=int)
-            size = np.minimum(last[p] + 3, _MAX_WINDOW)
-            searching = np.ones(p.size, dtype=bool)
-            while searching.any():
-                # each row's seed (a position in p) and ladder index, seed
-                # after seed, in ladder order
-                at, j = (searching[:, None] & (ladder >= lo[:, None])
-                         & (ladder < (lo + size)[:, None])).nonzero()
+            # whether each stepping seed (a position in p) has yet to pass
+            end = np.ones(p.size, dtype=bool)
+            near = ladder < (last[p] + 3)[:, None]
+            for grid in (near, ~near):
+                # each row's seed and ladder index, in ladder order per seed
+                at, j = (grid & end[:, None]).nonzero()
+                if not at.size:
+                    continue
                 steps = _STEPS[j]
                 x_new = X[p[at]]
                 x_new[:, :k] += steps[:, None] * dx[at]
@@ -292,25 +287,18 @@ def _newton_batch(ratios, seeds, cfg):
                        & rows_all(np.isfinite(F_try), axis=1)
                        & (f_new <= (1.0 - 1e-4 * steps) * base[at])
                        ).nonzero()[0]
-                # a seed moves to the first passing row of its window
+                # a seed moves to its first passing row
                 hit, first = np.unique(at[acc], return_index=True)
                 first = acc[first]
                 s = p[hit]
                 X[s], R[s], F[s], last[s] = \
                     x_new[first], R_try[first], F_try[first], j[first]
                 W[ids[s]] = w_new[first, :n]
-                # a seed that passed none of its window tries the next
-                # lengths in one twice as long, and stalls past the ladder
-                searching[hit] = False
-                lo += size * searching
-                size = np.minimum(2 * size, _MAX_WINDOW)
-                searching &= lo < _STEPS.size
-            end = lo >= _STEPS.size
+                end[hit] = False
             if end.any():
                 settle(ids[p[end]], r[p[end]],
                        f"line search stalled at iteration {it}")
-            # the seeds that accepted a row are the live seeds of the next
-            # iteration
+            # the seeds that accepted a row live on to the next iteration
             s = p[~end]
             ids, X, R, F, last = ids[s], X[s], R[s], F[s], last[s]
             falls, dist, resid = falls[s], dist[s], r[s]

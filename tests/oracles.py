@@ -588,10 +588,9 @@ def eval_terms_jac_per_term(R, t):
 # ---------------------------------------------------------------------------
 
 # the package's Newton constants: singular-value cutoff, step ladder,
-# longest line-search window, run-off cut, iteration limit
+# run-off cut, iteration limit
 NEWTON_SV_CUTOFF = 1e-8
 NEWTON_STEPS = np.ldexp(1.0, -np.arange(31))
-NEWTON_MAX_WINDOW = 16
 NEWTON_RUNOFF_DIST = 1e-7
 NEWTON_RUNOFF_FALLS = 3
 NEWTON_MAX_ITERATIONS = 50
@@ -634,9 +633,10 @@ def newton_batch(tables, m, seeds, residual_tol):
     """The package's Newton core as it ran before it kept each accepted
     point's ratios and sums: damped Newton in log-weight coordinates from
     every row of seeds at once, the last weight pinned, minimum-norm SVD
-    steps and an Armijo line search over per-seed windows of the ladder
-    NEWTON_STEPS. Every iteration re-forms the ratios, sums and Jacobian
-    of the live seeds (eval_terms_jac_per_term on the "wdw" table of
+    steps and an Armijo line search that tries the lengths of the ladder
+    NEWTON_STEPS one at a time, each on the seeds that have passed none
+    yet. Every iteration re-forms the ratios, sums and Jacobian of the
+    live seeds (eval_terms_jac_per_term on the "wdw" table of
     term_tables) and reads and writes full-size state through the live
     index. Returns (W, out) as the package's core does."""
     t = tables["wdw"]
@@ -648,7 +648,6 @@ def newton_batch(tables, m, seeds, residual_tol):
     resid = np.full(seeds.shape[0], math.inf)
     dist_prev = np.zeros(seeds.shape[0])
     falls = np.zeros(seeds.shape[0], dtype=int)
-    last = np.full(seeds.shape[0], -1)
     out = [None] * seeds.shape[0]
     floor = min(residual_tol, 1e-13)
 
@@ -703,40 +702,21 @@ def newton_batch(tables, m, seeds, residual_tol):
             live, F, dx = live[go], F[go], dx[go]
 
             base = (np.abs(F) ** 2).sum(axis=1)
-            pos = np.arange(live.size)
-            lo = np.zeros(live.size, dtype=int)
-            size = np.minimum(last[live] + 3, NEWTON_MAX_WINDOW)
-            stalled = np.zeros(live.size, dtype=bool)
-            while pos.size:
-                cnt = np.minimum(size, NEWTON_STEPS.size - lo)
-                owner = np.repeat(np.arange(pos.size), cnt)
-                idx = np.arange(owner.size) \
-                    + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
-                steps = NEWTON_STEPS[idx]
-                at = pos[owner]
+            stalled = np.ones(live.size, dtype=bool)
+            for step in NEWTON_STEPS:
+                at = np.flatnonzero(stalled)
+                if not at.size:
+                    break
                 x_new = X[live[at]]
-                x_new[:, :k] += steps[:, None] * dx[at]
+                x_new[:, :k] += step * dx[at]
                 w_new = np.exp(x_new)
                 F_try = eval_terms_per_term(ratios(w_new), t)[0]
                 f_new = (np.abs(_fold(F_try[:, :k])) ** 2).sum(axis=1)
-                acc = np.flatnonzero(
-                    np.isfinite(w_new).all(axis=1)
-                    & np.isfinite(F_try).all(axis=1)
-                    & (f_new <= (1.0 - 1e-4 * steps) * base[at]))
-                hit = owner[acc]
-                lead = np.ones(acc.size, dtype=bool)
-                lead[1:] = hit[1:] != hit[:-1]
-                first = acc[lead]
-                rows = live[pos[owner[first]]]
-                X[rows], W[rows], last[rows] = x_new[first], w_new[first], \
-                    idx[first]
-                miss = np.ones(pos.size, dtype=bool)
-                miss[owner[first]] = False
-                pos, lo = pos[miss], lo[miss] + cnt[miss]
-                size = np.minimum(2 * size[miss], NEWTON_MAX_WINDOW)
-                end = lo >= NEWTON_STEPS.size
-                stalled[pos[end]] = True
-                pos, lo, size = pos[~end], lo[~end], size[~end]
+                ok = (np.isfinite(w_new).all(axis=1)
+                      & np.isfinite(F_try).all(axis=1)
+                      & (f_new <= (1.0 - 1e-4 * step) * base[at]))
+                X[live[at[ok]]], W[live[at[ok]]] = x_new[ok], w_new[ok]
+                stalled[at[ok]] = False
             settle(live[stalled], f"line search stalled at iteration {it}")
             live = live[~stalled]
 

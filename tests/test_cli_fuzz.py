@@ -467,6 +467,10 @@ def _golden_solution(key, f):
     (["from-rep", "d.pd", "r.json"],
      {"r.json": "\ufeff" + json.dumps({"generators": _GENS})},
      "is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    (["analyze", "d.pd"], {"d.pd": "\ufeff" + _GOLDEN.pd},
+     "syntax error at line 1, column 1: Unexpected UTF-8 BOM"),
+    (["analyze", "d.json"], {"d.json": "\ufeff" + json.dumps(_FIG8_JSON)},
+     "syntax error at line 1, column 1: Unexpected UTF-8 BOM"),
 ], ids=["pd-not-utf8", "pd-long-label", "json-pd-long-int", "json-pd-deep",
         "rep-not-utf8", "rep-long-int", "rep-deep", "rep-long-name",
         "rep-nan", "rep-infinity", "rep-name-after-bad-matrix",
@@ -478,7 +482,8 @@ def _golden_solution(key, f):
         "meridian-key-not-ascii", "meridian-key-twice", "rep-three-numbers",
         "rep-bool-entry", "verify-three-numbers", "verify-bool-entry",
         "verify-filling-l-beyond-float", "json-pd-key-twice",
-        "rep-generator-twice", "verify-key-twice", "rep-bom"])
+        "rep-generator-twice", "verify-key-twice", "rep-bom", "pd-bom",
+        "json-pd-bom"])
 def test_found_inputs_are_input_errors(files, tmp_path, argv, contents,
                                        message):
     paths = {"d.pd": files["pd"], "r.json": files["rep"],

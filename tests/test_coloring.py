@@ -35,6 +35,12 @@ def test_propagate_rejects_bad_seed_region(fig8_rep):
                            np.array([2.0, 1.0]))
 
 
+def test_propagate_rejects_zero_seed_vector(fig8_rep):
+    with pytest.raises(coloring.ColoringError,
+                       match="^seed vector must be nonzero$"):
+        coloring.propagate(fig8_rep, 0, (0, 0), (1, 0))
+
+
 def test_pinned_coloring_reproduces_frozen_weights(fig8_rep):
     ex = _examples.figure_eight_golden()
     sol = coloring.assemble_solution(_pinned(fig8_rep, ex))

@@ -37,6 +37,9 @@ def test_solve_config_defaults_and_validation():
     assert cfg.rng_seed == 0
     with pytest.raises(engine.EngineError):
         engine.SolveConfig(seeds=0)
+    with pytest.raises(engine.EngineError,
+                       match="residual_tol must be positive"):
+        engine.SolveConfig(residual_tol=0)
     # the line search's ladder 1, 1/2, ..., 1/2^30 and the iteration limit
     # are fixed, not settable
     assert engine._MAX_ITERATIONS == 50
@@ -44,6 +47,18 @@ def test_solve_config_defaults_and_validation():
         engine.SolveConfig(damping=0.5)
     with pytest.raises(TypeError):
         engine.SolveConfig(max_iterations=50)
+
+
+@pytest.mark.parametrize("m, message", [
+    ([1, 1], "expected 1 meridian value(s), got 2"),
+    ([0], "meridian values must be finite and nonzero"),
+    ([np.nan], "meridian values must be finite and nonzero")],
+    ids=["two-values", "zero", "nan"])
+def test_multi_start_rejects_bad_meridians(m, message):
+    d = diagram.load_diagram(FIG8)
+    with pytest.raises(engine.EngineError) as exc:
+        engine.multi_start(d, m)
+    assert str(exc.value) == message
 
 
 def test_arc_products_telescope_everywhere():
@@ -429,39 +444,35 @@ def multi_start_seeds(d, m, rng_seed, monkeypatch):
     return seen[0]
 
 
-def count_eval_terms(monkeypatch):
-    """Patch _kernels.eval_terms to record the table of every call."""
-    tables = []
-    real = _kernels.eval_terms
-
-    def count(L, t):
-        tables.append(t)
-        return real(L, t)
-
-    monkeypatch.setattr(_kernels, "eval_terms", count)
-    return tables
-
-
 @pytest.mark.parametrize("pd", GOLDENS, ids=["fig8", "whitehead",
                                              "trefoil"])
-def test_line_search_blocks_decide_as_single_steps(pd, monkeypatch):
-    # a seed takes the earliest passing length of the ladder, so trying
-    # the lengths in per-seed windows gives bitwise the weights and the
-    # failure texts of trying them one at a time (windows of at most one
-    # length), in fewer calls
+def test_line_search_makes_at_most_two_calls(pd, monkeypatch):
+    # each iteration's line search tries every stepping seed's first
+    # lengths in one residual call, and the rest of the ladder, for the
+    # seeds that passed none of them, in a second
     d = diagram.load_diagram(pd)
     m = np.ones(d.n_components, dtype=complex)
-    seeds = multi_start_seeds(d, m, 0, monkeypatch)
-    assert seeds.shape[0] == 64
-    cfg = engine.SolveConfig()
-    calls = count_eval_terms(monkeypatch)
-    windowed = outcomes(newton(d, m, seeds, cfg))
-    n_windowed = len(calls)
-    monkeypatch.setattr(engine, "_MAX_WINDOW", 1)
-    single = outcomes(newton(d, m, seeds, cfg))
-    assert sum(isinstance(a, bytes) for a in single) > 0
-    assert windowed == single
-    assert len(calls) - n_windowed > 2 * n_windowed
+    calls = []
+    real, real_jac = _kernels.eval_terms, _kernels.eval_terms_jac
+
+    def residual(L, t):
+        calls.append("F")
+        return real(L, t)
+
+    def jacobian(R, t):
+        calls.append("J")
+        return real_jac(R, t)
+
+    monkeypatch.setattr(_kernels, "eval_terms", residual)
+    monkeypatch.setattr(_kernels, "eval_terms_jac", jacobian)
+    per_iteration = []
+    for rng_seed in range(5):
+        cfg = engine.SolveConfig(rng_seed=rng_seed)
+        calls.clear()
+        newton(d, m, engine._draw_seeds(d, cfg), cfg)
+        # the seeds' own call comes before the first Jacobian call
+        per_iteration += map(len, "".join(calls).split("J")[1:])
+    assert max(per_iteration) == 2
 
 
 def test_multi_start_residual_call_budget(monkeypatch):
@@ -524,11 +535,11 @@ STALLED = "line search stalled at iteration "
     (TREFOIL, (RUNOFF, NO_CONVERGENCE))],
     ids=["fig8", "whitehead", "trefoil"])
 def test_newton_core_matches_reference_loop(pd, exits):
-    # keeping each accepted point's ratios and sums, and the live seeds'
-    # state in compact rows, and searching on one (seed x ladder) grid,
+    # keeping each accepted point's ratios and sums, the live seeds' state
+    # in compact rows, and trying the lengths in at most two stacked calls
     # leave the weights and failure texts bitwise those of the loop that
-    # re-formed them over full-size state; the compared set holds
-    # converged seeds and every listed way of failing
+    # re-formed them over full-size state and tried one length at a time;
+    # the compared set holds converged seeds and every listed way of failing
     d = diagram.load_diagram(pd)
     m = np.ones(d.n_components, dtype=complex)
     tables = oracles.term_tables(d, potential._WDW_PATTERN,

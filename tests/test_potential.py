@@ -415,6 +415,15 @@ def test_w0_rejects_non_solution(fig8_solved):
                      filling_tol=1e-3)
 
 
+def test_w0_rejects_degenerate_point():
+    # every weight 1 makes every crossing ratio 1
+    d = diagram.load_diagram(_examples.FIG8_PD)
+    p = potential.evaluate(d, np.ones((1, d.n_regions)), [1.0])
+    with pytest.raises(potential.PotentialError,
+                       match="^degenerate solution: crossing 1: ratio 1 "):
+        potential.W0(p, 0, representation.FillingSpec([None]))
+
+
 def test_w0_rejects_component_mismatch(fig8_solved):
     run = fig8_solved
     f = representation.FillingSpec([None, None])

@@ -53,6 +53,16 @@ def test_completion_needs_enough_seeds():
             d, {"g4": [[2.0, 1.0], [0.0, 0.5]]})
 
 
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+def test_completion_rejects_meridian_at_plus_minus_identity(sign):
+    d = diagram.load_diagram(_examples.FIG8_PD)
+    scalar = [[sign, 0], [0, sign]]
+    with pytest.raises(representation.RepresentationError,
+                       match="meridian of component 1 maps to ±identity$"):
+        representation.complete_representation(d, {"g3": scalar,
+                                                    "g4": scalar})
+
+
 @pytest.mark.parametrize("value", [
     [[1, 0, 0], [0, 1, 0]],
     [1, 0, 0, 1],
@@ -197,6 +207,12 @@ def test_solve_uv_rejects_non_filling_pair():
     with pytest.raises(representation.RepresentationError,
                        match="not a valid filling pair"):
         representation.solve_uv(complex(1.3, 0.2), complex(0.7, -0.1), 2, 3)
+
+
+def test_solve_uv_rejects_non_coprime_slope():
+    with pytest.raises(representation.RepresentationError,
+                       match=r"^slope \(2,4\) is not coprime$"):
+        representation.solve_uv(1, 1, 2, 4)
 
 
 def test_filling_spec_round_trip(fig8):
