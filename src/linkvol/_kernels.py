@@ -7,6 +7,7 @@ argument on the negative real axis with a signed -0.0 imaginary part is
 folded up to +pi so the closed half of the cut is deterministic.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -103,17 +104,35 @@ class TermTable:
     The log layout: log column c of a crossing is log(1 - R) of its ratio
     ``log_ratio[c]`` where ``log_1m[c]``, else log R. Term i adds
     ``sign[i]`` times column ``log[i]`` of the flattened (n_crossings *
-    n_logs) log array to output slot ``row[i]``. Jacobian entry e adds
-    ``jac_sign[e]`` times d(column ``jac_log[e]``)/d(log R) at the flat
-    (row, w) slot ``jac_slots[e]``."""
+    n_logs) log array to output slot ``row[i]``.
 
-    def __init__(self, row, sign, log, jac_slots, jac_log, jac_sign, n_rows,
-                 n_w, log_ratio, log_1m):
+    The Jacobian layout ``jac`` = (slots, log, sign): entry e adds sign[e]
+    times d(column log[e])/d(log R) at the flat (row, w) slot slots[e].
+    Only eval_terms_jac reads it, so it is built the first time it is
+    read, from ``ratio_w()``, the (4, n_terms) weights of each term's
+    ratio's n1, n2, d1, d2 (n_w where the ratio has no such weight)."""
+
+    def __init__(self, row, sign, log, n_rows, n_w, log_ratio, log_1m,
+                 ratio_w):
         self.row, self.sign, self.log = row, sign, log
-        self.jac_slots, self.jac_log, self.jac_sign = \
-            jac_slots, jac_log, jac_sign
         self.n_rows, self.n_w = n_rows, n_w
         self.log_ratio, self.log_1m = log_ratio, log_1m
+        self.ratio_w = ratio_w
+
+    @functools.cached_property
+    def jac(self):
+        return _jac_layout(self)
+
+
+def _jac_layout(t):
+    """The Jacobian layout of table t (see TermTable): d log R / d log w
+    is +1, +1, -1, -1 at the weights of R's n1, n2, d1, d2, and the
+    sentinel weight n_w gets no entry."""
+    cols = t.ratio_w()
+    keep = cols < t.n_w
+    return ((t.row * t.n_w + cols)[keep],
+            np.broadcast_to(t.log, cols.shape)[keep],
+            (np.array([[1], [1], [-1], [-1]]) * t.sign)[keep])
 
 
 def _scatter(idx, vals, n_slots):
@@ -170,9 +189,10 @@ def eval_terms_jac(R, t):
     column."""
     Rc, Z = _log_args(R, t)
     G = np.where(t.log_1m, -Rc / Z, 1.0)
-    vals = _flat(G).take(t.jac_log, -1)
-    vals *= t.jac_sign
-    J = _scatter(t.jac_slots, vals, t.n_rows * t.n_w)
+    slots, log, sign = t.jac
+    vals = _flat(G).take(log, -1)
+    vals *= sign
+    J = _scatter(slots, vals, t.n_rows * t.n_w)
     mag = np.abs(R)
     dist = np.minimum(np.minimum(mag, 1.0 / mag), np.abs(1.0 - R))
     return J.reshape(R.shape[:-2] + (t.n_rows, t.n_w)), \

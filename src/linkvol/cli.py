@@ -354,6 +354,8 @@ def cmd_verify(args):
                          f"or a report with a 'solutions' list")
     if not isinstance(docs, list):
         raise InputError(f"{args.solutions}: 'solutions' must be a list")
+    if not docs:
+        raise InputError(f"{args.solutions}: no solution records to verify")
 
     def filling(doc):
         f = representation.FillingSpec.from_json(doc)

@@ -50,7 +50,6 @@ _DEGENERACY_TOL = 1e-8
 
 # _degeneracy_reports' text per offence, indexed by the kind it assigns.
 _DEGENERACY_REPORTS = (
-    None,
     "is not finite",
     "= {val:.6g} is within {tol:g} of 0",
     "has magnitude {mag:.3g} >= 1/{tol:g}",
@@ -219,16 +218,11 @@ class _Tables:
             out = slots[:, out_slot].ravel()
             sign = (sign * factor).ravel()
             log = (len(_LOGS) * np.arange(nc)[:, None] + log).ravel()
-            # (4, n_terms): the weights of each term's n1, n2, d1, d2, where
-            # d log R / d log w is +1, +1, -1, -1; the sentinel columns get
-            # no Jacobian entry
-            cols = slots[:, jac_slot].transpose(1, 0, 2).reshape(4, -1)
-            keep = cols < nw
+            # the weights of each term's ratio, read only when Newton
+            # first needs the Jacobian layout
             return _kernels.TermTable(
-                out, sign, log, (out * nw + cols)[keep],
-                np.broadcast_to(log, cols.shape)[keep],
-                (np.array([[1], [1], [-1], [-1]]) * sign)[keep], n_rows, nw,
-                _LOG_RATIO, _LOG_1M)
+                out, sign, log, n_rows, nw, _LOG_RATIO, _LOG_1M,
+                lambda: slots[:, jac_slot].transpose(1, 0, 2).reshape(4, -1))
 
         self.wdw = pack(_WDW_TERMS, sig, nw)
         # the sigma factors cancel in the meridian table (see _MDW_PATTERN)
@@ -322,17 +316,18 @@ def _degeneracy_reports(R):
     """
     mag = np.abs(R)
     tol = _DEGENERACY_TOL
-    # a ratio's kind is the first test it fails; nested np.where does this
-    # at half np.select's cost on a few points
-    kind = np.where(~np.isfinite(R), 1, np.where(
-        mag <= tol, 2, np.where(mag >= 1.0 / tol, 3,
-                                np.where(np.abs(R - 1.0) <= tol, 4, 0))))
+    # NaN fails every comparison and a non-finite ratio has |R| NaN or inf,
+    # so one mask finds every offence; only the offending ratios are
+    # classified, by the first test each fails
+    good = (mag > tol) & (mag < 1.0 / tol) & (np.abs(R - 1.0) > tol)
     reports = [[] for _ in range(R.shape[0])]
-    for si, ci, ri in np.argwhere(kind):
+    for si, ci, ri in zip(*(~good).nonzero()):
+        val, a = R[si, ci, ri], mag[si, ci, ri]
+        kind = 0 if not np.isfinite(val) else 1 if a <= tol else \
+            2 if a >= 1.0 / tol else 3
         reports[si].append(
             f"crossing {ci + 1}: ratio {ri + 1} "
-            + _DEGENERACY_REPORTS[kind[si, ci, ri]].format(
-                val=R[si, ci, ri], mag=mag[si, ci, ri], tol=tol))
+            + _DEGENERACY_REPORTS[kind].format(val=val, mag=a, tol=tol))
     return reports
 
 

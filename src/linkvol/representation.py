@@ -96,13 +96,15 @@ def complete_representation(d, partial):
     """Fill in all Wirtinger generators from a generating subset.
 
     ``partial`` maps generator names ("g1", ...) or 0-based indices to
-    2x2 matrices, as nested sequences or numpy arrays. Remaining generators are derived by applying the crossing
+    2x2 matrices, as nested sequences or numpy arrays; two keys of one
+    generator ("g4" and "g04", or "g1" and 0) are a format error.
+    Remaining generators are derived by applying the crossing
     relations in both directions until a fixed point, and each relation is
     checked to _RELATION_TOL once its three generators are known; a
     non-finite determinant or residual fails its check.
     """
     n = len(d.over_arcs)
-    seeds = []
+    seeds = {}
     for key, value in partial.items():
         if isinstance(key, str):
             gi = generator_index(key)
@@ -113,11 +115,16 @@ def complete_representation(d, partial):
         if not (0 <= gi < n):
             raise RepresentationFormatError(
                 f"no generator g{gi + 1}: the diagram has g1..g{n}")
-        seeds.append((gi, value))
+        if gi in seeds:
+            raise RepresentationFormatError(
+                f"generator keys {seeds[gi][0]!r} and {key!r} both name "
+                f"g{gi + 1}")
+        seeds[gi] = key, value
     # every key is checked before any matrix, so that a key the diagram
-    # does not have is a format error whatever the matrices
+    # does not have, or names a generator twice, is a format error
+    # whatever the matrices
     known = [None] * n
-    for gi, value in seeds:
+    for gi, (_, value) in seeds.items():
         try:
             (a, b), (c, dd) = value
             q = a, b, c, dd = complex(a), complex(b), complex(c), complex(dd)

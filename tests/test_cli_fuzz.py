@@ -231,7 +231,10 @@ def representation_docs(draw):
         out[name], bad[name] = draw(generator_entries(
             _GENS.get(name, _GENS["g4"])))
         bad[name] |= name in ("g9", "g0", "gx") or len(name) > 10
-    return {"generators": out}, not out or any(bad.values())
+    # two names of one generator ("g3" and "g03") are a format error
+    numbers = [int(n[1:]) for n in out if len(n) <= 10 and n[1:].isdigit()]
+    twice = len(numbers) != len(set(numbers))
+    return {"generators": out}, not out or twice or any(bad.values())
 
 
 @settings(FUZZ, max_examples=150)
@@ -471,6 +474,12 @@ def _golden_solution(key, f):
      "syntax error at line 1, column 1: Unexpected UTF-8 BOM"),
     (["analyze", "d.json"], {"d.json": "\ufeff" + json.dumps(_FIG8_JSON)},
      "syntax error at line 1, column 1: Unexpected UTF-8 BOM"),
+    # a det-1 matrix under a second key of g4 no longer replaces g4's
+    (["from-rep", "d.pd", "r.json"],
+     {"r.json": {"generators": dict(_GENS, g04=_GENS["g3"])}},
+     "error: generator keys 'g4' and 'g04' both name g4\n"),
+    (["verify", "d.pd", "v.json"], {"v.json": {"solutions": []}},
+     "v.json: no solution records to verify\n"),
 ], ids=["pd-not-utf8", "pd-long-label", "json-pd-long-int", "json-pd-deep",
         "rep-not-utf8", "rep-long-int", "rep-deep", "rep-long-name",
         "rep-nan", "rep-infinity", "rep-name-after-bad-matrix",
@@ -483,7 +492,7 @@ def _golden_solution(key, f):
         "rep-bool-entry", "verify-three-numbers", "verify-bool-entry",
         "verify-filling-l-beyond-float", "json-pd-key-twice",
         "rep-generator-twice", "verify-key-twice", "rep-bom", "pd-bom",
-        "json-pd-bom"])
+        "json-pd-bom", "rep-generator-two-names", "verify-no-records"])
 def test_found_inputs_are_input_errors(files, tmp_path, argv, contents,
                                        message):
     paths = {"d.pd": files["pd"], "r.json": files["rep"],

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from linkvol import _examples, _kernels, diagram, engine, potential
+from linkvol import (_examples, _kernels, cli, coloring, diagram, engine,
+                     potential, representation)
 from linkvol.numerics import mod_pi2_equal
 
 import oracles
@@ -522,6 +525,45 @@ def test_each_newton_point_is_evaluated_once(monkeypatch):
     monkeypatch.setattr(_kernels, "eval_terms_jac", jacobian)
     engine.multi_start(d, [1.0], engine.SolveConfig(seeds=64, rng_seed=0))
     assert counts == {"ratios": 55, "jacobian": 48}
+
+
+def test_only_newton_builds_a_jacobian_layout(monkeypatch, tmp_path,
+                                              capsys):
+    # a term table builds its Jacobian layout when Newton first reads it:
+    # evaluating a point, from_representation and from-rep on a freshly
+    # loaded diagram build none, and multi_start builds the weight
+    # table's once per diagram and the meridian table's never
+    built = []
+    real = _kernels._jac_layout
+
+    def count(t):
+        built.append(t)
+        return real(t)
+
+    monkeypatch.setattr(_kernels, "_jac_layout", count)
+    ex = _examples.figure_eight_parabolic()
+    d = diagram.load_diagram(ex.pd)
+    potential.evaluate(d, np.arange(1, d.n_regions + 1)[None], [1.0])
+    d = diagram.load_diagram(ex.pd)
+    rep = representation.complete_representation(d, ex.seed_matrices)
+    col = coloring.propagate(rep, ex.seed_region, ex.seedV, ex.auxW)
+    engine.from_representation(rep, col, ex.slopes)
+    pd, doc = tmp_path / "d.pd", tmp_path / "r.json"
+    pd.write_text(ex.pd + "\n")
+    doc.write_text(json.dumps({"generators": {
+        g: [[z.real, z.imag] for z in np.ravel(np.array(m, complex))]
+        for g, m in ex.seed_matrices.items()}}))
+    assert cli.main(["from-rep", str(pd), str(doc)]) == 0
+    assert "W0" in capsys.readouterr().out
+    assert built == []
+    weight_tables = []
+    for pd in (FIG8, WHITEHEAD):
+        d = diagram.load_diagram(pd)
+        for rng_seed in (0, 1):
+            engine.multi_start(d, np.ones(d.n_components),
+                               engine.SolveConfig(seeds=8, rng_seed=rng_seed))
+        weight_tables.append(potential._tables(d).wdw)
+    assert built == weight_tables
 
 
 RUNOFF = "ran off toward a degenerate point at iteration "

@@ -3,6 +3,7 @@
 import ast
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -39,6 +40,26 @@ def test_no_unused_imports(path):
     unused = [f"{path.name}:{line}: {name}"
               for name, line in imported_names(tree) if name not in used]
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_imports_are_numpy_or_standard_library(path):
+    # pyproject.toml declares numpy as the only dependency: every import
+    # comes from the standard library, numpy or linkvol itself
+    allowed = sys.stdlib_module_names | {"numpy", "linkvol"}
+    foreign = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        foreign += [f"{path.name}:{node.lineno}: {name}" for name in modules
+                    if name.split(".")[0] not in allowed]
+    assert not foreign, "imports outside numpy and the standard library: " \
+        + ", ".join(foreign)
 
 
 def test_every_export_exists():

@@ -100,9 +100,12 @@ def test_tables_match_loop_reference(pd):
     n_logs = len(potential._LOGS)
     for name in ("wdw", "mdw"):
         table, want = getattr(t, name), ref[name]
-        for field in ("row", "sign", "log", "jac_slots", "jac_log",
-                      "jac_sign"):
+        for field in ("row", "sign", "log"):
             assert np.array_equal(getattr(table, field), want[field])
+        for field, got in zip(("jac_slots", "jac_log", "jac_sign"),
+                              table.jac):
+            assert got.dtype == want[field].dtype
+            assert np.array_equal(got, want[field])
         assert (table.n_rows, table.n_w) == (want["n_rows"], want["n_w"])
         col = table.log % n_logs
         assert np.array_equal(table.log // n_logs, want["ratio"] // 5)
@@ -199,6 +202,39 @@ def test_is_nondegenerate_flags_zero_and_huge():
     w = s.w.copy()
     w[0] = 1e-12
     assert evaluate(potential.Solution(d, w, s.m)).reports[0]
+
+
+def test_degeneracy_reports_exact_texts():
+    # every offence of a hand-built ratio stack, by the first test it
+    # fails (not finite, near 0, huge, near 1), crossing-major per point;
+    # |R| = 1e-8 and 1e8 count, 1e308 + 1e308i overflows |R| to inf, and
+    # a clean point has no report
+    nan, inf = float("nan"), float("inf")
+    R = np.full((3, 4, 5), 2.0 + 0.5j)
+    R[0, 0] = [nan, inf, 1e-9, 2e8, 1 + 5e-9j]
+    R[0, 2, 3] = complex(inf, nan)
+    R[0, 3, 1] = complex(nan, inf)
+    R[0, 3, 4] = complex(1e308, 1e308)
+    R[1, 1] = [0.0, 1e-8, 1e8, 1.0, 1 - 1e-9]
+    R[1, 2, 0] = 3e-9j
+    R[1, 3, 4] = complex(-inf, 0.0)
+    assert potential._degeneracy_reports(R) == [
+        ["crossing 1: ratio 1 is not finite",
+         "crossing 1: ratio 2 is not finite",
+         "crossing 1: ratio 3 = 1e-09+0j is within 1e-08 of 0",
+         "crossing 1: ratio 4 has magnitude 2e+08 >= 1/1e-08",
+         "crossing 1: ratio 5 = 1+5e-09j is within 1e-08 of 1",
+         "crossing 3: ratio 4 is not finite",
+         "crossing 4: ratio 2 is not finite",
+         "crossing 4: ratio 5 has magnitude 1.41e+308 >= 1/1e-08"],
+        ["crossing 2: ratio 1 = 0+0j is within 1e-08 of 0",
+         "crossing 2: ratio 2 = 1e-08+0j is within 1e-08 of 0",
+         "crossing 2: ratio 3 has magnitude 1e+08 >= 1/1e-08",
+         "crossing 2: ratio 4 = 1+0j is within 1e-08 of 1",
+         "crossing 2: ratio 5 = 1+0j is within 1e-08 of 1",
+         "crossing 3: ratio 1 = 0+3e-09j is within 1e-08 of 0",
+         "crossing 4: ratio 5 is not finite"],
+        []]
 
 
 def bits(x):

@@ -77,6 +77,23 @@ def test_completion_rejects_a_matrix_not_2x2(value):
     assert str(exc.value) == "matrix must be 2x2"
 
 
+@pytest.mark.parametrize("partial, message", [
+    ({"g4": [[1, 1], [0, 1]], "g04": [[1, 0], [1, 1]]},
+     "generator keys 'g4' and 'g04' both name g4"),
+    ({"g04": [[1, 0], [1, 1]], "g4": [[1, 1], [0, 1]]},
+     "generator keys 'g04' and 'g4' both name g4"),
+    ({"g1": [[1, 1], [0, 1]], 0: [[1, 0], [1, 1]]},
+     "generator keys 'g1' and 0 both name g1"),
+], ids=["g4-then-g04", "g04-then-g4", "name-and-index"])
+def test_completion_rejects_a_generator_named_twice(partial, message):
+    # the later key would silently replace the earlier one's matrix; the
+    # key pass rejects it before any matrix is read
+    d = diagram.load_diagram(_examples.FIG8_PD)
+    with pytest.raises(representation.RepresentationFormatError) as exc:
+        representation.complete_representation(d, partial)
+    assert str(exc.value) == message
+
+
 def test_completion_accepts_numpy_and_nested_lists(fig8):
     # the same seed as nested lists and as numpy 2x2 arrays completes to
     # the same tuples, entry for entry
