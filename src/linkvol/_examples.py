@@ -16,6 +16,7 @@ indexing.
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,18 +238,13 @@ def refine_filled_meridian(matrix_builder, pd, slope, uv, m0,
     Raises ``RepresentationError`` with the final residual if the identity
     does not reach ``tol`` within ``max_iter`` secant steps.
     """
-    from .numerics import principal_log
-    import math
-
     d = diagram.load_diagram(pd)
-    r, s = slope
-    u, v = uv
+    shift = 1j * math.pi * (slope[0] * uv[0] + slope[1] * uv[1])
 
     def g(m):
         rep = representation.complete_representation(d, matrix_builder(m))
         l = representation.longitude_eigenvalue(rep, 0)
-        return (r * principal_log(m) + s * principal_log(l)
-                + 1j * math.pi * (r * u + s * v))
+        return representation.filling_log(m, l, *slope) + shift
 
     m1 = complex(m0)
     m2 = m1 * (1 + 1e-6)

@@ -256,18 +256,24 @@ def cmd_solve(args):
         raise InputError(f"invalid --seeds: {exc}") from None
     slopes = (parse_filling(args.filling, d.n_components)
               if args.filling else None)
+    filling_tol = args.tol or 1e-6
     for i, (z, sl) in enumerate(zip(m, slopes or ())):
         # at m = ±1 a point has l = ±1, where every slope holds trivially
         if sl is not None and z in (1, -1):
             raise InputError(f"--filling: component {i + 1} is filled, so "
                              f"its --m must not be 1 or -1 (every slope "
                              f"holds there)")
-    filling_tol = args.tol or 1e-6
+        # beside a filled one, W0 needs an unfilled cusp to be parabolic
+        if sl is None and any(slopes) and \
+                min(abs(z - 1), abs(z + 1)) > filling_tol:
+            raise InputError(f"--filling: component {i + 1} is unfilled "
+                             f"beside a filled one, so its --m must be 1 "
+                             f"or -1")
 
     p = engine.multi_start(d, m, cfg)
     # each point carries its own longitudes, l = exp(-(m dW/dm)/2)
     docs = []
-    for k, l in enumerate(np.exp(-0.5 * p.mdW)):
+    for k, l in enumerate(p.l):
         f = None
         if slopes is not None:
             # a point whose (m, l) miss the slope is not a filled solution

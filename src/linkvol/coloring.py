@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import representation as R
+from .potential import Solution
 
 # Relative tolerance of the transport and genericity checks, and the seed/W
 # draws random_generic_coloring makes before giving up.
@@ -144,8 +145,6 @@ def _violations(col, mag):
 
 def assemble_solution(col):
     """Region weights w_j = det(W, V_j) plus meridian eigenvalues."""
-    from .potential import Solution
-
     rep = col.rep
     w0, w1 = col.W
     w = np.array([w0 * v1 - w1 * v0 for v0, v1 in col.V],

@@ -13,7 +13,7 @@ corrected value
 encodes volume and Chern-Simons invariant of the filled manifold as
 W0 = i(vol + i cs) up to integer multiples of pi^2. The point carries its
 own longitude eigenvalues, l_i = exp(-(m_i dW/dm_i)/2), and W0 checks each
-filled slope against them (Neumann-Zagier, Topology 24, 1985).
+filled slope at them by solve_uv (Neumann-Zagier, Topology 24, 1985).
 
 One evaluation serves every checked point: evaluate forms the (n_crossings,
 5) crossing ratios of a stack of points once (_RatioMap is the one ratio
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _kernels
 from .numerics import cs_mod_pi2, principal_log
-from .representation import RepresentationError, json_complex
+from .representation import RepresentationError, json_complex, solve_uv
 
 # The crossing term comes in two mirror forms: an overall sign sigma and the
 # meridian exponent (-sigma) inside the four meridian-carrying ratios. Which
@@ -282,11 +282,11 @@ class _RatioMap:
             L = _kernels.ratio_logs(R, t.wdw)
             W = _potentials(self.d, R, L)
             wdW = _kernels.eval_terms(L, t.wdw)
+            mdW = _kernels.eval_terms(L, t.mdw)
             return Evaluation(
                 self.d, w,
                 np.broadcast_to(self.m, w.shape[:-1] + self.m.shape[-1:]),
-                R, _degeneracy_reports(R), W, wdW,
-                _kernels.eval_terms(L, t.mdw),
+                R, _degeneracy_reports(R), W, wdW, mdW, np.exp(-0.5 * mdW),
                 W - np.sum(wdW * _kernels._plog_vec(w), axis=-1),
                 np.exp(wdW) - 1.0)
 
@@ -339,7 +339,8 @@ class Evaluation:
 
         W[k]               the sum of the crossing terms
         wdW[k, j]          w_j dW/dw_j
-        mdW[k, i]          m_i dW/dm_i; the longitude is exp(-mdW/2)
+        mdW[k, i]          m_i dW/dm_i
+        l[k, i]            exp(-mdW[k, i]/2), the longitude eigenvalue
         values[k]          W - sum_j wdW[k, j] log w[k, j], the critical
                            value (no meridian corrections)
         residuals[k, j]    exp(wdW[k, j]) - 1, the critical equations
@@ -357,6 +358,7 @@ class Evaluation:
     W: np.ndarray
     wdW: np.ndarray
     mdW: np.ndarray
+    l: np.ndarray
     values: np.ndarray
     residuals: np.ndarray
 
@@ -364,8 +366,8 @@ class Evaluation:
         """The evaluation of the given rows, in that order."""
         return Evaluation(self.d, self.w[rows], self.m[rows], self.R[rows],
                           [self.reports[k] for k in rows], self.W[rows],
-                          self.wdW[rows], self.mdW[rows], self.values[rows],
-                          self.residuals[rows])
+                          self.wdW[rows], self.mdW[rows], self.l[rows],
+                          self.values[rows], self.residuals[rows])
 
 
 def evaluate(d, w, m):
@@ -385,9 +387,9 @@ def W0(p, k, f, residual_tol=1e-3, filling_tol=1e-6):
     ``f`` lists one slope per component (None = unfilled) and the (u, v)
     of every filled one. The point must satisfy the critical equations
     to residual_tol; then, to filling_tol, every unfilled component must
-    have m = ±1 and every filled slope must hold with u and the point's
-    own longitude. vol is the imaginary part, cs the negated real part
-    normalized into [0, pi^2).
+    have m = ±1 and every filled slope must hold at the point's own (m,
+    l) by solve_uv, with f's u equal to its u mod s. vol is the imaginary
+    part, cs the negated real part normalized into [0, pi^2).
     """
     d = p.d
     if f.n_components != d.n_components:
@@ -405,7 +407,7 @@ def W0(p, k, f, residual_tol=1e-3, filling_tol=1e-6):
             f"not a solution")
 
     val = complex(p.values[k])
-    m, md = p.m[k], p.mdW[k]
+    m, md, l = p.m[k], p.mdW[k], p.l[k]
     for i, sl in enumerate(f.slopes):
         if sl is None:
             if min(abs(m[i] - 1), abs(m[i] + 1)) > filling_tol:
@@ -419,16 +421,17 @@ def W0(p, k, f, residual_tol=1e-3, filling_tol=1e-6):
                 f"filled component {i + 1} needs correction integers (u,v)")
         r, si = int(sl[0]), int(sl[1])
         u = f.uv[i][0]
-        lm = principal_log(m[i]) + u * 1j * math.pi
-        # s log l = -s md/2 mod 2 pi i s, so t is an integer (v up to the
-        # sign of l); resid is |r log m + s log l + pi i (r u + s v)|
-        t = (r * lm - si * md[i] / 2) / (si * 1j * math.pi)
-        resid = abs(t - round(t.real)) * abs(si) * math.pi
-        if resid > filling_tol:
+        failure = f"component {i + 1} does not satisfy the filling {r}/{si}"
+        try:
+            u_point = solve_uv(m[i], l[i], r, si, filling_tol)[0]
+        except RepresentationError as exc:
+            raise PotentialError(f"{failure}: {exc}") from None
+        # (u + s t, v - r t) solve it too, and move W0 by multiples of pi^2
+        if (u - u_point) % si:
             raise PotentialError(
-                f"component {i + 1} does not satisfy the filling {r}/{si} "
-                f"with u = {u}: r (log m + u pi i) + s log l is {resid:.3g} "
-                f"away from the multiples of pi i")
+                f"{failure} with u = {u}: its (m, l) give u = {u_point} "
+                f"mod {abs(si)}")
+        lm = principal_log(m[i]) + u * 1j * math.pi
         val -= md[i] * lm - (r / si) * lm * lm
 
     return VolumeResult(W0=complex(val), vol=float(val.imag),

@@ -10,6 +10,7 @@ on 2 to 4 entries costs several times its arithmetic.
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 from .diagram import generator_index, longitude_word, wirtinger
@@ -97,7 +98,8 @@ def complete_representation(d, partial):
 
     ``partial`` maps generator names ("g1", ...) or 0-based indices to
     2x2 matrices, as nested sequences or numpy arrays; two keys of one
-    generator ("g4" and "g04", or "g1" and 0) are a format error.
+    generator ("g4" and "g04", or "g1" and 0), and a key that is neither
+    a string nor an integer (a float or a bool), are a format error.
     Remaining generators are derived by applying the crossing
     relations in both directions until a fixed point, and each relation is
     checked to _RELATION_TOL once its three generators are known; a
@@ -110,8 +112,11 @@ def complete_representation(d, partial):
             gi = generator_index(key)
             if gi is None:
                 raise RepresentationFormatError(f"bad generator name {key!r}")
-        else:
+        elif isinstance(key, numbers.Integral) and not isinstance(key, bool):
             gi = int(key)
+        else:
+            raise RepresentationFormatError(
+                f"bad generator key {key!r}: not a name or an integer index")
         if not (0 <= gi < n):
             raise RepresentationFormatError(
                 f"no generator g{gi + 1}: the diagram has g1..g{n}")
@@ -252,6 +257,11 @@ def longitude_eigenvalue(rep, i):
     return l_i
 
 
+def filling_log(m, l, r, s):
+    """r log m + s log l on principal logarithms; see solve_uv."""
+    return r * principal_log(m) + s * principal_log(l)
+
+
 def solve_uv(m, l, r, s, tol=1e-6):
     """Integers (u, v) with r log m + s log l + pi*i*(r u + s v) = 0.
 
@@ -262,7 +272,7 @@ def solve_uv(m, l, r, s, tol=1e-6):
     s = int(s)
     if math.gcd(abs(r), abs(s)) != 1:
         raise RepresentationError(f"slope ({r},{s}) is not coprime")
-    t = (r * principal_log(m) + s * principal_log(l)) / (1j * math.pi)
+    t = filling_log(m, l, r, s) / (1j * math.pi)
     n = round(t.real)
     resid = abs(t - n)
     if resid > tol / math.pi:
@@ -270,32 +280,17 @@ def solve_uv(m, l, r, s, tol=1e-6):
             f"not a valid filling pair: r log m + s log l = "
             f"{t * 1j * math.pi:.6g} is not an integer multiple of πi "
             f"(residual {resid * math.pi:.3g})")
-    # r*u + s*v = -n; extended euclid on (r, s)
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    a, b = r, s
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    # a = gcd = ±1, r*x0 + s*y0 = a
-    u0 = -n * x0 * a
-    v0 = -n * y0 * a
-    best = None
-    # candidates minimizing |u| lie near k = -u0/s, those minimizing |v|
-    # near k = v0/r; scan a small window around both
-    centers = {0}
-    if s != 0:
-        centers.add(int(round(-u0 / s)))
-    if r != 0:
-        centers.add(int(round(v0 / r)))
-    ts = {c + k for c in centers for k in range(-2, 3)}
-    for k in ts:
-        u = u0 + s * k
-        v = v0 - r * k
-        cand = (abs(u), abs(v), 0 if u >= 0 else 1, u, v)
-        if best is None or cand < best:
-            best = cand
-    return best[3], best[4]
+    return _correction(n, r, s)
+
+
+def _correction(n, r, s):
+    """solve_uv's (u, v) on the line r u + s v = -n, for coprime r, s."""
+    if s == 0:
+        return -n * r, 0
+    # every u on the line is -n/r mod |s|; take the two nearest 0
+    u0 = -n * pow(r, -1, abs(s)) % abs(s)
+    return min(((u, (-n - r * u) // s) for u in (u0, u0 - abs(s))),
+               key=lambda uv: (abs(uv[0]), abs(uv[1]), uv[0] < 0))
 
 
 @dataclass

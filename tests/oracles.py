@@ -24,6 +24,18 @@ TWO_PI = 2.0 * math.pi
 PI_SQ = math.pi * math.pi
 
 
+def filling_uv(n, r, s):
+    """The (u, v) with r u + s v = -n of least |u|, then least |v|, then
+    u >= 0, by searching every integer pair up to |n| + |r| + |s| in
+    magnitude (the least |u| is at most |s| / 2, and v follows from u
+    unless s = 0, when the least |v| is 0)."""
+    reach = range(-abs(n) - abs(r) - abs(s), abs(n) + abs(r) + abs(s) + 1)
+    return min(((u, v) for u in reach
+                for v in (reach if s == 0 else [(-n - r * u) // s])
+                if r * u + s * v == -n),
+               key=lambda uv: (abs(uv[0]), abs(uv[1]), uv[0] < 0))
+
+
 def zeta_even(s, cutoff=200):
     """zeta(s) for an integer s >= 2 by direct summation plus an
     Euler-Maclaurin tail correction (accurate to ~1e-15 for cutoff=200)."""

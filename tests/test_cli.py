@@ -585,6 +585,25 @@ def test_solve_unfilled_parabolic_component_beside_a_filled_one(
                      "inf,2/3", "--seeds", "2"]) == 0
 
 
+@pytest.mark.parametrize("m, filling, code", [
+    ("1.1,1.1", "inf,2/3", 2),
+    ("1+2e-6i,1.1", "inf,2/3", 2),
+    ("1+5e-7i,1.1", "inf,2/3", 0),
+    ("1.1,1.1", "inf,inf", 0),
+])
+def test_solve_unfilled_component_needs_parabolic_meridian_if_any_is_filled(
+        white_path, capsys, m, filling, code):
+    # W0 holds an unfilled component beside a filled one to m = ±1 at the
+    # filling tolerance, so solve rejects any other --m before Newton; with
+    # nothing filled, no point is corrected and every --m is allowed
+    assert cli.main(["solve", white_path, f"--m={m}", "--filling", filling,
+                     "--seeds", "2"]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == 0 else
+                   "error: --filling: component 1 is unfilled beside a "
+                   "filled one, so its --m must be 1 or -1\n")
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-3"])
 def test_from_rep_and_verify_bad_tol_is_input_error(
         fig8_path, fig8_report, tmp_path, capsys, tol):

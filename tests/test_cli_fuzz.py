@@ -480,6 +480,12 @@ def _golden_solution(key, f):
      "error: generator keys 'g4' and 'g04' both name g4\n"),
     (["verify", "d.pd", "v.json"], {"v.json": {"solutions": []}},
      "v.json: no solution records to verify\n"),
+    # W0 rejected every point after the whole Newton run
+    (["solve", "w.pd", "--m=0.60430+1.35917i,1.43249+1.08047i",
+      "--filling", "inf,-5/2", "--tol", "1e-3"],
+     {"w.pd": _examples.WHITEHEAD_PD},
+     "error: --filling: component 1 is unfilled beside a filled one, so "
+     "its --m must be 1 or -1\n"),
 ], ids=["pd-not-utf8", "pd-long-label", "json-pd-long-int", "json-pd-deep",
         "rep-not-utf8", "rep-long-int", "rep-deep", "rep-long-name",
         "rep-nan", "rep-infinity", "rep-name-after-bad-matrix",
@@ -492,7 +498,8 @@ def _golden_solution(key, f):
         "rep-bool-entry", "verify-three-numbers", "verify-bool-entry",
         "verify-filling-l-beyond-float", "json-pd-key-twice",
         "rep-generator-twice", "verify-key-twice", "rep-bom", "pd-bom",
-        "json-pd-bom", "rep-generator-two-names", "verify-no-records"])
+        "json-pd-bom", "rep-generator-two-names", "verify-no-records",
+        "solve-unfilled-off-parabolic"])
 def test_found_inputs_are_input_errors(files, tmp_path, argv, contents,
                                        message):
     paths = {"d.pd": files["pd"], "r.json": files["rep"],

@@ -41,6 +41,38 @@ def test_propagate_rejects_zero_seed_vector(fig8_rep):
         coloring.propagate(fig8_rep, 0, (0, 0), (1, 0))
 
 
+@pytest.fixture(scope="module")
+def boosted_rep():
+    # the parabolic figure-eight with g4 times a boost by 3e-8: completion
+    # accepts its relation residuals (at most _RELATION_TOL = 1e-6), but
+    # the cycles of the region graph no longer close to coloring._TOL
+    eps = 3e-8
+    seeds = _examples.fig8_parabolic_matrices()
+    seeds["g4"] = np.array(seeds["g4"], dtype=complex) @ np.array(
+        [[np.cosh(eps), np.sinh(eps)], [np.sinh(eps), np.cosh(eps)]])
+    return representation.complete_representation(
+        diagram.load_diagram(_examples.FIG8_PD), seeds)
+
+
+def test_propagate_rejects_a_cycle_that_does_not_close(boosted_rep):
+    with pytest.raises(
+            coloring.ColoringError,
+            match=r"^representation/transport convention mismatch: arc 1 "
+                  r"closes with residual 2\.07e-07$"):
+        coloring.propagate(boosted_rep, 2, (1, 1j), (2, 1))
+
+
+def test_random_coloring_gives_up_after_its_attempts(boosted_rep):
+    # every draw fails the closure check, so the search stops at
+    # _MAX_ATTEMPTS and names the last failure
+    with pytest.raises(
+            coloring.ColoringError,
+            match=r"^no generic coloring found in 1000 attempts; last "
+                  r"error: representation/transport convention mismatch: "
+                  r"arc \d+ closes with residual \d\.\d+e-07$"):
+        coloring.random_generic_coloring(boosted_rep, 0)
+
+
 def test_pinned_coloring_reproduces_frozen_weights(fig8_rep):
     ex = _examples.figure_eight_golden()
     sol = coloring.assemble_solution(_pinned(fig8_rep, ex))

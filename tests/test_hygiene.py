@@ -62,6 +62,19 @@ def test_imports_are_numpy_or_standard_library(path):
         + ", ".join(foreign)
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    # every module imports at its top, so its dependencies show there;
+    # the package has no import cycle that would need a deferred import
+    inner = [f"{path.name}:{node.lineno}: {func.name}"
+             for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(func)
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not inner, "imports inside functions: " + ", ".join(inner)
+
+
 def test_every_export_exists():
     import linkvol
 

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from linkvol import (_examples, _kernels, coloring, diagram, potential,
-                     representation)
+from linkvol import (_examples, _kernels, coloring, diagram, engine,
+                     potential, representation)
 from linkvol.numerics import PI_SQUARED, mod_pi2_equal, principal_log
 
 import oracles
@@ -425,6 +425,46 @@ def test_w0_checks_slope_against_point_longitude(fig8_solved):
                        match="does not satisfy the filling 2/3"):
         potential.W0(evaluate(run.solution), 0, off, residual_tol=1e-9,
                      filling_tol=1e-3)
+
+
+@pytest.mark.parametrize("filling_tol", [1e-3, np.pi, 10.0])
+def test_w0_rejects_a_u_off_the_point_line_at_any_tolerance(fig8_solved,
+                                                            filling_tol):
+    # solve_uv accepts every (m, l) once filling_tol reaches pi, but u + 1
+    # is still not u mod 3: it corrects W0 for another filling
+    run = fig8_solved
+    (u, v), = run.filling.uv
+    off = representation.FillingSpec(
+        list(run.filling.slopes), l=list(run.filling.l), uv=[(u + 1, v)])
+    with pytest.raises(potential.PotentialError,
+                       match=rf"^component 1 does not satisfy the filling "
+                             rf"2/3 with u = {u + 1}: its \(m, l\) give "
+                             rf"u = {u} mod 3$"):
+        potential.W0(evaluate(run.solution), 0, off, residual_tol=1e-9,
+                     filling_tol=filling_tol)
+
+
+def test_w0_accepts_every_point_solve_keeps_at_its_tolerance():
+    # solve keeps a point whose (m, l) satisfy the slope to --tol by
+    # solve_uv, and W0 then checks it at that same tol; at the boundary
+    # tol, and one float either side, W0 must agree with the keep
+    d = diagram.load_diagram(FIG8)
+    p = engine.multi_start(d, [_examples.FIG8_M],
+                           engine.SolveConfig(residual_tol=1e-3))
+    kept = 0
+    for k, l in enumerate(np.exp(-0.5 * p.mdW)):
+        t = (2 * principal_log(p.m[k][0]) + 3 * principal_log(l[0])) \
+            / (1j * np.pi)
+        edge = abs(t - round(t.real)) * np.pi
+        for tol in (np.nextafter(edge, 0), edge, np.nextafter(edge, 1)):
+            try:
+                f = representation.FillingSpec.from_eigenvalues(
+                    [(2, 3)], p.m[k], l, tol=tol)
+            except representation.RepresentationError:
+                continue
+            potential.W0(p, k, f, residual_tol=1e-3, filling_tol=tol)
+            kept += 1
+    assert kept >= len(p.w)
 
 
 def test_w0_unfilled_needs_parabolic_meridian(fig8_solved):

@@ -94,6 +94,34 @@ def test_completion_rejects_a_generator_named_twice(partial, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("key, message", [
+    (3.9, "bad generator key 3.9: not a name or an integer index"),
+    (3.0, "bad generator key 3.0: not a name or an integer index"),
+    (True, "bad generator key True: not a name or an integer index"),
+    (np.bool_(False),
+     "bad generator key np.False_: not a name or an integer index"),
+], ids=["float", "integral-float", "bool", "numpy-bool"])
+def test_completion_rejects_a_key_that_is_not_a_name_or_integer(key,
+                                                                message):
+    # int(key) made 3.9 seed g4 and True seed g2
+    d = diagram.load_diagram(_examples.FIG8_PD)
+    seeds = _examples.fig8_matrices(_examples.FIG8_M)
+    with pytest.raises(representation.RepresentationFormatError) as exc:
+        representation.complete_representation(
+            d, {key: seeds["g4"], "g3": seeds["g3"]})
+    assert str(exc.value) == message
+
+
+def test_completion_accepts_integer_keys(fig8):
+    # an integer index, numpy's included, names the generator it counts
+    d, rep = fig8
+    seeds = _examples.fig8_matrices(_examples.FIG8_M)
+    for g4, g3 in ((3, 2), (np.int64(3), np.int32(2))):
+        got = representation.complete_representation(
+            d, {g4: seeds["g4"], g3: seeds["g3"]})
+        assert got.quads == rep.quads
+
+
 def test_completion_accepts_numpy_and_nested_lists(fig8):
     # the same seed as nested lists and as numpy 2x2 arrays completes to
     # the same tuples, entry for entry
@@ -214,6 +242,31 @@ def test_solve_uv_alternate_branch_same_equation():
                + 3 * (cmath.log(l) + v * 1j * math.pi))
         k = round(val.imag / (2 * math.pi))
         assert abs(val - 2j * math.pi * k) < 1e-3
+
+
+def _coprime_slopes(bound):
+    return [(r, s) for r in range(-bound, bound + 1)
+            for s in range(-bound, bound + 1) if math.gcd(r, s) == 1]
+
+
+def test_uv_rule_matches_brute_force():
+    # u = -n/r mod |s| nearest 0 is the least |u| on the line
+    # r u + s v = -n; the grid has s = 0 (r = ±1) and |s| = 1
+    slopes = _coprime_slopes(12)
+    assert (1, 0) in slopes and (5, -1) in slopes
+    for r, s in slopes:
+        for n in range(-30, 31):
+            assert representation._correction(n, r, s) == \
+                oracles.filling_uv(n, r, s), (r, s, n)
+
+
+def test_solve_uv_reads_n_off_the_logarithms():
+    # m, l = ±1 give r log m + s log l = n pi i with n = 0, r, s or r + s
+    for r, s in _coprime_slopes(12):
+        for m, l in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+            n = r * (m < 0) + s * (l < 0)
+            assert representation.solve_uv(m, l, r, s) == \
+                oracles.filling_uv(n, r, s), (r, s, m, l)
 
 
 def test_solve_uv_trivial_at_identity():
