@@ -72,11 +72,8 @@ def propagate(rep, seed_region, seedV, W):
             elif V[rr] is not None and V[lr] is None:
                 V[lr] = R.apply(R.inv(trans[e]), V[rr])
                 grown = True
-    if any(v is None for v in V):
-        # cannot happen for a connected diagram, kept as a guard
-        raise ColoringError("disconnected region graph")
-
-    # every region is some arc's left or right one, and a non-finite
+    # build_diagram checked the region graph connected, so every V is set.
+    # Every region is some arc's left or right one, and a non-finite
     # vector has a non-finite image, so this sees every overflow
     closure = [(e, V[d.right_region[e]],
                 R.apply(trans[e], V[d.left_region[e]])) for e in arcs]

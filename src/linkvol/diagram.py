@@ -255,10 +255,6 @@ class _UnionFind:
 def build_diagram(pd):
     cr = pd.crossings
     nc = len(cr)
-    if nc == 0:
-        raise DiagramError(
-            "component without over-passing crossing: the diagram has no "
-            "crossings; apply Reidemeister moves to introduce one")
 
     occ = {}
     for ci, t in enumerate(cr):

@@ -219,18 +219,16 @@ def meridian_eigenvalue(rep, i):
     return cands[0]
 
 
-def _eigenvector(m, lam, tol=1e-9):
+def _eigenvector(m, lam):
     # rows of (m - lam I) are orthogonal to the eigenvector; use the larger
-    # of the two candidate constructions for stability
+    # of the two candidate constructions for stability. nv > 0: an SL(2)
+    # matrix that is not ±I (meridian_eigenvalue's check) is not scalar.
     a, b, c, d = m
     v1 = (b, lam - a)
     v2 = (lam - d, c)
     n1 = max(cabs(b), cabs(lam - a))
     n2 = max(cabs(lam - d), cabs(c))
     v, nv = (v1, n1) if n1 >= n2 else (v2, n2)
-    if nv <= tol:
-        # m is lam * identity on this eigenvalue; any vector works
-        return (1 + 0j, 0j)
     return (v[0] / nv, v[1] / nv)
 
 

@@ -878,6 +878,77 @@ def test_selftest_passes_quickly(capsys):
     assert "selftest: PASS" in out
 
 
+def test_selftest_reports_a_check_that_raises(tmp_path, capsys,
+                                              monkeypatch):
+    def broken():
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "_selftest_checks",
+                        lambda: [("broken check", broken)])
+    report = tmp_path / "selftest.json"
+    assert cli.main(["selftest", "--json", str(report)]) == 1
+    out = capsys.readouterr().out
+    assert ("  FAIL  broken check: raised ZeroDivisionError: division by "
+            "zero\n") in out
+    assert "selftest: FAIL" in out
+    doc = json.loads(report.read_text())
+    assert doc["passed"] is False
+    assert doc["checks"] == [{
+        "name": "broken check", "passed": False,
+        "detail": "raised ZeroDivisionError: division by zero"}]
+
+
+def _golden_commands(fig8_path, tmp_path):
+    """The argv of analyze, from-rep, solve and verify on the figure-eight
+    golden, without --json; verify reads the report solve.json."""
+    rep = write_rep(tmp_path, "rep.json",
+                    _examples.fig8_matrices(_examples.FIG8_M))
+    return {"analyze": ["analyze", fig8_path],
+            "from-rep": ["from-rep", fig8_path, rep, "--filling", "2/3"],
+            "solve": ["solve", fig8_path, "--m", "1", "--seeds", "8"],
+            "verify": ["verify", fig8_path, str(tmp_path / "solve.json")]}
+
+
+def test_reports_are_one_line_of_compact_json(fig8_path, tmp_path):
+    # the form json.dumps gives without indent, which its C encoder writes
+    for name, argv in _golden_commands(fig8_path, tmp_path).items():
+        report = tmp_path / f"{name}.json"
+        assert cli.main(argv + ["--json", str(report)]) == 0, name
+        text = report.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1, name
+        assert text == json.dumps(json.loads(text)) + "\n", name
+
+
+def test_report_rewrite_leaves_no_stale_tail(fig8_path, tmp_path):
+    commands = _golden_commands(fig8_path, tmp_path)
+    report = tmp_path / "report.json"
+    report.write_text("x" * 100_000)
+    assert cli.main(commands["analyze"] + ["--json", str(report)]) == 0
+    analyze = report.read_text()
+    assert json.loads(analyze)["manifest"]["command"] == "analyze"
+    # a longer report, then the shorter one again over it
+    assert cli.main(commands["solve"] + ["--json", str(report)]) == 0
+    assert len(report.read_text()) > len(analyze)
+    assert cli.main(commands["analyze"] + ["--json", str(report)]) == 0
+    assert report.read_text() == analyze
+
+
+def test_report_through_a_symlink_updates_its_target(fig8_path, tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("x" * 10_000)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert cli.main(["analyze", fig8_path, "--json", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    doc = json.loads(target.read_text())
+    assert doc["manifest"]["command"] == "analyze"
+
+
+def test_report_to_dev_null(fig8_path, capsys):
+    assert cli.main(["analyze", fig8_path, "--json", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def fig8_pinned_argv(fig8_path, tmp_path):
     rep = write_rep(tmp_path, "rep.json",
                     _examples.fig8_matrices(_examples.FIG8_M))

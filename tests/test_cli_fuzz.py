@@ -518,3 +518,18 @@ def test_found_inputs_are_input_errors(files, tmp_path, argv, contents,
     assert message in err
     # no advice that no linkvol option can act on
     assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("report, reason", [
+    ("missing-dir/r.json", "No such file or directory"),
+    (".", "Is a directory"),
+    (None, "No such file or directory"),
+], ids=["report-missing-directory", "report-directory", "report-empty"])
+def test_unwritable_report_is_an_input_error(files, report, reason):
+    # the report is written after the run's output, so stdout has the
+    # analysis and stderr only the one line
+    path = "" if report is None else str(files["dir"] / report)
+    code, out, err = run(["analyze", files["pd"], "--json", path])
+    check_exit(code, out, err, malformed=True)
+    assert "longitude words" in out
+    assert err == f"error: cannot write report {path}: {reason}\n"

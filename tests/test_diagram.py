@@ -137,12 +137,21 @@ def test_longitude_words_abelianize_to_zero():
 def test_figure_eight_longitude_word():
     d = diagram.load_diagram(FIG8)
     assert str(diagram.longitude_word(d, 0)) == "g3^-1 g4 g1^-1 g2"
+    assert str(diagram.Word(())) == "1"
 
 
 def test_writhe_helper_matches_table():
     d = diagram.load_diagram(WHITEHEAD)
     for i in range(d.n_components):
         assert diagram.writhe(d, i) == d.writhes[i]
+
+
+def test_diagram_without_crossings_is_rejected():
+    # parse_pd rejects empty text first; build_diagram's own face count
+    # (n_crossings + 2 regions) rejects an empty crossing list
+    with pytest.raises(diagram.DiagramError,
+                       match="got 0 regions for 0 crossings"):
+        diagram.build_diagram(diagram.PDCode([], []))
 
 
 def test_longitude_word_bad_component():

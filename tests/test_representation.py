@@ -207,6 +207,41 @@ def test_parabolic_longitude_is_minus_one():
     assert abs(l + 1.0) < 1e-12
 
 
+def _hand_built(d, meridian, other):
+    """A Representation of d that need not satisfy the Wirtinger
+    relations: component 1's meridian generator maps to ``meridian`` and
+    every other generator to ``other``. On the figure-eight the longitude
+    g3^-1 g4 g1^-1 g2 is then meridian^-1 other."""
+    quads = [other] * len(d.over_arcs)
+    quads[d.meridian_gen[0]] = meridian
+    return representation.Representation(d, quads)
+
+
+def test_hand_built_representation_failures():
+    d = diagram.load_diagram(_examples.FIG8_PD)
+    one = (1 + 0j, 0j, 0j, 1 + 0j)
+    with pytest.raises(representation.RepresentationError,
+                       match=r"ρ\(μ_1\) = ±I has no preferred eigenvalue"):
+        representation.meridian_eigenvalue(
+            _hand_built(d, (-1 + 0j, 0j, 0j, -1 + 0j), one), 0)
+    # a diagonal meridian and a unipotent longitude: both fix (1, 0), but
+    # they do not commute
+    with pytest.raises(representation.RepresentationError,
+                       match="does not commute with its meridian"):
+        representation.longitude_eigenvalue(
+            _hand_built(d, (2 + 0j, 0j, 0j, 0.5 + 0j),
+                        (1 + 0j, 1 + 0j, 0j, 1 + 0j)), 0)
+    # diag(a, 1/a) with a = 1 + 1e-5 and [[1, 0], [1e-5, 1]] commute to
+    # 2e-10, inside the 1e-9 tolerance, but the longitude moves the
+    # meridian's eigenvector (1, 0) by 1e-5
+    a = 1 + 1e-5
+    with pytest.raises(representation.RepresentationError,
+                       match="share no eigenvector"):
+        representation.longitude_eigenvalue(
+            _hand_built(d, (complex(a), 0j, 0j, complex(1 / a)),
+                        (1 + 0j, 0j, 1e-5 + 0j, 1 + 0j)), 0)
+
+
 def test_solve_uv_golden_values(fig8, whitehead):
     exf = _examples.figure_eight_golden()
     m, l = _examples.FIG8_M, exf.regression_l[0]
