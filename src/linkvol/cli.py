@@ -15,9 +15,7 @@ import cmath
 import functools
 import json
 import math
-import os
 import re
-import stat
 import sys
 import time
 from dataclasses import replace
@@ -124,25 +122,15 @@ def _manifest(command, inputs=(), tolerance=None, output=None,
             "tolerance": tolerance, "output": output, "rng_seed": rng_seed}
 
 
-def _keep_contents(path, flags):
-    """open()'s opener for mode "w" without O_TRUNC."""
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
-
-
 def _write_report(args, doc):
     """Write doc to --json as one line of JSON: without indent, json.dumps
-    runs its C encoder. An existing regular file is overwritten in place
-    and cut to the new length, because truncating it to zero first costs
-    several times the write. Anything else (a new file, /dev/null, a FIFO)
-    gets what mode "w" gives it: O_TRUNC does nothing there."""
+    runs its C encoder."""
     path = args.json
     if path is None:
         return
     try:
-        with open(path, "wb", opener=_keep_contents) as fh:
-            fh.write((json.dumps(doc) + "\n").encode())
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                fh.truncate()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc) + "\n")
     except OSError as exc:
         raise InputError(f"cannot write report {path}: {exc.strerror}") \
             from None
