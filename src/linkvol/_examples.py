@@ -44,12 +44,6 @@ def fig8_matrices(m):
     return {"g4": [[m, 1], [0, 1 / m]], "g3": [[m, 0], [y, 1 / m]]}
 
 
-def fig8_parabolic_matrices():
-    """Boundary-parabolic specialization m = 1 of fig8_matrices."""
-    y = (1 + cmath.sqrt(-3)) / 2
-    return {"g4": [[1, 1], [0, 1]], "g3": [[1, 0], [y, 1]]}
-
-
 def whitehead_matrices(m1, m2, y_near=complex(1.34989, -2.79721)):
     """Two-generator seed of the Whitehead link group representation.
 
@@ -166,7 +160,7 @@ def figure_eight_parabolic():
     return GoldenExample(
         name="figure-eight parabolic (unfilled)",
         pd=FIG8_PD,
-        seed_matrices=fig8_parabolic_matrices(),
+        seed_matrices=fig8_matrices(1),
         seed_region=3,
         seedV=(1, 1j),
         auxW=(2, 1),

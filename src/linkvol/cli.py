@@ -5,6 +5,9 @@ Chern-Simons invariant from a representation file), ``solve`` (numerical
 multi-start search at fixed meridians), ``verify`` (re-check solution
 files), and ``selftest`` (built-in reproduction suite).
 
+Each ``cmd_*`` returns (exit code, report document); ``main`` writes the
+document to ``--json`` after a manifest of the run.
+
 Exit codes: 0 success, 1 verification failure, 2 input error.
 Complex numbers on the command line use the form ``a+bi``; JSON files use
 ``[re, im]`` pairs.
@@ -113,21 +116,25 @@ def _load_diagram(path):
 
 
 # ---------------------------------------------------------------------------
-# Run manifest
+# Report
 # ---------------------------------------------------------------------------
 
-def _manifest(command, inputs=(), tolerance=None, output=None,
-              rng_seed=None):
-    return {"command": command, "inputs": list(inputs),
-            "tolerance": tolerance, "output": output, "rng_seed": rng_seed}
+_INPUT_ARGS = ("diagram", "rep", "solutions", "filling_file")
 
 
 def _write_report(args, doc):
-    """Write doc to --json as one line of JSON: without indent, json.dumps
-    runs its C encoder."""
+    """Write doc to --json as one line of JSON, after a manifest read off
+    the parsed arguments; an argument the subcommand lacks reads null.
+    Without indent, json.dumps runs its C encoder."""
     path = args.json
     if path is None:
         return
+    inputs = [getattr(args, a) for a in _INPUT_ARGS if getattr(args, a, None)]
+    doc = {"manifest": {"command": args.command, "inputs": inputs,
+                        "tolerance": getattr(args, "tol", None),
+                        "output": path,
+                        "rng_seed": getattr(args, "rng_seed", None)},
+           **doc}
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc) + "\n")
@@ -172,18 +179,15 @@ def cmd_analyze(args):
     print("longitude words (canonical, writhe-corrected):")
     for i in range(d.n_components):
         print(f"  component {i + 1}: {diagram.longitude_word(d, i)}")
-    doc = {"manifest": _manifest("analyze", [args.diagram]),
-           "summary": d.summary(),
-           "n_regions": d.n_regions, "n_crossings": d.n_crossings,
-           "n_components": d.n_components, "n_edges": len(d.succ),
-           "crossing_signs": [x.sign for x in d.crossings],
-           "writhes": list(d.writhes),
-           "over_arcs": [list(arc) for arc in d.over_arcs],
-           "relations": [list(r) for r in pres.relations],
-           "longitudes": [str(diagram.longitude_word(d, i))
-                          for i in range(d.n_components)]}
-    _write_report(args, doc)
-    return 0
+    return 0, {"summary": d.summary(),
+               "n_regions": d.n_regions, "n_crossings": d.n_crossings,
+               "n_components": d.n_components, "n_edges": len(d.succ),
+               "crossing_signs": [x.sign for x in d.crossings],
+               "writhes": list(d.writhes),
+               "over_arcs": [list(arc) for arc in d.over_arcs],
+               "relations": [list(r) for r in pres.relations],
+               "longitudes": [str(diagram.longitude_word(d, i))
+                              for i in range(d.n_components)]}
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +233,10 @@ def cmd_from_rep(args):
     print(f"residual_max = {vr.residual_max:.3g}")
     doc = sol.to_json()
     doc.update(vr.to_json())
-    out = {"manifest": _manifest(
-               "from-rep", [args.diagram, args.rep], tolerance=args.tol,
-               output=args.json, rng_seed=args.rng_seed),
-           "summary": d.summary(),
-           "l": [[z.real, z.imag] for z in f.l],
-           "filling": f.to_json(),
-           "solution": doc}
-    _write_report(args, out)
-    return 0
+    return 0, {"summary": d.summary(),
+               "l": [[z.real, z.imag] for z in f.l],
+               "filling": f.to_json(),
+               "solution": doc}
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +298,11 @@ def cmd_solve(args):
     for k, doc in enumerate(docs):
         print(f"  #{k + 1}: vol = {_f9(doc['vol'], '+')}  "
               f"cs = {doc['cs']:.9f}  residual {doc['residual_max']:.2e}")
-    out = {"manifest": _manifest(
-               "solve", [args.diagram], tolerance=args.tol,
-               output=args.json, rng_seed=args.rng_seed),
-           "summary": d.summary(),
-           "m": [[z.real, z.imag] for z in m],
-           "filling": (None if slopes is None else
-                       representation.FillingSpec(slopes).to_json()),
-           "solutions": docs}
-    _write_report(args, out)
-    return 0
+    return 0, {"summary": d.summary(),
+               "m": [[z.real, z.imag] for z in m],
+               "filling": (None if slopes is None else
+                           representation.FillingSpec(slopes).to_json()),
+               "solutions": docs}
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +335,7 @@ def _verify_one(p, k, f, tol):
     if f is not None and ok:
         try:
             vr = potential.W0(p, k, f, residual_tol=tol, filling_tol=tol)
-            record["W0"] = [vr.W0.real, vr.W0.imag]
-            record["vol"] = vr.vol
-            record["cs"] = vr.cs
+            record.update(vr.to_json())
             lines.append(f"  vol = {_f9(vr.vol)}, cs = {vr.cs:.9f}")
         except (potential.PotentialError,
                 representation.RepresentationError) as exc:
@@ -409,14 +401,7 @@ def cmd_verify(args):
             print(line)
     print(f"overall: {'PASS' if all_ok else 'FAIL'} "
           f"({len(docs)} solution(s), tolerance {tol:g})")
-    out = {"manifest": _manifest(
-               "verify",
-               [args.diagram, args.solutions]
-               + ([args.filling_file] if args.filling_file else []),
-               tolerance=tol, output=args.json),
-           "passed": all_ok, "results": records}
-    _write_report(args, out)
-    return 0 if all_ok else 1
+    return (0 if all_ok else 1), {"passed": all_ok, "results": records}
 
 
 # ---------------------------------------------------------------------------
@@ -494,10 +479,8 @@ def cmd_selftest(args):
         print(f"  {'PASS' if ok else 'FAIL'}  {name}: {detail}")
     dt = time.perf_counter() - t0
     print(f"selftest: {'PASS' if all_ok else 'FAIL'} ({dt:.1f} s)")
-    out = {"manifest": _manifest("selftest", output=args.json),
-           "passed": all_ok, "seconds": dt, "checks": results}
-    _write_report(args, out)
-    return 0 if all_ok else 1
+    return (0 if all_ok else 1), {"passed": all_ok, "seconds": dt,
+                                  "checks": results}
 
 
 # ---------------------------------------------------------------------------
@@ -516,16 +499,15 @@ def _build_parser():
                     "function.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, rng=False, tol=None, out=True):
+    def common(sp, rng=False, tol=None):
         if tol is not None:
             sp.add_argument("--tol", type=float, default=tol,
                             help=f"acceptance tolerance (default {tol:g})")
         if rng:
             sp.add_argument("--rng-seed", type=int, default=0,
                             help="random seed (default 0)")
-        if out:
-            sp.add_argument("--json", metavar="PATH",
-                            help="write a machine-readable report here")
+        sp.add_argument("--json", metavar="PATH",
+                        help="write a machine-readable report here")
 
     sp = sub.add_parser("analyze", help="diagram combinatorics")
     sp.add_argument("diagram", help="path to a PD-code file")
@@ -592,7 +574,9 @@ def main(argv=None):
         if getattr(args, "rng_seed", 0) < 0:
             raise InputError(f"--rng-seed must not be negative, got "
                              f"{args.rng_seed}")
-        return args.fn(args)
+        code, doc = args.fn(args)
+        _write_report(args, doc)
+        return code
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

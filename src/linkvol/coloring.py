@@ -33,7 +33,6 @@ class ColoringError(ValueError):
 class RegionColoring:
     rep: object
     V: list            # one 2-tuple per region
-    seed_region: int
     W: tuple           # the auxiliary vector
 
 
@@ -90,8 +89,7 @@ def propagate(rep, seed_region, seedV, W):
                 f"representation/transport convention mismatch: arc {e} "
                 f"closes with residual {resid:.3g}")
     w0, w1 = W
-    col = RegionColoring(rep=rep, V=V, seed_region=seed_region,
-                         W=(complex(w0), complex(w1)))
+    col = RegionColoring(rep=rep, V=V, W=(complex(w0), complex(w1)))
     report = check_genericity(col)
     if report:
         raise ColoringError(

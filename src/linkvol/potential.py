@@ -231,7 +231,7 @@ class _Tables:
 
 def _tables(d):
     t = getattr(d, "_potential_tables", None)
-    if t is None or t.sigma.shape[0] != len(d.crossings):
+    if t is None:
         t = _Tables(d)
         d._potential_tables = t
     return t

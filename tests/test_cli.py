@@ -164,7 +164,7 @@ def test_from_rep_random_coloring_same_invariants(fig8_path, tmp_path,
 
 def test_from_rep_parabolic(fig8_path, tmp_path, capsys):
     rep = write_rep(tmp_path, "rep.json",
-                    _examples.fig8_parabolic_matrices())
+                    _examples.fig8_matrices(1))
     code = cli.main(["from-rep", fig8_path, rep, "--filling", "inf"])
     out = capsys.readouterr().out
     assert code == 0
@@ -177,7 +177,7 @@ def test_from_rep_negated_parabolic(fig8_path, tmp_path, capsys):
     # give m = l = -1, and the invariants do not move
     rep = write_rep(tmp_path, "rep.json", {
         g: -np.asarray(m, dtype=complex)
-        for g, m in _examples.fig8_parabolic_matrices().items()})
+        for g, m in _examples.fig8_matrices(1).items()})
     assert cli.main(["from-rep", fig8_path, rep]) == 0
     out = capsys.readouterr().out
     assert "m = -1.000000000+0.000000000i, l = -1.000000000+0.000000000i" \
@@ -917,6 +917,62 @@ def test_reports_are_one_line_of_compact_json(fig8_path, tmp_path):
         text = report.read_text()
         assert text.endswith("\n") and text.count("\n") == 1, name
         assert text == json.dumps(json.loads(text)) + "\n", name
+
+
+def test_every_report_carries_its_manifest(fig8_path, tmp_path, capsys,
+                                          monkeypatch):
+    monkeypatch.setattr(cli, "_selftest_checks",
+                        lambda: [("trivial", lambda: (True, ""))])
+    commands = _golden_commands(fig8_path, tmp_path)
+    rep = commands["from-rep"][2]
+    solve_json = str(tmp_path / "solve.json")
+    from_rep_json = str(tmp_path / "from-rep.json")
+    filling = str(tmp_path / "filling.json")
+    commands["solve-seeded"] = commands["solve"] + ["--rng-seed", "5"]
+    commands["verify-filling"] = ["verify", fig8_path, from_rep_json,
+                                  filling]
+    commands["selftest"] = ["selftest"]
+    # (inputs, tolerance, rng_seed) per command
+    expected = {"analyze": ([fig8_path], None, None),
+                "from-rep": ([fig8_path, rep], 1e-3, 0),
+                "solve": ([fig8_path], None, 0),
+                "verify": ([fig8_path, solve_json], 1e-3, None),
+                "solve-seeded": ([fig8_path], None, 5),
+                "verify-filling": ([fig8_path, from_rep_json, filling],
+                                   1e-3, None),
+                "selftest": ([], None, None)}
+    assert list(commands) == list(expected)
+    for name, argv in commands.items():
+        report = str(tmp_path / f"{name}.json")
+        assert cli.main(argv + ["--json", report]) == 0, name
+        doc = json.loads(pathlib.Path(report).read_text())
+        inputs, tolerance, rng_seed = expected[name]
+        assert doc["manifest"] == {
+            "command": argv[0], "inputs": inputs, "tolerance": tolerance,
+            "output": report, "rng_seed": rng_seed}, name
+        assert next(iter(doc)) == "manifest", name
+        if name == "from-rep":
+            pathlib.Path(filling).write_text(json.dumps(doc["filling"]))
+    capsys.readouterr()
+
+
+def test_report_path_that_is_an_input_is_read_first(fig8_path, tmp_path,
+                                                    capsys):
+    # the report is opened only after the run, so verify can write over
+    # the solution file it checks
+    commands = _golden_commands(fig8_path, tmp_path)
+    solve_json = str(tmp_path / "solve.json")
+    assert cli.main(commands["solve"] + ["--json", solve_json]) == 0
+    n_solutions = len(json.loads(pathlib.Path(solve_json).read_text())
+                      ["solutions"])
+    assert cli.main(commands["verify"] + ["--json", solve_json]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+    doc = json.loads(pathlib.Path(solve_json).read_text())
+    assert doc["manifest"]["command"] == "verify"
+    assert doc["manifest"]["inputs"] == [fig8_path, solve_json]
+    assert doc["manifest"]["output"] == solve_json
+    assert doc["passed"] is True
+    assert len(doc["results"]) == n_solutions
 
 
 def test_report_rewrite_leaves_no_stale_tail(fig8_path, tmp_path):

@@ -47,7 +47,7 @@ def boosted_rep():
     # accepts its relation residuals (at most _RELATION_TOL = 1e-6), but
     # the cycles of the region graph no longer close to coloring._TOL
     eps = 3e-8
-    seeds = _examples.fig8_parabolic_matrices()
+    seeds = _examples.fig8_matrices(1)
     seeds["g4"] = np.array(seeds["g4"], dtype=complex) @ np.array(
         [[np.cosh(eps), np.sinh(eps)], [np.sinh(eps), np.cosh(eps)]])
     return representation.complete_representation(

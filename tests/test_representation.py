@@ -148,7 +148,7 @@ def test_meridian_eigenvalue_parabolic_snap():
     # the half-precision value sqrt of the trace residual would produce
     d = diagram.load_diagram(_examples.FIG8_PD)
     rep = representation.complete_representation(
-        d, _examples.fig8_parabolic_matrices())
+        d, _examples.fig8_matrices(1))
     assert representation.meridian_eigenvalue(rep, 0) == 1.0
     # a clearly loxodromic matrix is untouched by the snap
     rep2 = representation.complete_representation(
@@ -167,6 +167,20 @@ def test_longitude_eigenvalue_golden(fig8, whitehead):
     for i in range(2):
         assert abs(representation.longitude_eigenvalue(rep, i)
                    - ex.regression_l[i]) < 1e-12
+
+
+@pytest.mark.parametrize("ex", _examples.all_golden(), ids=lambda e: e.name)
+def test_eigenvalues_match_reference_tables(ex):
+    # the seed matrices are built from reference_m, so m agrees to
+    # rounding; l agrees with the published five decimals only to the
+    # allowance from-rep's default --tol encodes for five-decimal inputs
+    rep = representation.complete_representation(
+        diagram.load_diagram(ex.pd), ex.seed_matrices)
+    for i in range(ex.n_components):
+        assert abs(representation.meridian_eigenvalue(rep, i)
+                   - ex.reference_m[i]) < 1e-12
+        assert abs(representation.longitude_eigenvalue(rep, i)
+                   - ex.reference_l[i]) < 1e-3
 
 
 def test_longitude_eigenvalue_conjugation_invariant(fig8):
@@ -202,7 +216,7 @@ def test_abelian_representation_has_trivial_longitude():
 def test_parabolic_longitude_is_minus_one():
     d = diagram.load_diagram(_examples.FIG8_PD)
     rep = representation.complete_representation(
-        d, _examples.fig8_parabolic_matrices())
+        d, _examples.fig8_matrices(1))
     l = representation.longitude_eigenvalue(rep, 0)
     assert abs(l + 1.0) < 1e-12
 
