@@ -18,7 +18,7 @@ eigenvalues and returns their :class:`Evaluation`.
 from .coloring import (ColoringError, RegionColoring, assemble_solution,
                        propagate, random_generic_coloring)
 from .diagram import (DiagramError, LinkDiagram, load_diagram, longitude_word,
-                      parse_pd, wirtinger, writhe)
+                      parse_pd, wirtinger)
 from .engine import (EngineError, SolveConfig, cross_ratios,
                      from_representation, multi_start, solution_report)
 from .potential import (Evaluation, PotentialError, Solution, VolumeResult,
@@ -39,5 +39,4 @@ __all__ = [
     "longitude_eigenvalue", "longitude_word", "meridian_eigenvalue",
     "multi_start", "parse_pd", "propagate", "random_generic_coloring",
     "representation_from_json", "solution_report", "solve_uv", "wirtinger",
-    "writhe",
 ]

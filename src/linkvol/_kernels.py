@@ -140,10 +140,9 @@ def _scatter(idx, vals, n_slots):
     index, accumulating in term order."""
     lead = vals.shape[:-1]
     batch = vals.size // idx.shape[0]
-    flat = idx if batch == 1 else \
-        (idx + n_slots * np.arange(batch)[:, None]).ravel()
     out = np.zeros(batch * n_slots, dtype=np.complex128)
-    np.add.at(out, flat, vals.ravel())
+    np.add.at(out, (idx + n_slots * np.arange(batch)[:, None]).ravel(),
+              vals.ravel())
     return out.reshape(lead + (n_slots,))
 
 
@@ -166,18 +165,14 @@ def _flat(a):
     return a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
 
 
-def _sums(L, t):
-    vals = _flat(L).take(t.log, -1)
-    vals *= t.sign
-    return _scatter(t.row, vals, t.n_rows)
-
-
 def eval_terms(L, t):
     """Per output slot of table t, the signed sum of its logarithmic terms
     at the log array L of one point, shape (n_crossings, n_logs), or of a
     stack, shape (S, n_crossings, n_logs) (see ratio_logs); the result has
     shape (..., n_rows)."""
-    return _sums(L, t)
+    vals = _flat(L).take(t.log, -1)
+    vals *= t.sign
+    return _scatter(t.row, vals, t.n_rows)
 
 
 def eval_terms_jac(R, t):

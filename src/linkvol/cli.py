@@ -161,7 +161,7 @@ def _c2s(z):
 
 def cmd_analyze(args):
     d = _load_diagram(args.diagram)
-    pres = diagram.wirtinger(d)
+    relations = diagram.wirtinger(d)
     print(d.summary())
     print(f"edges: {len(d.succ)}")
     signs = " ".join(f"{x.sign:+d}" for x in d.crossings)
@@ -173,7 +173,7 @@ def cmd_analyze(args):
     for gi, arc in enumerate(d.over_arcs):
         print(f"  g{gi + 1}: edges {list(arc)}")
     print("relations (g_out = g^e g_in g^-e):")
-    for (out, over, inn, eps) in pres.relations:
+    for (out, over, inn, eps) in relations:
         print(f"  g{out + 1} = g{over + 1}^{eps:+d} g{inn + 1} "
               f"g{over + 1}^{-eps:+d}")
     print("longitude words (canonical, writhe-corrected):")
@@ -185,7 +185,7 @@ def cmd_analyze(args):
                "crossing_signs": [x.sign for x in d.crossings],
                "writhes": list(d.writhes),
                "over_arcs": [list(arc) for arc in d.over_arcs],
-               "relations": [list(r) for r in pres.relations],
+               "relations": [list(r) for r in relations],
                "longitudes": [str(diagram.longitude_word(d, i))
                               for i in range(d.n_components)]}
 
@@ -370,7 +370,7 @@ def cmd_verify(args):
         return f
 
     shared = None
-    if args.filling_file:
+    if args.filling_file is not None:
         shared = filling(_read_json(args.filling_file))
     elif isinstance(payload, dict) and payload.get("filling"):
         shared = filling(payload["filling"])
@@ -378,7 +378,7 @@ def cmd_verify(args):
     sols, fills = [], []
     for i, doc in enumerate(docs, 1):
         # a filling file applies to all; else a solution's own comes first
-        own = not args.filling_file and isinstance(doc, dict) \
+        own = args.filling_file is None and isinstance(doc, dict) \
             and doc.get("filling")
         fills.append(filling(doc["filling"]) if own else shared)
         try:

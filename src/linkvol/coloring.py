@@ -106,32 +106,25 @@ def check_genericity(col):
     any generator matrix. A vector u is an eigenvector of g when u and g u
     are parallel, relative to the moduli of both. Returns a list of
     human-readable violations, determinants first, then per generator W
-    and V_1, V_2, ...; empty means generic.
+    and V_1, V_2, ...; empty means generic. Moduli are taken by R.cabs,
+    which is inf where the modulus of a finite number overflows.
     """
-    try:
-        return _violations(col, abs)
-    except OverflowError:
-        # abs() raises where the modulus of a finite number overflows;
-        # cabs returns inf there and equals abs everywhere else
-        return _violations(col, R.cabs)
-
-
-def _violations(col, mag):
+    cabs = R.cabs
     U = [col.W] + col.V                            # U[0] is W
-    size = [max(mag(u0), mag(u1)) for u0, u1 in U]
+    size = [max(cabs(u0), cabs(u1)) for u0, u1 in U]
     w0, w1 = col.W
     report = [f"det(W, V_{j}) = 0"
               for j, (v0, v1) in enumerate(col.V, 1)
-              if mag(w0 * v1 - w1 * v0) <= _TOL * max(1.0,
-                                                       size[0] * size[j])]
+              if cabs(w0 * v1 - w1 * v0)
+              <= _TOL * max(1.0, size[0] * size[j])]
     for gi, (a, b, c, d) in enumerate(col.rep.quads, 1):
         for k, (u0, u1) in enumerate(U):
             g0 = a * u0 + b * u1
             g1 = c * u0 + d * u1
-            m0, m1 = mag(g0), mag(g1)
+            m0, m1 = cabs(g0), cabs(g1)
             # conditional maxima: the builtin max costs a call per pair
             scale = size[k] * (m0 if m0 >= m1 else m1)
-            if mag(u0 * g1 - u1 * g0) <= _TOL * (
+            if cabs(u0 * g1 - u1 * g0) <= _TOL * (
                     scale if scale >= 1e-300 else 1e-300):
                 name = f"V_{k}" if k else "W"
                 report.append(f"{name} is an eigenvector of ρ(g{gi})")

@@ -75,12 +75,6 @@ class Crossing:
 
 
 @dataclass
-class Presentation:
-    n_generators: int
-    relations: list  # (out_gen, over_gen, in_gen, eps) with eps = ±1
-
-
-@dataclass
 class LinkDiagram:
     crossings: list
     n_regions: int
@@ -436,16 +430,11 @@ def load_diagram(text):
 
 
 def wirtinger(d):
-    """One conjugation relation per crossing over the over-arc generators."""
-    relations = []
-    for x in d.crossings:
-        relations.append((x.out_gen, x.over_gen, x.in_gen,
-                          WIRTINGER_EPS * x.sign))
-    return Presentation(n_generators=len(d.over_arcs), relations=relations)
-
-
-def writhe(d, i):
-    return d.writhes[i]
+    """One conjugation relation per crossing over the over-arc generators
+    (one per entry of d.over_arcs): (out_gen, over_gen, in_gen, eps) with
+    eps = ±1."""
+    return [(x.out_gen, x.over_gen, x.in_gen, WIRTINGER_EPS * x.sign)
+            for x in d.crossings]
 
 
 def longitude_word(d, i):

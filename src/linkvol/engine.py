@@ -196,8 +196,7 @@ def _newton_batch(ratios, seeds, cfg):
     last residual met cfg.residual_tol, else the text saying why it failed.
     A candidate is not verified here: the caller evaluates it at W.
     """
-    n = ratios.d.n_regions
-    k = n - 1
+    k = ratios.d.n_regions - 1
     t = ratios.t.wdw
     W = seeds.astype(complex)
     out = np.full(W.shape[0], None)
@@ -218,15 +217,13 @@ def _newton_batch(ratios, seeds, cfg):
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # The live seeds' state, one row per seed: its index into seeds,
-        # its log weights with a last column 0 (whose exp is the constant 1
-        # that the ratio map's sentinels read), the ratios R and sums F at
-        # its point, the ladder index it accepted at its last iteration
-        # (-1 before the first), its ratio distance at the last iteration
-        # and the falls of it in a row (the first iteration has no earlier
-        # distance, so it is no fall), and its last residual.
+        # its log weights X, the ratios R and sums F at its point, the
+        # ladder index it accepted at its last iteration (-1 before the
+        # first), its ratio distance at the last iteration and the falls
+        # of it in a row (the first iteration has no earlier distance, so
+        # it is no fall), and its last residual.
         ids = np.arange(W.shape[0])
-        X = np.zeros((ids.size, n + 1), complex)
-        X[:, :n] = np.log(W)
+        X = np.log(W)
         R = ratios(W)
         F = _kernels.eval_terms(_kernels.ratio_logs(R, t), t)
         last = np.full(ids.size, -1)
@@ -279,7 +276,7 @@ def _newton_batch(ratios, seeds, cfg):
                 x_new = X[p[at]]
                 x_new[:, :k] += steps[:, None] * dx[at]
                 w_new = np.exp(x_new)
-                R_try = ratios.extended(w_new)
+                R_try = ratios(w_new)
                 F_try = _kernels.eval_terms(_kernels.ratio_logs(R_try, t), t)
                 f_new = np.add.reduce(np.abs(_fold(F_try[:, :k])) ** 2,
                                       axis=1)
@@ -293,7 +290,7 @@ def _newton_batch(ratios, seeds, cfg):
                 s = p[hit]
                 X[s], R[s], F[s], last[s] = \
                     x_new[first], R_try[first], F_try[first], j[first]
-                W[ids[s]] = w_new[first, :n]
+                W[ids[s]] = w_new[first]
                 end[hit] = False
             if end.any():
                 settle(ids[p[end]], r[p[end]],

@@ -42,8 +42,6 @@ from .representation import RepresentationError, json_complex, solve_uv
 # is pinned by the bundled reference examples.
 SIGMA_POS = 1
 
-_PI2_6 = math.pi * math.pi / 6.0
-
 # A crossing ratio within this distance of 0 or 1, or above its inverse in
 # magnitude, counts as a collapsed tetrahedron.
 _DEGENERACY_TOL = 1e-8
@@ -115,12 +113,12 @@ class VolumeResult:
     vol: float
     cs: float          # defined mod pi^2, normalized into [0, pi^2)
     residual_max: float
-    nondegenerate: bool
 
     def to_json(self):
+        # W0 raises at a degenerate point, so every result is nondegenerate
         return {"W0": [self.W0.real, self.W0.imag], "vol": self.vol,
                 "cs": self.cs, "residual_max": self.residual_max,
-                "nondegenerate": self.nondegenerate}
+                "nondegenerate": True}
 
 
 # Per crossing the five ratios, in the fixed order used throughout this
@@ -263,16 +261,10 @@ class _RatioMap:
 
     def __call__(self, w):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return self.extended(_ext(w))
-
-    def extended(self, v):
-        """The ratios at a weight stack v (S, n + 1) whose rows already end
-        in the constant 1 that the index sentinels point at. The caller
-        silences numpy's warnings."""
-        g = v.take(self.t.r_nd, -1)
-        R = g[..., 0, :] * g[..., 1, :] / (g[..., 2, :] * g[..., 3, :]) \
-            * self.mf
-        return R.reshape(v.shape[:-1] + (self.t.sigma.shape[0], 5))
+            g = _ext(w).take(self.t.r_nd, -1)
+            R = g[..., 0, :] * g[..., 1, :] / (g[..., 2, :] * g[..., 3, :]) \
+                * self.mf
+        return R.reshape(w.shape[:-1] + (self.t.sigma.shape[0], 5))
 
     def evaluate(self, w):
         """evaluate(d, w, m) at this map's diagram and meridians."""
@@ -299,7 +291,8 @@ def _potentials(d, R, L):
     li = _kernels.dilog_many(R.ravel()).reshape(R.shape)
     logAB = L[..., _LOG_A] * L[..., _LOG_B]
     vals = _tables(d).sigma * (li[..., 0] + li[..., 1] - li[..., 2]
-                               - li[..., 3] + li[..., 4] - _PI2_6 + logAB)
+                               - li[..., 3] + li[..., 4] - _kernels._PI2_6
+                               + logAB)
     return np.cumsum(vals, axis=-1)[..., -1]
 
 
@@ -435,5 +428,4 @@ def W0(p, k, f, residual_tol=1e-3, filling_tol=1e-6):
         val -= md[i] * lm - (r / si) * lm * lm
 
     return VolumeResult(W0=complex(val), vol=float(val.imag),
-                        cs=cs_mod_pi2(val),
-                        residual_max=rmax, nondegenerate=True)
+                        cs=cs_mod_pi2(val), residual_max=rmax)

@@ -145,7 +145,7 @@ def complete_representation(d, partial):
     if all(k is None for k in known):
         raise RepresentationError("insufficient generators: empty input")
 
-    pending = wirtinger(d).relations
+    pending = wirtinger(d)
     while pending:
         waiting = []
         for rel in pending:
@@ -213,7 +213,7 @@ def meridian_eigenvalue(rep, i):
     lam2 = (tr - disc) / 2.0
     # prefer non-negative imaginary part of log, then modulus >= 1
     def key(lam):
-        lg = cmath.log(lam)
+        lg = principal_log(lam)
         return (lg.imag >= -1e-15, cabs(lam) >= 1.0, -abs(lg.imag))
     cands = sorted([lam1, lam2], key=key, reverse=True)
     return cands[0]

@@ -495,6 +495,9 @@ def _golden_solution(key, f):
      "error: cannot write report .: Is a directory\n"),
     (["analyze", "d.pd", "--json", ""], {},
      "error: cannot write report : No such file or directory\n"),
+    # an empty filling path was dropped and the record's own filling used
+    (["verify", "d.pd", "v.json", ""], {},
+     "error: cannot read : [Errno 2] No such file or directory: ''\n"),
 ], ids=["pd-not-utf8", "pd-long-label", "json-pd-long-int", "json-pd-deep",
         "rep-not-utf8", "rep-long-int", "rep-deep", "rep-long-name",
         "rep-nan", "rep-infinity", "rep-name-after-bad-matrix",
@@ -509,7 +512,7 @@ def _golden_solution(key, f):
         "rep-generator-twice", "verify-key-twice", "rep-bom", "pd-bom",
         "json-pd-bom", "rep-generator-two-names", "verify-no-records",
         "solve-unfilled-off-parabolic", "report-missing-directory",
-        "report-directory", "report-empty"])
+        "report-directory", "report-empty", "verify-empty-filling-file"])
 def test_found_inputs_are_input_errors(files, tmp_path, argv, contents,
                                        message):
     paths = {"d.pd": files["pd"], "r.json": files["rep"],

@@ -118,6 +118,23 @@ def test_genericity_violations_reported(fig8_rep):
     assert str(exc.value) == DEGENERATE.format("; ".join(report))
 
 
+def test_genericity_report_where_abs_overflows(fig8_rep):
+    # the builtin abs() of a finite number raises where its modulus
+    # overflows, here at det(W, V_3); the check reads inf there, as the
+    # stacked reference's np.abs does, and reports what it reports
+    ex = _examples.figure_eight_golden()
+    W = (complex(1.2e308, 1.2e308), 1)
+    col = dataclasses.replace(_pinned(fig8_rep, ex), W=W)
+    v0, v1 = col.V[2]
+    with pytest.raises(OverflowError):
+        abs(W[0] * v1 - W[1] * v0)
+    report = coloring.check_genericity(col)
+    with np.errstate(all="ignore"):
+        ref = oracles.genericity_report_stacked(
+            W, col.V, oracles.arrays(fig8_rep.quads), coloring._TOL)
+    assert report == ref and len(report) == 7
+
+
 def test_genericity_matches_pairwise_reference(monkeypatch):
     # random small-integer colorings of the three goldens, many of them
     # with violations: the stacked test reports what the pair-by-pair

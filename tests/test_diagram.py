@@ -116,13 +116,12 @@ def test_kinked_has_multi_passage_arcs():
 def test_wirtinger_presentation_shape():
     for pd in ALL:
         d = diagram.load_diagram(pd)
-        pres = diagram.wirtinger(d)
-        assert len(pres.relations) == d.n_crossings
-        assert pres.n_generators == len(d.over_arcs)
-        for out, over, inn, eps in pres.relations:
+        relations = diagram.wirtinger(d)
+        assert len(relations) == d.n_crossings
+        for out, over, inn, eps in relations:
             assert eps in (-1, 1)
             for g in (out, over, inn):
-                assert 0 <= g < pres.n_generators
+                assert 0 <= g < len(d.over_arcs)
 
 
 def test_longitude_words_abelianize_to_zero():
@@ -138,12 +137,6 @@ def test_figure_eight_longitude_word():
     d = diagram.load_diagram(FIG8)
     assert str(diagram.longitude_word(d, 0)) == "g3^-1 g4 g1^-1 g2"
     assert str(diagram.Word(())) == "1"
-
-
-def test_writhe_helper_matches_table():
-    d = diagram.load_diagram(WHITEHEAD)
-    for i in range(d.n_components):
-        assert diagram.writhe(d, i) == d.writhes[i]
 
 
 def test_diagram_without_crossings_is_rejected():

@@ -510,18 +510,18 @@ def test_each_newton_point_is_evaluated_once(monkeypatch):
     # call per iteration
     d = diagram.load_diagram(FIG8)
     counts = {"ratios": 0, "jacobian": 0}
-    real_ratios = potential._RatioMap.extended
+    real_ratios = potential._RatioMap.__call__
     real_jac = _kernels.eval_terms_jac
 
-    def ratios(self, v):
+    def ratios(self, w):
         counts["ratios"] += 1
-        return real_ratios(self, v)
+        return real_ratios(self, w)
 
     def jacobian(R, t):
         counts["jacobian"] += 1
         return real_jac(R, t)
 
-    monkeypatch.setattr(potential._RatioMap, "extended", ratios)
+    monkeypatch.setattr(potential._RatioMap, "__call__", ratios)
     monkeypatch.setattr(_kernels, "eval_terms_jac", jacobian)
     engine.multi_start(d, [1.0], engine.SolveConfig(seeds=64, rng_seed=0))
     assert counts == {"ratios": 55, "jacobian": 48}

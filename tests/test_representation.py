@@ -30,7 +30,7 @@ def test_completion_satisfies_all_relations(fig8, whitehead):
     for d, rep in (fig8, whitehead):
         mats = oracles.arrays(rep.quads)
         assert mats.shape == (len(d.over_arcs), 2, 2)
-        for out_g, over_g, in_g, eps in diagram.wirtinger(d).relations:
+        for out_g, over_g, in_g, eps in diagram.wirtinger(d):
             o = np.linalg.matrix_power(mats[over_g], eps)
             rhs = o @ mats[in_g] @ oracles.inv2(o)
             assert oracles.mat_dist(mats[out_g], rhs) < 1e-9
@@ -425,7 +425,7 @@ def test_scalar_algebra_matches_numpy_oracle(monkeypatch):
     for d, partial, region, seedV, W in _oracle_cases():
         rep = representation.complete_representation(d, partial)
         mats = oracles.complete_generators(
-            diagram.wirtinger(d).relations, _seeded(d, partial),
+            diagram.wirtinger(d), _seeded(d, partial),
             d.meridian_gen)
         got = oracles.arrays(rep.quads)
         assert _close(got, mats)
@@ -474,7 +474,7 @@ def test_completion_errors_match_numpy_oracle(pd, partial):
         representation.complete_representation(d, partial)
     with pytest.raises(representation.RepresentationError) as ref:
         oracles.complete_generators(
-            diagram.wirtinger(d).relations, _seeded(d, partial),
+            diagram.wirtinger(d), _seeded(d, partial),
             d.meridian_gen, error=representation.RepresentationError)
     assert type(got.value) is type(ref.value)
     assert str(got.value).split(":")[0] == str(ref.value).split(":")[0]
