@@ -16,7 +16,6 @@ indexing.
 """
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,9 @@ WHITEHEAD_PD = "X[1,6,2,5] X[3,7,4,8] X[8,4,9,1] X[10,3,5,2] X[6,9,7,10]"
 
 FIG8_M = complex(-1.30664, 0.04987)
 WHITEHEAD_M = (complex(0.60430, 1.35917), complex(1.43249, 1.08047))
+# The cubic's root nearest this one gives the golden Whitehead
+# representation; the other two give non-conjugate ones.
+_WHITEHEAD_Y = complex(1.34989, -2.79721)
 
 
 def fig8_matrices(m):
@@ -44,11 +46,11 @@ def fig8_matrices(m):
     return {"g4": [[m, 1], [0, 1 / m]], "g3": [[m, 0], [y, 1 / m]]}
 
 
-def whitehead_matrices(m1, m2, y_near=complex(1.34989, -2.79721)):
+def whitehead_matrices(m1, m2):
     """Two-generator seed of the Whitehead link group representation.
 
-    y is a root of the cubic consistency condition; ``y_near`` selects
-    which of the three roots (they give non-conjugate representations).
+    y is the root of the cubic consistency condition nearest
+    _WHITEHEAD_Y.
     """
     m1, m2 = complex(m1), complex(m2)
     c0 = m1 * m2 * (m1 ** 2 - 1) * (m2 ** 2 - 1)
@@ -57,7 +59,7 @@ def whitehead_matrices(m1, m2, y_near=complex(1.34989, -2.79721)):
     c2 = (2 - m1 ** 2 - m2 ** 2 + 2 * m1 ** 2 * m2 ** 2) * m1 * m2
     c3 = m1 ** 2 * m2 ** 2
     roots = np.roots([c3, c2, c1, c0])
-    y = complex(roots[int(np.argmin(np.abs(roots - y_near)))])
+    y = complex(roots[int(np.argmin(np.abs(roots - _WHITEHEAD_Y)))])
     return {"g2": [[m1, 1], [0, 1 / m1]], "g4": [[m2, 0], [y, 1 / m2]]}
 
 
@@ -218,40 +220,3 @@ def all_golden():
     return [figure_eight_golden(), whitehead_golden(),
             figure_eight_parabolic()]
 
-
-def refine_filled_meridian(matrix_builder, pd, slope, uv, m0,
-                           tol=1e-13, max_iter=60):
-    """Secant-refine a knot's meridian eigenvalue until the filling
-    identity r Log m + s Log l(m) + i pi (r u + s v) vanishes.
-
-    The published eigenvalue tables are five-decimal, so the identity only
-    holds near 1e-4 there; several invariance properties of the corrected
-    potential are exact only when it holds exactly. Single-component
-    diagrams only (one complex unknown).
-
-    Raises ``RepresentationError`` with the final residual if the identity
-    does not reach ``tol`` within ``max_iter`` secant steps.
-    """
-    d = diagram.load_diagram(pd)
-    shift = 1j * math.pi * (slope[0] * uv[0] + slope[1] * uv[1])
-
-    def g(m):
-        rep = representation.complete_representation(d, matrix_builder(m))
-        l = representation.longitude_eigenvalue(rep, 0)
-        return representation.filling_log(m, l, *slope) + shift
-
-    m1 = complex(m0)
-    m2 = m1 * (1 + 1e-6)
-    g1, g2 = g(m1), g(m2)
-    for _ in range(max_iter):
-        if abs(g2) <= tol or g2 == g1:
-            break
-        step = g2 * (m2 - m1) / (g2 - g1)
-        m1, g1 = m2, g2
-        m2 = m2 - step
-        g2 = g(m2)
-    if abs(g2) > tol:
-        raise representation.RepresentationError(
-            f"meridian refinement stopped at filling-identity residual "
-            f"{abs(g2):.3e} > tol {tol:.1e}")
-    return m2

@@ -5,8 +5,9 @@ Chern-Simons invariant from a representation file), ``solve`` (numerical
 multi-start search at fixed meridians), ``verify`` (re-check solution
 files), and ``selftest`` (built-in reproduction suite).
 
-Each ``cmd_*`` returns (exit code, report document); ``main`` writes the
-document to ``--json`` after a manifest of the run.
+Each ``cmd_*`` returns (exit code, report document); ``main`` checks the
+``--json`` path before the run and writes the document there after a
+manifest of the run.
 
 Exit codes: 0 success, 1 verification failure, 2 input error.
 Complex numbers on the command line use the form ``a+bi``; JSON files use
@@ -15,10 +16,13 @@ Complex numbers on the command line use the form ``a+bi``; JSON files use
 
 import argparse
 import cmath
+import errno
 import functools
 import json
 import math
+import os
 import re
+import stat
 import sys
 import time
 from dataclasses import replace
@@ -120,6 +124,26 @@ def _load_diagram(path):
 # ---------------------------------------------------------------------------
 
 _INPUT_ARGS = ("diagram", "rep", "solutions", "filling_file")
+
+
+def _check_report_path(path):
+    """Fail before the run on a report path that opening for writing is
+    sure to refuse, with the message the write would give: the empty
+    path, a missing parent or one that is not a directory, a directory,
+    and a name with a trailing slash, which open() takes for a directory.
+    Any other OSError is still found at the write."""
+    if not path:
+        code = errno.ENOENT
+    else:
+        try:
+            parent = os.stat(os.path.dirname(path.rstrip("/")) or ".")
+            code = None if stat.S_ISDIR(parent.st_mode) else errno.ENOTDIR
+        except (FileNotFoundError, NotADirectoryError) as exc:
+            code = exc.errno
+        if code is None and (path.endswith("/") or os.path.isdir(path)):
+            code = errno.EISDIR
+    if code is not None:
+        raise InputError(f"cannot write report {path}: {os.strerror(code)}")
 
 
 def _write_report(args, doc):
@@ -574,6 +598,8 @@ def main(argv=None):
         if getattr(args, "rng_seed", 0) < 0:
             raise InputError(f"--rng-seed must not be negative, got "
                              f"{args.rng_seed}")
+        if args.json is not None:
+            _check_report_path(args.json)
         code, doc = args.fn(args)
         _write_report(args, doc)
         return code

@@ -5,6 +5,7 @@ part in (-pi, pi], the closed end of the cut taken on the positive side, and
 the dilogarithm is evaluated consistently with that choice term by term.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -41,15 +42,10 @@ def dilog(z):
     cut, which is what principal branches of the functional equations
     produce.
     """
-    return complex(dilog_array([complex(z)])[0])
-
-
-def dilog_array(z):
-    """Vectorized dilog over an array of any shape."""
-    z = np.asarray(z, dtype=np.complex128)
-    if not np.all(np.isfinite(z)):
+    z = complex(z)
+    if not cmath.isfinite(z):
         raise ValueError("dilog of non-finite value")
-    return _kernels.dilog_many(z)
+    return complex(_kernels.dilog_many(np.array([z]))[0])
 
 
 def cs_mod_pi2(w0):

@@ -4,7 +4,8 @@ Nothing in this module imports from linkvol. Each oracle is a from-scratch
 computation (series, Newton on gluing equations, finite differences, the
 telescoping arc products of the octahedral decomposition) used to
 cross-check the package, plus mpmath as an independent mature
-implementation of the dilogarithm. The 2x2 SL(2,C) algebra of
+implementation of the dilogarithm and of the secant root finder that
+puts a knot's meridian on a filling. The 2x2 SL(2,C) algebra of
 representation completion, transport, genericity and longitudes is kept
 here on numpy arrays, as the package computed it before it moved to tuples
 of Python complex. The potential's term tables are kept here as the
@@ -495,6 +496,42 @@ def longitude_eigenvalue(matrices, letters, meridian, error=ValueError):
     if float(np.max(np.abs(w - l * v))) > 1e-6 * max(1.0, abs(l)):
         raise error("meridian and longitude share no eigenvector")
     return complex(l)
+
+
+def filled_meridian(seed, relations, letters, meridian_gen, slope, m0,
+                    tol=1e-13):
+    """The seed parameter m near m0 at which a knot's representation fills
+    along slope (r, s): r Log m + s Log l = n pi i, with n the integer
+    nearest at m0.
+
+    ``seed(m)`` gives the known generator matrices at parameter m (one
+    2x2 array or None per generator), completed by complete_generators
+    over ``relations``; l is longitude_eigenvalue of the word ``letters``
+    on generator ``meridian_gen``. Log m is taken of the eigenvalue that
+    _meridian_eigenvalue picks, which is 1/m below the real axis. The
+    root is mpmath's secant method from m0; raises ValueError when the
+    identity misses tol there."""
+    import mpmath
+
+    r, s = slope
+
+    def identity(m):
+        mats = complete_generators(relations, seed(m), [meridian_gen])
+        mu = mats[meridian_gen]
+        return (r * cmath.log(_meridian_eigenvalue(mu))
+                + s * cmath.log(longitude_eigenvalue(mats, letters, mu)))
+
+    n = round((identity(complex(m0)) / (1j * math.pi)).real)
+
+    def g(m):
+        return mpmath.mpc(identity(complex(m)) - n * math.pi * 1j)
+
+    m = complex(mpmath.findroot(g, complex(m0), solver="secant"))
+    resid = abs(complex(g(m)))
+    if not resid <= tol:
+        raise ValueError(f"filling identity {resid:.3e} > tol {tol:.1e} "
+                         f"at the root")
+    return m
 
 
 # ---------------------------------------------------------------------------

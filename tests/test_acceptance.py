@@ -16,8 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from linkvol import _examples, coloring, diagram, engine, potential, \
-    representation
+from linkvol import _examples, diagram, engine, potential, representation
 from linkvol.numerics import PI_SQUARED, dilog, mod_pi2_equal, principal_log
 
 import oracles
@@ -52,15 +51,13 @@ def fig8_run():
     return _examples.run_pipeline(_examples.figure_eight_golden())
 
 
-def test_criterion_1_figure_eight_golden():
+def test_criterion_1_figure_eight_golden(fig8_meridian):
     golden = _examples.figure_eight_golden()
     t0 = time.perf_counter()
     # At the five-decimal published meridian the 2/3 filling identity is
     # off by ~7e-5, i.e. that point is not a representation of the filled
     # manifold; refine it onto the filling locus before evaluating.
-    mstar = _examples.refine_filled_meridian(
-        _examples.fig8_matrices, golden.pd, golden.slopes[0],
-        golden.regression_uv[0], _examples.FIG8_M)
+    mstar = fig8_meridian(golden.slopes[0], _examples.FIG8_M)
     run = _examples.run_pipeline(dataclasses.replace(
         golden, seed_matrices=_examples.fig8_matrices(mstar)))
     elapsed = time.perf_counter() - t0
@@ -215,7 +212,7 @@ def test_criterion_6_dilogarithm_suite():
     ])
 
 
-def test_criterion_7_invariance_suite(fig8_run):
+def test_criterion_7_invariance_suite(fig8_run, fig8_exact):
     # m -> 1/m leaves the residual predicate unchanged
     s = fig8_run.solution
     base = np.abs(evaluate(s).residuals[0]).max()
@@ -224,24 +221,14 @@ def test_criterion_7_invariance_suite(fig8_run):
     inv_dev = abs(inv - base)
 
     # lattice / gauge invariance is exact only when the filling identity
-    # holds exactly, so refine the meridian first
-    ex = _examples.figure_eight_golden()
-    mstar = _examples.refine_filled_meridian(
-        _examples.fig8_matrices, FIG8, (2, 3), (1, -2), _examples.FIG8_M)
-    d = diagram.load_diagram(FIG8)
-    rep = representation.complete_representation(
-        d, _examples.fig8_matrices(mstar))
-    l = representation.longitude_eigenvalue(rep, 0)
-    col = coloring.propagate(rep, ex.seed_region, ex.seedV, ex.auxW)
-    sol = coloring.assemble_solution(col)
-    f = representation.FillingSpec([(2, 3)], l=[l], uv=[(1, -2)])
+    # holds exactly, so at the exact filled meridian
+    sol, f, res = fig8_exact
     p = evaluate(sol)
-    res = potential.W0(p, 0, f, residual_tol=1e-9, filling_tol=1e-9)
 
     lat_worst = 0.0
     for t in (1, -1, 2):
         shifted = representation.FillingSpec(
-            [(2, 3)], l=[l], uv=[(1 + 3 * t, -2 - 2 * t)])
+            [(2, 3)], l=f.l, uv=[(1 + 3 * t, -2 - 2 * t)])
         got = potential.W0(p, 0, shifted, residual_tol=1e-9,
                            filling_tol=1e-9)
         lat_worst = max(lat_worst, _mod_pi2_dist(got.W0.real, res.W0.real),
@@ -249,7 +236,7 @@ def test_criterion_7_invariance_suite(fig8_run):
 
     gauge_worst = 0.0
     lams = np.array([complex(2.0), complex(0.3, 1.1), complex(-0.8, 0.2)])
-    scaled = potential.evaluate(d, sol.w * lams[:, None], sol.m)
+    scaled = potential.evaluate(sol.diagram, sol.w * lams[:, None], sol.m)
     for k in range(len(lams)):
         got = potential.W0(scaled, k, f, residual_tol=1e-9, filling_tol=1e-9)
         gauge_worst = max(gauge_worst,

@@ -1000,6 +1000,28 @@ def test_report_through_a_symlink_updates_its_target(fig8_path, tmp_path):
     assert doc["manifest"]["command"] == "analyze"
 
 
+@pytest.mark.parametrize("name, reason", [
+    ("no-such-dir/r.json", "No such file or directory"),
+    ("fig8.pd/r.json", "Not a directory"),
+    ("fig8.pd/", "Is a directory"),
+    ("no-such-dir/r/", "No such file or directory"),
+], ids=["missing-parent", "parent-not-a-directory", "trailing-slash",
+        "trailing-slash-missing-parent"])
+def test_unwritable_report_path_fails_before_the_run(fig8_path, tmp_path,
+                                                    capsys, name, reason):
+    # a report path no write can succeed on is refused before solve
+    # prints its solutions, with the message the write would give
+    report = os.path.join(tmp_path, name)
+    with pytest.raises(OSError) as write:
+        open(report, "w")
+    assert write.value.strerror == reason
+    assert cli.main(["solve", fig8_path, "--m", "1",
+                     "--json", report]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write report {report}: {reason}\n"
+
+
 def test_report_to_dev_null(fig8_path, capsys):
     assert cli.main(["analyze", fig8_path, "--json", os.devnull]) == 0
     assert capsys.readouterr().err == ""

@@ -249,6 +249,28 @@ def test_conjugate_solution_negates_volume():
     assert abs(res.vol + run.result.vol) < 1e-9
 
 
+# The Meyerhoff manifold, figure-eight 5/1 filling: the arithmetic
+# hyperbolic 3-manifold of smallest volume (Chinburg, Friedman, Jones &
+# Reid, Ann. Sc. Norm. Sup. Pisa 30 (2001)).
+MEYERHOFF_VOLUME = 0.9813688288922320
+
+
+def test_figure_eight_five_fillings_are_meyerhoff(fig8_meridian):
+    # -5/1 and 5/1 give the manifold and its mirror, since figure-eight
+    # is amphichiral: the same volume, and cs values that cancel mod pi^2
+    d = diagram.load_diagram(FIG8)
+    cs = []
+    for slope, m0 in (((-5, 1), complex(0.584796, -0.379478)),
+                      ((5, 1), complex(1.203309, -0.780835))):
+        rep = representation.complete_representation(
+            d, _examples.fig8_matrices(fig8_meridian(slope, m0)))
+        col = coloring.random_generic_coloring(rep, 0)
+        _, _, res = engine.from_representation(rep, col, [slope], tol=1e-9)
+        assert abs(res.vol - MEYERHOFF_VOLUME) < 1e-10, slope
+        cs.append(res.cs)
+    assert mod_pi2_equal(cs[0] + cs[1], 0, 1e-9)
+
+
 def test_solution_report_unfilled_keys(fig8_parabolic_solutions):
     d, p = fig8_parabolic_solutions
     doc = engine.solution_report(p, 0)

@@ -143,3 +143,20 @@ def test_no_unreferenced_definitions():
         and node.name not in referenced]
     assert not unreferenced, "defined but never referenced: " + \
         ", ".join(unreferenced)
+
+
+def test_oracles_import_nothing_from_the_package():
+    # the oracles are independent references only while they share no
+    # code with what they check
+    path = pathlib.Path(__file__).resolve().parent / "oracles.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = ["." * node.level + (node.module or "")]
+        else:
+            continue
+        found += [f"oracles.py:{node.lineno}: {name}" for name in modules
+                  if name.split(".")[0] in ("linkvol", "")]
+    assert not found, "oracles.py imports from linkvol: " + ", ".join(found)

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from linkvol import (_examples, _kernels, coloring, diagram, engine,
-                     potential, representation)
+from linkvol import (_examples, _kernels, diagram, engine, potential,
+                     representation)
 from linkvol.numerics import PI_SQUARED, mod_pi2_equal, principal_log
 
 import oracles
@@ -316,36 +316,6 @@ def test_w0_matches_frozen_value(fig8_solved):
     assert abs(run.result.vol - ex.regression_vol) < 1e-12
     assert abs(run.result.cs - ex.regression_cs) < 1e-12
     assert 0.0 <= run.result.cs < PI_SQUARED
-
-
-@pytest.fixture(scope="module")
-def fig8_exact():
-    """Figure-eight 2/3-filled point with the filling identity refined to
-    machine precision (the five-decimal published meridian leaves a 7e-5
-    identity residual, which breaks exact-only invariances)."""
-    ex = _examples.figure_eight_golden()
-    mstar = _examples.refine_filled_meridian(
-        _examples.fig8_matrices, FIG8, (2, 3), (1, -2), _examples.FIG8_M)
-    d = diagram.load_diagram(FIG8)
-    rep = representation.complete_representation(
-        d, _examples.fig8_matrices(mstar))
-    l = representation.longitude_eigenvalue(rep, 0)
-    col = coloring.propagate(rep, ex.seed_region, ex.seedV, ex.auxW)
-    sol = coloring.assemble_solution(col)
-    f = representation.FillingSpec([(2, 3)], l=[l], uv=[(1, -2)])
-    res = potential.W0(evaluate(sol), 0, f, residual_tol=1e-9,
-                       filling_tol=1e-9)
-    return sol, f, res
-
-
-def test_refine_filled_meridian_raises_when_not_converged():
-    # one secant step leaves the identity near 2e-10, far above tol=1e-13;
-    # the caller must not get that point back as if it were exact
-    with pytest.raises(representation.RepresentationError,
-                       match="residual"):
-        _examples.refine_filled_meridian(
-            _examples.fig8_matrices, FIG8, (2, 3), (1, -2),
-            _examples.FIG8_M, max_iter=1)
 
 
 def test_refined_meridian_reproduces_published_invariants(fig8_exact):
