@@ -22,7 +22,6 @@ import json
 import math
 import os
 import re
-import stat
 import sys
 import time
 from dataclasses import replace
@@ -129,19 +128,20 @@ _INPUT_ARGS = ("diagram", "rep", "solutions", "filling_file")
 def _check_report_path(path):
     """Fail before the run on a report path that opening for writing is
     sure to refuse, with the message the write would give: the empty
-    path, a missing parent or one that is not a directory, a directory,
-    and a name with a trailing slash, which open() takes for a directory.
-    Any other OSError is still found at the write."""
-    if not path:
-        code = errno.ENOENT
-    else:
-        try:
-            parent = os.stat(os.path.dirname(path.rstrip("/")) or ".")
-            code = None if stat.S_ISDIR(parent.st_mode) else errno.ENOTDIR
-        except (FileNotFoundError, NotADirectoryError) as exc:
-            code = exc.errno
-        if code is None and (path.endswith("/") or os.path.isdir(path)):
-            code = errno.EISDIR
+    path, a parent directory that cannot be reached (missing, not a
+    directory, a symlink loop, no search permission), a directory, and a
+    name with a trailing slash, which open() takes for a directory. An
+    error only the write can find, such as a parent that is not writable,
+    still shows at the write."""
+    parent = os.path.dirname(path.rstrip("/")) or "."
+    try:
+        # the trailing separator makes a parent that is a file fail too
+        os.stat(os.path.join(parent, ""))
+        code = (errno.ENOENT if not path
+                else errno.EISDIR if path.endswith("/") or os.path.isdir(path)
+                else None)
+    except OSError as exc:
+        code = exc.errno
     if code is not None:
         raise InputError(f"cannot write report {path}: {os.strerror(code)}")
 

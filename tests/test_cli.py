@@ -1005,12 +1005,16 @@ def test_report_through_a_symlink_updates_its_target(fig8_path, tmp_path):
     ("fig8.pd/r.json", "Not a directory"),
     ("fig8.pd/", "Is a directory"),
     ("no-such-dir/r/", "No such file or directory"),
+    ("loop/r.json", "Too many levels of symbolic links"),
+    ("x" * 300 + "/r.json", "File name too long"),
 ], ids=["missing-parent", "parent-not-a-directory", "trailing-slash",
-        "trailing-slash-missing-parent"])
+        "trailing-slash-missing-parent", "parent-symlink-loop",
+        "parent-name-too-long"])
 def test_unwritable_report_path_fails_before_the_run(fig8_path, tmp_path,
                                                     capsys, name, reason):
     # a report path no write can succeed on is refused before solve
     # prints its solutions, with the message the write would give
+    os.symlink("loop", os.path.join(tmp_path, "loop"))  # a symlink loop
     report = os.path.join(tmp_path, name)
     with pytest.raises(OSError) as write:
         open(report, "w")
